@@ -77,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         return run_smoke(server, wimax_tx, wimax_rx);
     }
 
-    // Serve until killed; the accept/router/handler threads do the
+    // Serve until killed; the accept/delivery/handler threads do the
     // work. (Graceful drain is exercised by the library tests and the
     // smoke run — a plain SIGKILL here just drops the sockets.)
     loop {

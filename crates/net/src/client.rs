@@ -12,7 +12,13 @@
 //! different threads — which is exactly how a client must be shaped to
 //! observe `RETRY_AFTER` load-shedding without deadlocking on its own
 //! unread responses.
+//!
+//! Both halves are buffered: a submit is one `write` from a reused
+//! frame buffer, and responses are read through a [`BufReader`], so a
+//! pipelined window costs a few large socket calls rather than two per
+//! frame.
 
+use std::io::{BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -68,12 +74,14 @@ pub enum NetEvent {
 pub struct NetSender {
     stream: TcpStream,
     channels: Vec<ChannelInfo>,
+    /// The frame being sent, reused across submits.
+    frame: Vec<u8>,
 }
 
 /// The read half: decodes response frames into [`NetEvent`]s.
 #[derive(Debug)]
 pub struct NetReceiver {
-    stream: TcpStream,
+    stream: BufReader<TcpStream>,
     payload: Vec<u8>,
 }
 
@@ -93,7 +101,8 @@ impl NetClient {
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Self, ProtoError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        let mut rx = NetReceiver { stream: stream.try_clone()?, payload: Vec::new() };
+        let mut rx =
+            NetReceiver { stream: BufReader::new(stream.try_clone()?), payload: Vec::new() };
         let header = proto::read_header(&mut rx.stream)?;
         if header.op != OP_HELLO {
             return Err(ProtoError::Malformed(format!(
@@ -103,7 +112,7 @@ impl NetClient {
         }
         proto::read_payload_into(&mut rx.stream, &header, &mut rx.payload)?;
         let channels = proto::decode_hello(&rx.payload)?;
-        Ok(Self { tx: NetSender { stream, channels }, rx })
+        Ok(Self { tx: NetSender { stream, channels, frame: Vec::new() }, rx })
     }
 
     /// The channel table the server advertised.
@@ -148,7 +157,7 @@ impl NetClient {
     ///
     /// The underlying `set_read_timeout` failure.
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> Result<(), ProtoError> {
-        self.rx.stream.set_read_timeout(timeout)?;
+        self.rx.stream.get_ref().set_read_timeout(timeout)?;
         Ok(())
     }
 
@@ -167,14 +176,18 @@ impl NetSender {
 
     /// Submits one symbol on a wire channel. `seq` is the caller's
     /// correlation id, echoed verbatim on whatever answer comes back.
+    /// The frame is encoded into a buffer reused across calls and sent
+    /// with one `write_all`.
     ///
     /// # Errors
     ///
     /// Socket write failure.
     pub fn submit(&mut self, channel: u16, seq: u64, samples: &[C64]) -> Result<(), ProtoError> {
-        let mut payload = Vec::with_capacity(samples.len() * proto::BYTES_PER_SAMPLE);
-        proto::put_samples(&mut payload, samples);
-        proto::write_frame(&mut self.stream, OP_SUBMIT, channel, seq, &payload)?;
+        self.frame.clear();
+        let payload_len = samples.len() * proto::BYTES_PER_SAMPLE;
+        proto::put_header(&mut self.frame, OP_SUBMIT, channel, seq, payload_len);
+        proto::put_samples(&mut self.frame, samples);
+        self.stream.write_all(&self.frame)?;
         Ok(())
     }
 

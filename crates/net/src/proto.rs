@@ -227,10 +227,13 @@ pub fn read_payload_into(
     Ok(())
 }
 
-/// Writes one frame — header plus payload — as a single buffered write,
-/// so a frame is never interleaved with another writer's bytes as long
-/// as callers serialise on the stream (the server wraps each connection
-/// in a write mutex).
+/// Writes one frame — header plus payload — with a single `write_all`
+/// of one contiguous buffer, so a frame costs one `write` call on a
+/// socket that takes it whole and is never interleaved with another
+/// writer's bytes as long as callers serialise on the stream (the
+/// server wraps each connection in a write mutex). Hot paths append
+/// frames to a reused buffer with [`put_header`] / [`put_frame`]
+/// instead.
 pub fn write_frame(
     w: &mut impl Write,
     op: u8,
@@ -238,20 +241,35 @@ pub fn write_frame(
     seq: u64,
     payload: &[u8],
 ) -> std::io::Result<()> {
-    debug_assert!(payload.len() as u64 <= MAX_PAYLOAD as u64, "oversized outbound frame");
-    let header = encode_header(&Header { op, channel, seq, payload_len: payload.len() as u32 });
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
+    put_frame(&mut frame, op, channel, seq, payload);
+    w.write_all(&frame)?;
     w.flush()
+}
+
+/// Appends a frame header announcing `payload_len` bytes to `out`; the
+/// caller appends exactly that many payload bytes next (for a sample
+/// payload, with [`put_samples`]).
+pub fn put_header(out: &mut Vec<u8>, op: u8, channel: u16, seq: u64, payload_len: usize) {
+    debug_assert!(payload_len as u64 <= MAX_PAYLOAD as u64, "oversized outbound frame");
+    let payload_len = payload_len as u32;
+    out.extend_from_slice(&encode_header(&Header { op, channel, seq, payload_len }));
+}
+
+/// Appends one whole frame — header plus payload — to `out`.
+pub fn put_frame(out: &mut Vec<u8>, op: u8, channel: u16, seq: u64, payload: &[u8]) {
+    put_header(out, op, channel, seq, payload.len());
+    out.extend_from_slice(payload);
 }
 
 /// Packs complex samples onto the end of `payload` (re then im, `f64`
 /// little-endian each).
 pub fn put_samples(payload: &mut Vec<u8>, samples: &[C64]) {
-    payload.reserve(samples.len() * BYTES_PER_SAMPLE);
-    for s in samples {
-        payload.extend_from_slice(&s.re.to_le_bytes());
-        payload.extend_from_slice(&s.im.to_le_bytes());
+    let start = payload.len();
+    payload.resize(start + samples.len() * BYTES_PER_SAMPLE, 0);
+    for (bytes, s) in payload[start..].chunks_exact_mut(BYTES_PER_SAMPLE).zip(samples) {
+        bytes[..8].copy_from_slice(&s.re.to_le_bytes());
+        bytes[8..].copy_from_slice(&s.im.to_le_bytes());
     }
 }
 
@@ -445,5 +463,51 @@ mod tests {
         let mut body = Vec::new();
         read_payload_into(&mut cursor, &header, &mut body).unwrap();
         assert_eq!(body, payload);
+    }
+
+    /// A sink that takes every `write` whole and counts the calls — the
+    /// shape of a socket with send-buffer room.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_makes_one_write_call_per_frame() {
+        let mut payload = Vec::new();
+        put_samples(&mut payload, &[Complex::new(0.5, -0.25); 320]);
+        let bodies: [&[u8]; 3] = [&payload, &[], b"bad channel"];
+        let mut sink = CountingWriter::default();
+        for (seq, body) in bodies.into_iter().enumerate() {
+            write_frame(&mut sink, OP_RESULT, 1, seq as u64, body).unwrap();
+            assert_eq!(sink.writes, seq + 1, "frame {seq} took more than one write");
+        }
+        // The concatenated frames parse back, and put_frame builds the
+        // same bytes for a reused buffer.
+        let mut cursor = &sink.bytes[..];
+        let mut rebuilt = Vec::new();
+        for (seq, body) in bodies.into_iter().enumerate() {
+            let header = read_header(&mut cursor).unwrap();
+            assert_eq!((header.seq, header.payload_len as usize), (seq as u64, body.len()));
+            let mut got = Vec::new();
+            read_payload_into(&mut cursor, &header, &mut got).unwrap();
+            assert_eq!(got, body);
+            put_frame(&mut rebuilt, OP_RESULT, 1, seq as u64, body);
+        }
+        assert!(cursor.is_empty());
+        assert_eq!(rebuilt, sink.bytes);
     }
 }

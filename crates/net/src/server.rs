@@ -3,11 +3,19 @@
 //!
 //! # Thread shape
 //!
-//! One **accept thread** polls a non-blocking listener; each connection
-//! gets a **handler thread** that reads frames and submits symbols; each
-//! channel gets a **router thread** that receives the channel's in-order
-//! completions and writes them back to whichever connection submitted
-//! them. Handlers and routers meet at a per-channel *pending map*
+//! One **accept thread** polls a non-blocking listener and reaps the
+//! handler threads of closed connections; each connection gets a
+//! **handler thread** that reads frames through a buffered reader and
+//! submits symbols; one **delivery thread** answers every connection.
+//! It drains the pipeline with [`StreamPipeline::recv_ready`], which
+//! hands over every completion any channel has ready in one pass,
+//! groups the drain's replies by connection, and writes each group with
+//! a single `write_all`. A batch is simply whatever is ready: under load
+//! one drain carries many frames per write, while a lone frame at
+//! window 1 goes out the moment it completes. Nothing waits to fill a
+//! batch, so there is no batch size to tune.
+//!
+//! Handlers and the delivery thread meet at a per-channel *pending map*
 //! (pipeline seq → submitting connection): the handler inserts under
 //! the map's lock **around** the `try_submit` call, so a completion can
 //! never be routed before its origin is recorded.
@@ -20,28 +28,31 @@
 //! and its buffers go straight back to the channel's pool. Every frame
 //! the pipeline *does* accept is answered eventually: a `RESULT`, an
 //! `ERROR` carrying the backend's verdict, or — if a worker panic
-//! poisons the pipeline — an `ERROR` from the router's drain.
+//! poisons the pipeline — an `ERROR` from the delivery thread.
 //!
 //! # Buffer recycling
 //!
 //! Payload buffers travel with the job and come back in the completion
-//! (the stream crate's own contract); the router returns them to a
-//! per-channel pool the handlers draw from, so the steady-state
-//! per-frame path allocates nothing.
+//! (the stream crate's own contract); the delivery thread returns them
+//! to a per-channel pool the handlers draw from, and keeps its reply
+//! buffers from drain to drain, so the steady-state per-frame path
+//! allocates nothing.
 //!
 //! # Graceful drain
 //!
 //! [`NetServer::shutdown`] stops accepting, closes the pipeline intake
 //! (late frames are answered with `ERROR`), lets every handler drain
-//! the frames already buffered on its socket, lets every router deliver
-//! every accepted completion, then joins the pool — accepted work is
-//! never dropped on the floor.
+//! the frames already buffered on its socket and joins it, and only
+//! then lets the delivery thread finish: it exits once no handler is
+//! left to submit and every accepted completion has been written, so
+//! accepted work is never dropped on the floor.
 
 use std::collections::HashMap;
-use std::io::Read;
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use afft_core::Direction;
@@ -65,6 +76,9 @@ const ACCEPT_TICK: Duration = Duration::from_millis(5);
 /// Cap on pooled buffer pairs per channel — enough to cover the whole
 /// submission budget without letting a burst pin memory forever.
 const POOL_CAP: usize = 64;
+/// Per-connection read buffer: one `read` call takes in several
+/// pipelined frames (a WiMAX-256 demodulate frame is about 5 KiB).
+const READ_BUF: usize = 32 * 1024;
 
 /// Configures and launches a [`NetServer`]. Obtained from
 /// [`NetServer::builder`].
@@ -130,7 +144,7 @@ impl NetServerBuilder {
     }
 
     /// Builds the pipeline, binds `addr` (e.g. `"127.0.0.1:0"` for an
-    /// ephemeral port), and spawns the accept and router threads.
+    /// ephemeral port), and spawns the accept and delivery threads.
     ///
     /// # Errors
     ///
@@ -178,42 +192,38 @@ impl NetServerBuilder {
             infos,
             hello,
             shutdown: AtomicBool::new(false),
+            handlers_joined: AtomicBool::new(false),
+            handlers: Mutex::new(Vec::new()),
             retry_after_ms: self.retry_after_ms,
             max_conn_outstanding: self.max_conn_outstanding,
-            connections: AtomicU64::new(0),
+            connections_live: AtomicU64::new(0),
+            connections_accepted: AtomicU64::new(0),
             frames_in: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
         });
 
-        let routers = (0..shared.channels.len())
-            .map(|idx| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || router_loop(&shared, idx))
-            })
-            .collect();
-
-        let handlers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
-            Arc::new(Mutex::new(Vec::new()));
+        let delivery = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || delivery_loop(&shared))
+        };
         let accept = {
             let shared = Arc::clone(&shared);
-            let handlers = Arc::clone(&handlers);
-            std::thread::spawn(move || accept_loop(&listener, &shared, &handlers))
+            std::thread::spawn(move || accept_loop(&listener, &shared))
         };
 
-        Ok(NetServer { shared, accept: Some(accept), routers, handlers, local_addr })
+        Ok(NetServer { shared, accept, delivery, local_addr })
     }
 }
 
-/// The running server: owns the accept/router/handler threads and the
+/// The running server: owns the accept/delivery/handler threads and the
 /// pipeline they share. See the [module docs](self) for the thread
 /// shape and guarantees.
 #[derive(Debug)]
 pub struct NetServer {
     shared: Arc<ServerShared>,
-    accept: Option<std::thread::JoinHandle<()>>,
-    routers: Vec<std::thread::JoinHandle<()>>,
-    handlers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+    accept: JoinHandle<()>,
+    delivery: JoinHandle<()>,
     local_addr: SocketAddr,
 }
 
@@ -248,39 +258,35 @@ impl NetServer {
 
     /// Graceful drain: stop accepting, close the pipeline intake (late
     /// frames are answered with `ERROR`), let handlers flush what their
-    /// sockets already buffered, let routers deliver every accepted
-    /// completion, then join everything. Returns the pipeline's final
-    /// stats. Connections close once their last response is written.
-    pub fn shutdown(mut self) -> StreamStats {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
+    /// sockets already buffered and join them, then let the delivery
+    /// thread answer every accepted frame and join it. Returns the
+    /// pipeline's final stats. Connections close once their last
+    /// response is written.
+    pub fn shutdown(self) -> StreamStats {
+        let NetServer { shared, accept, delivery, .. } = self;
+        shared.shutdown.store(true, Ordering::SeqCst);
+        let _ = accept.join();
         // No new connections. Close the intake so frames still arriving
         // get a definitive ERROR instead of an accept they can't have.
-        self.shared.pipeline.close();
-        let handlers = std::mem::take(&mut *self.handlers.lock().expect("handler list poisoned"));
+        shared.pipeline.close();
+        let handlers = std::mem::take(&mut *shared.handlers.lock().expect("handler list poisoned"));
         for h in handlers {
             let _ = h.join();
         }
-        // Handlers are gone: nothing submits any more. Wake the routers
-        // so they notice shutdown once their pending maps drain.
-        for st in &self.shared.chan {
-            let _g = st.pending.lock().expect("pending map poisoned");
-            st.work.notify_all();
-        }
-        for h in self.routers.drain(..) {
-            let _ = h.join();
-        }
-        // Routers delivered everything accepted; the final snapshot is
-        // the report. The pipeline itself is joined by its own Drop —
+        // Handlers are gone, so nothing submits any more: the delivery
+        // thread may exit once everything accepted is answered.
+        shared.handlers_joined.store(true, Ordering::SeqCst);
+        delivery.thread().unpark();
+        let _ = delivery.join();
+        // Everything accepted was delivered; the final snapshot is the
+        // report. The pipeline itself is joined by its own Drop —
         // which, unlike StreamPipeline::shutdown, tolerates a poisoned
         // pool instead of re-raising the worker's panic.
-        self.shared.pipeline.stats()
+        shared.pipeline.stats()
     }
 }
 
-/// Everything the accept, handler, and router threads share.
+/// Everything the accept, handler, and delivery threads share.
 struct ServerShared {
     pipeline: StreamPipeline,
     /// Pipeline handles, index-aligned with `infos` and `chan`.
@@ -290,9 +296,18 @@ struct ServerShared {
     hello: Vec<u8>,
     chan: Vec<ChanState>,
     shutdown: AtomicBool,
+    /// Set by [`NetServer::shutdown`] once every handler is joined: no
+    /// submission can happen after it, so a drained pipeline is final.
+    handlers_joined: AtomicBool,
+    /// Handler threads of open connections; the accept loop reaps the
+    /// finished ones.
+    handlers: Mutex<Vec<JoinHandle<()>>>,
     retry_after_ms: u32,
     max_conn_outstanding: u64,
-    connections: AtomicU64,
+    /// Connections open right now.
+    connections_live: AtomicU64,
+    /// Connections accepted over the server's life.
+    connections_accepted: AtomicU64,
     frames_in: AtomicU64,
     shed: AtomicU64,
     protocol_errors: AtomicU64,
@@ -304,16 +319,14 @@ impl core::fmt::Debug for ServerShared {
     }
 }
 
-/// Per-channel rendezvous between handlers and the channel's router.
+/// Per-channel rendezvous between handlers and the delivery thread.
 #[derive(Default)]
 struct ChanState {
     /// pipeline seq → submitting connection. A handler inserts under
-    /// this lock *around* its `try_submit`, so the router (which pops
-    /// under the same lock) can never see a completion whose origin is
-    /// not yet recorded.
+    /// this lock *around* its `try_submit`, so the delivery thread
+    /// (which removes under the same lock) can never see a completion
+    /// whose origin is not yet recorded.
     pending: Mutex<HashMap<u64, Pending>>,
-    /// Wakes the router when the map goes non-empty (and at shutdown).
-    work: Condvar,
     /// Recycled `(input, output)` buffer pairs.
     pool: Mutex<Vec<(Vec<C64>, Vec<C64>)>>,
 }
@@ -324,10 +337,10 @@ struct Pending {
     client_seq: u64,
 }
 
-/// The write half of a connection, shared by its handler and every
-/// router delivering to it. The mutex keeps frames atomic on the wire;
-/// `dead` latches the first write failure so a vanished client costs at
-/// most one failed write per pending answer.
+/// The write half of a connection, shared by its handler and the
+/// delivery thread. The mutex keeps frames atomic on the wire; `dead`
+/// latches the first write failure so a vanished client costs at most
+/// one failed write per pending answer.
 struct ConnWriter {
     stream: Mutex<TcpStream>,
     outstanding: AtomicU64,
@@ -335,14 +348,21 @@ struct ConnWriter {
 }
 
 impl ConnWriter {
-    fn send(&self, op: u8, channel: u16, seq: u64, payload: &[u8]) {
+    /// Writes already-encoded frames with one `write_all`.
+    fn send_frames(&self, frames: &[u8]) {
         if self.dead.load(Ordering::SeqCst) {
             return;
         }
         let mut stream = self.stream.lock().expect("connection writer poisoned");
-        if proto::write_frame(&mut *stream, op, channel, seq, payload).is_err() {
+        if stream.write_all(frames).is_err() {
             self.dead.store(true, Ordering::SeqCst);
         }
+    }
+
+    fn send(&self, op: u8, channel: u16, seq: u64, payload: &[u8]) {
+        let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
+        proto::put_frame(&mut frame, op, channel, seq, payload);
+        self.send_frames(&frame);
     }
 
     fn send_error(&self, channel: u16, seq: u64, message: &str) {
@@ -362,19 +382,19 @@ enum ReadStatus {
     Shutdown,
 }
 
-/// Reads exactly `buf.len()` bytes from a stream whose read timeout is
-/// [`POLL_TICK`], retrying timeout ticks so a frame split across
-/// packets is never mis-framed — but bailing out once shutdown is
-/// raised and the socket has gone quiet (anything already buffered
+/// Reads exactly `buf.len()` bytes from a (buffered) socket whose read
+/// timeout is [`POLL_TICK`], retrying timeout ticks so a frame split
+/// across packets is never mis-framed — but bailing out once shutdown
+/// is raised and the socket has gone quiet (anything already buffered
 /// keeps draining: a tick only fires when no bytes are ready).
 fn poll_read_exact(
-    stream: &mut TcpStream,
+    reader: &mut impl Read,
     buf: &mut [u8],
     shutdown: &AtomicBool,
 ) -> std::io::Result<ReadStatus> {
     let mut at = 0;
     while at < buf.len() {
-        match stream.read(&mut buf[at..]) {
+        match reader.read(&mut buf[at..]) {
             Ok(0) => return Ok(if at == 0 { ReadStatus::Eof } else { ReadStatus::TruncatedEof }),
             Ok(k) => at += k,
             Err(e)
@@ -394,24 +414,38 @@ fn poll_read_exact(
     Ok(ReadStatus::Done)
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<ServerShared>,
-    handlers: &Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-) {
+fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
     while !shared.shutdown.load(Ordering::SeqCst) {
+        reap_finished(&shared.handlers);
         match listener.accept() {
             Ok((stream, _peer)) => {
-                shared.connections.fetch_add(1, Ordering::SeqCst);
-                let shared = Arc::clone(shared);
+                shared.connections_accepted.fetch_add(1, Ordering::SeqCst);
+                shared.connections_live.fetch_add(1, Ordering::SeqCst);
+                let conn_shared = Arc::clone(shared);
                 let handle = std::thread::spawn(move || {
-                    let _ = handle_conn(&shared, stream);
+                    let _ = handle_conn(&conn_shared, stream);
+                    conn_shared.connections_live.fetch_sub(1, Ordering::SeqCst);
                 });
-                handlers.lock().expect("handler list poisoned").push(handle);
+                shared.handlers.lock().expect("handler list poisoned").push(handle);
             }
             // Non-blocking listener: no pending connection (or a
             // transient accept error) — sleep a tick and re-poll.
             Err(_) => std::thread::sleep(ACCEPT_TICK),
+        }
+    }
+}
+
+/// Joins the handler threads whose connections have closed, so the
+/// handle list tracks open connections rather than every connection
+/// the server has ever served.
+fn reap_finished(handlers: &Mutex<Vec<JoinHandle<()>>>) {
+    let mut handlers = handlers.lock().expect("handler list poisoned");
+    let mut i = 0;
+    while i < handlers.len() {
+        if handlers[i].is_finished() {
+            let _ = handlers.swap_remove(i).join();
+        } else {
+            i += 1;
         }
     }
 }
@@ -423,9 +457,10 @@ fn handle_conn(shared: &Arc<ServerShared>, stream: TcpStream) -> std::io::Result
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(POLL_TICK))?;
     // Backstop against a peer that stops reading entirely: a stalled
-    // response write marks the connection dead rather than wedging a
-    // router. (The outstanding-frames cap sheds slow readers long
-    // before this fires.)
+    // response write marks the connection dead rather than wedging the
+    // delivery thread, which answers every connection. (The
+    // outstanding-frames cap sheds slow readers long before this
+    // fires.)
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
     let writer = Arc::new(ConnWriter {
         stream: Mutex::new(stream.try_clone()?),
@@ -434,14 +469,16 @@ fn handle_conn(shared: &Arc<ServerShared>, stream: TcpStream) -> std::io::Result
     });
     writer.send(OP_HELLO, 0, 0, &shared.hello);
 
-    let mut stream = stream;
+    // One `read` call takes in as many pipelined frames as the socket
+    // holds, instead of two calls per frame.
+    let mut reader = BufReader::with_capacity(READ_BUF, stream);
     let mut hdr_bytes = [0u8; HEADER_LEN];
     let mut payload: Vec<u8> = Vec::new();
     loop {
         if writer.dead.load(Ordering::SeqCst) {
             return Ok(());
         }
-        match poll_read_exact(&mut stream, &mut hdr_bytes, &shared.shutdown)? {
+        match poll_read_exact(&mut reader, &mut hdr_bytes, &shared.shutdown)? {
             ReadStatus::Done => {}
             ReadStatus::Eof | ReadStatus::TruncatedEof | ReadStatus::Shutdown => return Ok(()),
         }
@@ -459,7 +496,7 @@ fn handle_conn(shared: &Arc<ServerShared>, stream: TcpStream) -> std::io::Result
         // is always drained — even for a frame that will be refused —
         // keeping the stream framed for the next round trip.
         match poll_read_exact(
-            &mut stream,
+            &mut reader,
             {
                 payload.clear();
                 payload.resize(header.payload_len as usize, 0);
@@ -529,14 +566,13 @@ fn handle_submit(
     proto::take_samples(payload, &mut input).expect("length validated above");
 
     // The pending insert happens under the same lock that brackets
-    // try_submit: the router pops under this lock, so a completion
-    // cannot be routed before its origin is recorded.
+    // try_submit: the delivery thread removes under this lock, so a
+    // completion cannot be routed before its origin is recorded.
     let mut pending = st.pending.lock().expect("pending map poisoned");
     match shared.pipeline.try_submit(shared.channels[idx], input, output) {
         Ok(seq) => {
             pending.insert(seq, Pending { writer: Arc::clone(writer), client_seq: header.seq });
             writer.outstanding.fetch_add(1, Ordering::SeqCst);
-            st.work.notify_one();
             Ok(())
         }
         Err(e) => {
@@ -592,69 +628,117 @@ fn recycle(st: &ChanState, input: Vec<C64>, output: Vec<C64>) {
     }
 }
 
-/// One channel's delivery loop: wait for pending work, receive the
-/// channel's completions in order, and write each back to its
-/// submitting connection. Exits when shutdown has drained everything —
-/// or, on a poisoned pipeline, after answering every pending frame
-/// with an `ERROR`.
-fn router_loop(shared: &Arc<ServerShared>, idx: usize) {
-    let st = &shared.chan[idx];
-    let ch = shared.channels[idx];
-    let wire = idx as u16;
-    let mut scratch: Vec<u8> = Vec::new();
+/// The delivery thread: take whatever the pipeline has ready, write it
+/// back grouped by connection, repeat. It exits only once
+/// [`NetServer::shutdown`] has joined every handler and the pipeline
+/// reports itself closed and drained, so a frame accepted just before
+/// the intake closed is still answered.
+fn delivery_loop(shared: &ServerShared) {
+    let mut ready = Vec::new();
+    let mut replies = Replies::default();
     loop {
-        // Park until a handler records pending work (or shutdown).
-        {
-            let mut pending = st.pending.lock().expect("pending map poisoned");
-            while pending.is_empty() && !shared.shutdown.load(Ordering::SeqCst) {
-                pending = st.work.wait_timeout(pending, POLL_TICK).expect("pending map poisoned").0;
-            }
-            if pending.is_empty() && shared.shutdown.load(Ordering::SeqCst) {
-                // Every accepted symbol has a pending entry (inserted
-                // under the submit bracket), so empty-at-shutdown means
-                // fully drained.
-                return;
-            }
-        }
-        match shared.pipeline.recv_timeout(ch, POLL_TICK) {
-            Ok(Some(done)) => deliver(st, wire, done, &mut scratch),
-            // Nothing outstanding pipeline-side; loop back to the wait
-            // (the pending map drives the exit decision).
-            Ok(None) | Err(RecvError::Timeout) => {}
+        // Read before the drain: once the handlers are joined nothing
+        // can submit, so a drained pipeline after this point is final.
+        let handlers_joined = shared.handlers_joined.load(Ordering::SeqCst);
+        match shared.pipeline.recv_ready(&mut ready, POLL_TICK) {
+            Ok(0) if handlers_joined => return,
+            // Closed and drained while handlers still finish their
+            // sockets; shutdown unparks this thread once they are gone.
+            Ok(0) => std::thread::park_timeout(POLL_TICK),
+            Ok(_) => deliver(shared, &mut ready, &mut replies),
+            Err(RecvError::Timeout) => {}
             Err(RecvError::Poisoned) => {
-                // The channel's remaining symbols will never complete:
-                // give every waiting connection a definitive answer.
-                let mut pending = st.pending.lock().expect("pending map poisoned");
-                for (_seq, p) in pending.drain() {
-                    p.writer.send_error(wire, p.client_seq, "pipeline poisoned by a worker panic");
-                    p.writer.outstanding.fetch_sub(1, Ordering::SeqCst);
+                // The remaining symbols will never complete: give every
+                // waiting connection a definitive answer.
+                fail_pending(shared);
+                if handlers_joined {
+                    return;
                 }
-                return;
+                std::thread::park_timeout(POLL_TICK);
             }
         }
     }
 }
 
-/// Writes one completion back to its submitting connection and recycles
+/// Routes one drain's completions to their submitting connections,
+/// writes each connection's replies with one `write_all`, and recycles
 /// the payload buffers.
-fn deliver(st: &ChanState, wire: u16, done: Completion, scratch: &mut Vec<u8>) {
-    let entry = st.pending.lock().expect("pending map poisoned").remove(&done.seq);
-    let Some(p) = entry else {
-        // Unreachable by construction; tolerate rather than poison the
-        // router.
+fn deliver(shared: &ServerShared, ready: &mut Vec<Completion>, replies: &mut Replies) {
+    for done in ready.drain(..) {
+        // Wire channels are registered in pipeline order.
+        let idx = done.channel.index();
+        let st = &shared.chan[idx];
+        // The handler's insert brackets its try_submit, so the entry is
+        // missing only when a poisoned pipeline's frames were already
+        // failed and a surviving worker finished one late.
+        let entry = st.pending.lock().expect("pending map poisoned").remove(&done.seq);
+        if let Some(p) = entry {
+            replies.push(p, idx as u16, &done);
+        }
         recycle(st, done.input, done.output);
-        return;
-    };
-    match &done.error {
-        Some(err) => p.writer.send_error(wire, p.client_seq, &err.to_string()),
-        None => {
-            scratch.clear();
-            proto::put_samples(scratch, &done.output);
-            p.writer.send(OP_RESULT, wire, p.client_seq, scratch);
+    }
+    replies.flush();
+}
+
+/// One drain's replies, grouped by connection. The byte buffers are
+/// kept from drain to drain; a drain touches at most as many
+/// connections as it carries completions, so they stay bounded by the
+/// pipeline's capacity.
+#[derive(Default)]
+struct Replies {
+    /// Each connection the drain touched, its encoded frames, and how
+    /// many frames those are.
+    conns: Vec<(Arc<ConnWriter>, Vec<u8>, u64)>,
+    /// Emptied byte buffers from earlier drains.
+    spare: Vec<Vec<u8>>,
+}
+
+impl Replies {
+    /// Encodes the answer to one completion onto its connection's group.
+    fn push(&mut self, p: Pending, wire: u16, done: &Completion) {
+        let at = match self.conns.iter().position(|(w, ..)| Arc::ptr_eq(w, &p.writer)) {
+            Some(at) => at,
+            None => {
+                self.conns.push((p.writer, self.spare.pop().unwrap_or_default(), 0));
+                self.conns.len() - 1
+            }
+        };
+        let (_, bytes, frames) = &mut self.conns[at];
+        *frames += 1;
+        match &done.error {
+            Some(err) => {
+                proto::put_frame(bytes, OP_ERROR, wire, p.client_seq, err.to_string().as_bytes());
+            }
+            None => {
+                let payload_len = done.output.len() * BYTES_PER_SAMPLE;
+                proto::put_header(bytes, OP_RESULT, wire, p.client_seq, payload_len);
+                proto::put_samples(bytes, &done.output);
+            }
         }
     }
-    p.writer.outstanding.fetch_sub(1, Ordering::SeqCst);
-    recycle(st, done.input, done.output);
+
+    /// Writes every group with one `write_all` per connection. The
+    /// outstanding count drops first: a client that has read its
+    /// answers must find its cap free when it submits again.
+    fn flush(&mut self) {
+        for (writer, mut bytes, frames) in self.conns.drain(..) {
+            writer.outstanding.fetch_sub(frames, Ordering::SeqCst);
+            writer.send_frames(&bytes);
+            bytes.clear();
+            self.spare.push(bytes);
+        }
+    }
+}
+
+/// Answers every pending frame with an `ERROR`: on a poisoned pipeline
+/// their symbols will never complete.
+fn fail_pending(shared: &ServerShared) {
+    for (idx, st) in shared.chan.iter().enumerate() {
+        for (_seq, p) in st.pending.lock().expect("pending map poisoned").drain() {
+            p.writer.outstanding.fetch_sub(1, Ordering::SeqCst);
+            p.writer.send_error(idx as u16, p.client_seq, "pipeline poisoned by a worker panic");
+        }
+    }
 }
 
 /// The admin stats document: server-level counters wrapped around the
@@ -663,11 +747,46 @@ fn admin_stats_json(shared: &ServerShared) -> String {
     json::Obj::new()
         .str("server", "afft_net")
         .num("channels", shared.infos.len() as f64)
-        .num("connections", shared.connections.load(Ordering::SeqCst) as f64)
+        .num("connections_live", shared.connections_live.load(Ordering::SeqCst) as f64)
+        .num("connections_accepted", shared.connections_accepted.load(Ordering::SeqCst) as f64)
         .num("frames_in", shared.frames_in.load(Ordering::SeqCst) as f64)
         .num("shed", shared.shed.load(Ordering::SeqCst) as f64)
         .num("protocol_errors", shared.protocol_errors.load(Ordering::SeqCst) as f64)
         .bool("poisoned", shared.pipeline.is_poisoned())
         .raw("pipeline", shared.pipeline.stats().to_json())
         .finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use afft_core::engine::EngineRegistry;
+    use std::time::Instant;
+
+    #[test]
+    fn connect_close_churn_leaves_the_handle_list_bounded() {
+        let mut builder = NetServer::builder(EngineRegistry::standard).workers(1);
+        builder.channel(ChannelSpec::transform(64, "split_radix", Direction::Forward));
+        let server = builder.serve("127.0.0.1:0").expect("bind");
+        let shared = &server.shared;
+        let held = || shared.handlers.lock().expect("handler list poisoned").len();
+        let mut most_held = 0;
+        for _ in 0..200 {
+            let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
+            // The HELLO proves the handler is running; then hang up.
+            let header = proto::read_header(&mut raw).expect("hello header");
+            proto::read_payload_into(&mut raw, &header, &mut Vec::new()).expect("hello payload");
+            drop(raw);
+            most_held = most_held.max(held());
+        }
+        // Each handler exits on EOF; the accept loop reaps it a tick later.
+        let began = Instant::now();
+        while held() > 0 || shared.connections_live.load(Ordering::SeqCst) > 0 {
+            assert!(began.elapsed() < Duration::from_secs(10), "{} handles still held", held());
+            std::thread::sleep(ACCEPT_TICK);
+        }
+        assert!(most_held < 100, "{most_held} handles held at once over 200 connect/close cycles");
+        assert_eq!(shared.connections_accepted.load(Ordering::SeqCst), 200);
+        server.shutdown();
+    }
 }

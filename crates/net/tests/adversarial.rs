@@ -217,6 +217,50 @@ fn concurrent_clients_share_one_pool_without_crosstalk() {
 }
 
 #[test]
+fn submits_racing_shutdown_on_an_idle_channel_are_all_answered() {
+    // A trickle of frames on a channel that is idle between them, with
+    // shutdown landing somewhere in the trickle: every frame the
+    // pipeline accepted, however late, must still come back.
+    for round in 0..50u64 {
+        let mut builder = NetServer::builder(EngineRegistry::standard).workers(1);
+        builder.channel(ChannelSpec::transform(64, "split_radix", Direction::Forward));
+        let server = builder.serve("127.0.0.1:0").expect("bind");
+        let client = NetClient::connect(server.local_addr()).expect("connect");
+        client.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+        let (mut tx, mut rx) = client.split();
+        let writer = std::thread::spawn(move || {
+            for seq in 0..24u64 {
+                if tx.submit(0, seq, &impulse(64, 1.0)).is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_micros(250));
+            }
+        });
+        let reader = std::thread::spawn(move || {
+            let mut results = 0u64;
+            loop {
+                match rx.recv_event() {
+                    Ok(NetEvent::Result { samples, .. }) => {
+                        assert_flat(&samples, 1.0);
+                        results += 1;
+                    }
+                    Ok(NetEvent::ServerError { .. } | NetEvent::RetryAfter { .. }) => {}
+                    Ok(other) => panic!("unexpected {other:?}"),
+                    // EOF (or a reset): the server has hung up.
+                    Err(_) => return results,
+                }
+            }
+        });
+        std::thread::sleep(Duration::from_micros(500 + 400 * (round % 10)));
+        let stats = server.shutdown();
+        writer.join().expect("writer thread");
+        let results = reader.join().expect("reader thread");
+        assert_eq!(results, stats.submitted, "round {round}: accepted frames went unanswered");
+        assert_eq!(stats.delivered, stats.submitted, "round {round}");
+    }
+}
+
+#[test]
 fn shutdown_with_frames_in_flight_loses_no_accepted_work() {
     // Slow engine, shallow queue: the burst is guaranteed to still be
     // in flight (and partly shed) when shutdown lands.

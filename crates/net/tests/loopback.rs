@@ -1,15 +1,18 @@
 //! The acceptance path over real sockets: the WiMAX-256 and UWB-128
 //! modem pairs round-tripping QPSK through AWGN with zero bit errors,
-//! a flood client observing protocol-level load-shedding without
+//! a window of pipelined frames answered through the batched delivery
+//! path, a flood client observing protocol-level load-shedding without
 //! losing an accepted frame, and the admin stats document holding up
 //! to structural scrutiny.
 
 use std::time::Duration;
 
 use afft_core::engine::EngineRegistry;
+use afft_core::ofdm::Ofdm;
 use afft_core::Direction;
-use afft_net::{NetClient, NetEvent, NetServer};
+use afft_net::{NetClient, NetEvent, NetServer, OpKind};
 use afft_num::{Complex, C64};
+use afft_planner::take_engine;
 use afft_stream::{ChannelOp, ChannelSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -17,10 +20,11 @@ use rand::{Rng, SeedableRng};
 const NOISE: f64 = 0.01;
 
 /// The serving binary's channel layout: WiMAX-256 and UWB-128 modem
-/// pairs on one pool. Returns (server, [wimax_tx, wimax_rx, uwb_tx,
-/// uwb_rx]).
-fn modem_server() -> (NetServer, [u16; 4]) {
-    let mut builder = NetServer::builder(EngineRegistry::standard).workers(2).queue_depth(32);
+/// pairs on one pool with a `queue_depth` submission budget. Returns
+/// (server, [wimax_tx, wimax_rx, uwb_tx, uwb_rx]).
+fn modem_server(queue_depth: usize) -> (NetServer, [u16; 4]) {
+    let mut builder =
+        NetServer::builder(EngineRegistry::standard).workers(2).queue_depth(queue_depth);
     let chans = [
         builder.channel(ChannelSpec {
             n: 256,
@@ -58,7 +62,7 @@ fn expect_result(client: &mut NetClient, want_channel: u16, want_seq: u64) -> Ve
 
 #[test]
 fn wimax_and_uwb_modems_round_trip_qpsk_through_awgn_over_the_wire() {
-    let (server, [wimax_tx, wimax_rx, uwb_tx, uwb_rx]) = modem_server();
+    let (server, [wimax_tx, wimax_rx, uwb_tx, uwb_rx]) = modem_server(32);
     let mut client = NetClient::connect(server.local_addr()).expect("connect");
     client.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
 
@@ -112,6 +116,68 @@ fn wimax_and_uwb_modems_round_trip_qpsk_through_awgn_over_the_wire() {
     let stats = server.shutdown();
     assert_eq!(stats.delivered, stats.submitted, "clean drain");
     assert_eq!(stats.delivered, 2 * (24 + 32), "one tx + one rx per frame");
+}
+
+#[test]
+fn pipelined_frames_round_robin_over_the_modems_are_each_answered_once() {
+    // A budget as deep as the window, so no frame is shed: every one of
+    // the 64 must come back as its own RESULT.
+    let (server, chans) = modem_server(64);
+    let client = NetClient::connect(server.local_addr()).expect("connect");
+    client.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+    let infos = client.channels().to_vec();
+
+    // Seeded inputs per frame, and the in-process reference on the
+    // engine each channel advertises.
+    let mut rng = StdRng::seed_from_u64(64);
+    let frames = 64u64;
+    let mut inputs = Vec::new();
+    let mut expected = Vec::new();
+    for seq in 0..frames {
+        let info = &infos[chans[seq as usize % 4] as usize];
+        let engine = take_engine(EngineRegistry::standard, info.n as usize, &info.engine)
+            .expect("reference engine");
+        let mut modem = Ofdm::with_engine(engine, info.cp as usize).expect("modem");
+        let input: Vec<C64> = (0..info.input_len)
+            .map(|_| Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+            .collect();
+        expected.push(match info.kind {
+            OpKind::Modulate => modem.modulate(&input).expect("modulate"),
+            OpKind::Demodulate => modem.demodulate(&input).expect("demodulate"),
+            other => panic!("not a modem channel: {other:?}"),
+        });
+        inputs.push(input);
+    }
+
+    // The whole window goes out before the first answer is read.
+    let (mut tx, mut rx) = client.split();
+    let writer = std::thread::spawn(move || {
+        for (seq, input) in inputs.iter().enumerate() {
+            tx.submit(chans[seq % 4], seq as u64, input).expect("submit");
+        }
+    });
+    let mut answered = vec![false; frames as usize];
+    for _ in 0..frames {
+        match rx.recv_event().expect("recv") {
+            NetEvent::Result { channel, seq, samples } => {
+                assert!(!answered[seq as usize], "frame {seq} answered twice");
+                answered[seq as usize] = true;
+                assert_eq!(channel, chans[seq as usize % 4], "frame {seq} on the wrong channel");
+                let want = &expected[seq as usize];
+                assert_eq!(samples.len(), want.len());
+                for (got, want) in samples.iter().zip(want) {
+                    assert!((*got - *want).abs() < 1e-9, "frame {seq}: {got:?} vs {want:?}");
+                }
+            }
+            other => panic!("expected a Result, got {other:?}"),
+        }
+    }
+    writer.join().expect("writer thread");
+    assert!(answered.iter().all(|a| *a));
+
+    drop(rx);
+    let stats = server.shutdown();
+    assert_eq!((stats.submitted, stats.delivered), (frames, frames));
 }
 
 /// Parses the first `"key":<integer>` occurrence out of the flat admin
@@ -189,7 +255,7 @@ fn flood_client_sees_retry_after_and_loses_no_accepted_frame() {
 
 #[test]
 fn admin_stats_document_is_structurally_valid_json() {
-    let (server, [wimax_tx, ..]) = modem_server();
+    let (server, [wimax_tx, ..]) = modem_server(32);
     let mut client = NetClient::connect(server.local_addr()).expect("connect");
     client.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
 
@@ -240,7 +306,8 @@ fn admin_stats_document_is_structurally_valid_json() {
     // snapshot with its scheduler and per-channel sections.
     for needle in [
         "\"server\":\"afft_net\"",
-        "\"connections\":",
+        "\"connections_live\":",
+        "\"connections_accepted\":",
         "\"frames_in\":",
         "\"shed\":",
         "\"protocol_errors\":",
@@ -252,7 +319,8 @@ fn admin_stats_document_is_structurally_valid_json() {
         assert!(doc.contains(needle), "stats JSON missing {needle}: {doc}");
     }
     assert_eq!(json_u64(&doc, "channels"), 4);
-    assert_eq!(json_u64(&doc, "connections"), 1);
+    assert_eq!(json_u64(&doc, "connections_live"), 1);
+    assert_eq!(json_u64(&doc, "connections_accepted"), 1);
     assert_eq!(json_u64(&doc, "submitted"), 3);
     // Three submits plus the stats request itself.
     assert_eq!(json_u64(&doc, "frames_in"), 4);

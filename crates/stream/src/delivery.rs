@@ -75,6 +75,12 @@ impl ChanRing {
         self.parked[offset] = Some(done);
     }
 
+    /// Whether the next in-order completion is parked (a completion
+    /// parked behind a gap does not count: it cannot be delivered yet).
+    pub(crate) fn head_ready(&self) -> bool {
+        matches!(self.parked.front(), Some(Some(_)))
+    }
+
     /// Takes the next in-order completion, if it has been parked.
     pub(crate) fn pop_next(&mut self) -> Option<Parked> {
         match self.parked.front_mut() {
@@ -99,10 +105,10 @@ impl Shared {
     /// returning how many completions moved. Caller holds the delivery
     /// lock; each buffer mutex is held just long enough to move its
     /// contents (and skipped entirely when its occupancy hint reads
-    /// empty). The per-channel `completed` mirror is bumped *before*
-    /// the occupancy hint is cleared, so a parked receiver's lock-free
-    /// re-check (hints first, then the mirror) always sees one or the
-    /// other.
+    /// empty). The per-channel `head_ready` mirror is published
+    /// *before* the occupancy hint is cleared, so a parked receiver's
+    /// lock-free re-check (hints first, then the mirror) always sees
+    /// one or the other.
     pub(crate) fn drain_completions(&self, ds: &mut DeliveryState) -> usize {
         let mut moved = 0;
         for cbuf in &self.cbufs {
@@ -112,11 +118,7 @@ impl Shared {
             let mut buf = cbuf.buf.lock().expect("stream completion buffer poisoned");
             let taken = buf.len();
             for parked in buf.drain(..) {
-                let idx = parked.done.channel.index;
-                let ring = &mut ds.rings[idx];
-                ring.completed += 1;
-                self.chans[idx].completed.store(ring.completed, Ordering::SeqCst);
-                ring.park(parked);
+                self.park_completion(ds, parked);
             }
             drop(buf);
             cbuf.len_hint.fetch_sub(taken, Ordering::SeqCst);
@@ -125,13 +127,38 @@ impl Shared {
         moved
     }
 
+    /// Parks one finished symbol in its channel's ring and republishes
+    /// the channel's `head_ready` mirror. Caller holds the delivery
+    /// lock.
+    pub(crate) fn park_completion(&self, ds: &mut DeliveryState, parked: Parked) {
+        let idx = parked.done.channel.index;
+        let ring = &mut ds.rings[idx];
+        ring.completed += 1;
+        ring.park(parked);
+        self.chans[idx].head_ready.store(ring.head_ready(), Ordering::SeqCst);
+    }
+
+    /// Pops every deliverable completion of every channel onto `out`:
+    /// per-channel submission order, channels in registration order.
+    /// Caller holds the delivery lock.
+    pub(crate) fn pop_ready(&self, ds: &mut DeliveryState, out: &mut Vec<Completion>) {
+        for idx in 0..ds.rings.len() {
+            while let Some(done) = self.pop_delivery(ds, idx) {
+                out.push(done);
+            }
+        }
+    }
+
     /// Pops the channel's next in-order completion (after a drain),
     /// recording the delivery-side stage latencies for sampled
     /// symbols. Caller holds the delivery lock — the recorder's caller
     /// shard is therefore single-writer, like every worker shard.
     pub(crate) fn pop_delivery(&self, ds: &mut DeliveryState, idx: usize) -> Option<Completion> {
-        let parked = ds.rings[idx].pop_next()?;
-        self.chans[idx].delivered.store(ds.rings[idx].delivered, Ordering::SeqCst);
+        let ring = &mut ds.rings[idx];
+        let parked = ring.pop_next()?;
+        let chan = &self.chans[idx];
+        chan.delivered.store(ring.delivered, Ordering::SeqCst);
+        chan.head_ready.store(ring.head_ready(), Ordering::SeqCst);
         if !parked.sampled {
             return Some(parked.done);
         }

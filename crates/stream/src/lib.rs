@@ -31,6 +31,10 @@
 //!   [`StreamPipeline::submit_checked`]) reporting a poisoned pipeline
 //!   as [`RecvError::Poisoned`] / [`SubmitError::Poisoned`] instead of
 //!   panicking;
+//! * a single consumer of every channel drains them all at once with
+//!   [`StreamPipeline::recv_ready`]: one delivery-lock pass moves
+//!   whatever every channel has ready, and it never waits to fill a
+//!   batch;
 //! * [`StreamPipeline::shutdown`] drains every in-flight symbol before
 //!   joining the pool, returning the final [`StreamStats`] and any
 //!   undelivered completions — accepted work is never lost.

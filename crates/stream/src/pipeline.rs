@@ -419,7 +419,7 @@ impl StreamBuilder {
                 .map(|(i, _)| ChanShared {
                     next_seq: AtomicU64::new(0),
                     delivered: AtomicU64::new(0),
-                    completed: AtomicU64::new(0),
+                    head_ready: AtomicBool::new(false),
                     home: i % workers,
                 })
                 .collect(),
@@ -730,9 +730,15 @@ impl StreamPipeline {
     /// Panics if `channel` did not come from this pipeline's builder.
     pub fn try_recv(&self, channel: ChannelId) -> Option<Completion> {
         let idx = self.chan(channel);
+        self.delivery_pass(|ds| self.shared.pop_delivery(ds, idx))
+    }
+
+    /// One pass under the delivery lock: drain every worker outbox into
+    /// the reorder rings, then let `take` pop what the caller wants.
+    fn delivery_pass<T>(&self, take: impl FnOnce(&mut DeliveryState) -> T) -> T {
         let mut ds = self.shared.delivery.lock().expect("stream delivery poisoned");
         let drained = self.shared.drain_completions(&mut ds);
-        let got = self.shared.pop_delivery(&mut ds, idx);
+        let got = take(&mut ds);
         drop(ds);
         if drained > 0 {
             // The drain may have moved *other* channels' completions
@@ -782,7 +788,8 @@ impl StreamPipeline {
     ///
     /// Panics if `channel` did not come from this pipeline's builder.
     pub fn recv_checked(&self, channel: ChannelId) -> Result<Option<Completion>, RecvError> {
-        self.recv_deadline(self.chan(channel), None)
+        let idx = self.chan(channel);
+        self.receive(Scope::Channel(idx), None, |ds| self.shared.pop_delivery(ds, idx))
     }
 
     /// Deadline-bounded delivery: like
@@ -810,52 +817,83 @@ impl StreamPipeline {
         channel: ChannelId,
         timeout: Duration,
     ) -> Result<Option<Completion>, RecvError> {
+        let idx = self.chan(channel);
         // A deadline too far to represent means "wait forever".
-        self.recv_deadline(self.chan(channel), Instant::now().checked_add(timeout))
+        let deadline = Instant::now().checked_add(timeout);
+        self.receive(Scope::Channel(idx), deadline, |ds| self.shared.pop_delivery(ds, idx))
     }
 
-    /// The one receive loop behind `recv`/`recv_checked`/`recv_timeout`:
-    /// drain the outboxes, pop the channel's ring, and park on the done
-    /// gate (deadline-bounded when given) until something changes. After
-    /// the deadline expires the loop runs one last full delivery attempt
-    /// before conceding [`RecvError::Timeout`].
-    fn recv_deadline(
+    /// Batched delivery across every channel: waits at most `timeout`
+    /// for anything deliverable, then appends **every** completion any
+    /// channel can deliver in order to `out` — per-channel submission
+    /// order kept, channels in registration order — in one pass under
+    /// the delivery lock, and returns how many it moved. A batch is
+    /// whatever is ready: under load one call collects many
+    /// completions, and at low load it returns with the first one; it
+    /// never waits to fill a batch. The form for a single consumer of
+    /// every channel, such as a server's delivery thread.
+    ///
+    /// `Ok(0)` means the pipeline is closed and every channel has
+    /// delivered everything it accepted, so nothing can become
+    /// deliverable again once in-progress submitters have returned. On
+    /// an open pipeline with nothing outstanding the call waits out its
+    /// timeout: a submission may arrive at any moment.
+    ///
+    /// # Errors
+    ///
+    /// [`RecvError::Timeout`] if `timeout` passes with nothing
+    /// deliverable; [`RecvError::Poisoned`] once the parked completions
+    /// are exhausted on a poisoned pipeline, as for
+    /// [`recv_checked`](StreamPipeline::recv_checked).
+    pub fn recv_ready(
         &self,
-        idx: usize,
+        out: &mut Vec<Completion>,
+        timeout: Duration,
+    ) -> Result<usize, RecvError> {
+        let deadline = Instant::now().checked_add(timeout);
+        let moved = self.receive(Scope::Any, deadline, |ds| {
+            let before = out.len();
+            self.shared.pop_ready(ds, out);
+            (out.len() > before).then(|| out.len() - before)
+        })?;
+        Ok(moved.unwrap_or(0))
+    }
+
+    /// The one receive loop behind `recv`/`recv_checked`/`recv_timeout`
+    /// and `recv_ready`: a delivery pass that lets `take` pop what it
+    /// wants, and otherwise a park on the done gate (deadline-bounded
+    /// when given) until `scope` has something to act on. `Ok(None)`
+    /// means `scope` is drained. After the deadline expires the loop
+    /// runs one last full delivery pass before conceding
+    /// [`RecvError::Timeout`].
+    fn receive<T>(
+        &self,
+        scope: Scope,
         deadline: Option<Instant>,
-    ) -> Result<Option<Completion>, RecvError> {
+        mut take: impl FnMut(&mut DeliveryState) -> Option<T>,
+    ) -> Result<Option<T>, RecvError> {
         let mut expired = false;
         loop {
-            let mut ds = self.shared.delivery.lock().expect("stream delivery poisoned");
-            let drained = self.shared.drain_completions(&mut ds);
-            let got = self.shared.pop_delivery(&mut ds, idx);
-            drop(ds);
-            if drained > 0 {
-                self.shared.done.notify_if_waiting();
-            }
-            if let Some(done) = got {
-                return Ok(Some(done));
+            if let Some(got) = self.delivery_pass(&mut take) {
+                return Ok(Some(got));
             }
             if self.shared.worker_panicked.load(Ordering::SeqCst) {
                 return Err(RecvError::Poisoned);
             }
-            let chan = &self.shared.chans[idx];
-            // delivered is loaded first: it only trails next_seq, so
-            // equality here means the channel was truly drained.
-            if chan.delivered.load(Ordering::SeqCst) == chan.next_seq.load(Ordering::SeqCst) {
+            if self.drained(scope) {
                 return Ok(None);
             }
             if expired {
                 return Err(RecvError::Timeout);
             }
             // Park on the done gate; the predicate re-check is
-            // lock-free (outbox occupancy hints + the channel's
-            // completed/delivered mirrors), so no waiter ever holds the
+            // lock-free (outbox occupancy hints + the channels'
+            // head_ready/delivered mirrors), so no waiter ever holds the
             // gate and a scheduler or delivery lock together.
             let gate = &self.shared.done;
             gate.waiting.fetch_add(1, Ordering::SeqCst);
             let mut g = gate.m.lock().expect("stream gate poisoned");
-            while !self.recv_progress(idx) {
+            while !self.progress(scope) {
                 match deadline {
                     None => g = gate.cv.wait(g).expect("stream gate poisoned"),
                     Some(when) => {
@@ -873,22 +911,40 @@ impl StreamPipeline {
         }
     }
 
-    /// Whether a parked receiver of channel `idx` has anything to act
-    /// on: a poisoned pipeline, a non-empty worker outbox, a completion
-    /// already drained into the channel's ring, or a fully-drained
-    /// channel (time to return `None`). Outboxes are checked *before*
-    /// the completed mirror so a concurrent drain (which bumps the
-    /// mirror before clearing the hint) cannot slip between the loads.
-    fn recv_progress(&self, idx: usize) -> bool {
+    /// Whether `scope` has nothing left to deliver: the channel has
+    /// delivered everything accepted on it, or — for [`Scope::Any`] —
+    /// the pipeline is closed and every channel has. An open pipeline
+    /// is never drained as a whole: a submission may still arrive.
+    fn drained(&self, scope: Scope) -> bool {
+        match scope {
+            Scope::Channel(idx) => self.shared.chans[idx].drained(),
+            Scope::Any => {
+                self.shared.closed.load(Ordering::SeqCst)
+                    && self.shared.chans.iter().all(ChanShared::drained)
+            }
+        }
+    }
+
+    /// Whether a receiver parked on `scope` has anything to act on: a
+    /// poisoned pipeline, a non-empty worker outbox, a next-in-order
+    /// completion already in a ring, or a drained scope. A completion
+    /// parked behind a gap (a later seq that finished first) is *not*
+    /// progress — the receiver stays parked until the gap fills.
+    /// Outboxes are checked *before* the `head_ready` mirrors so a
+    /// concurrent drain (which publishes the mirror before clearing the
+    /// hint) cannot slip between the loads.
+    fn progress(&self, scope: Scope) -> bool {
         if self.shared.worker_panicked.load(Ordering::SeqCst) {
             return true;
         }
         if self.shared.cbufs.iter().any(|c| c.len_hint.load(Ordering::SeqCst) > 0) {
             return true;
         }
-        let chan = &self.shared.chans[idx];
-        chan.completed.load(Ordering::SeqCst) > chan.delivered.load(Ordering::SeqCst)
-            || chan.delivered.load(Ordering::SeqCst) == chan.next_seq.load(Ordering::SeqCst)
+        let ready = match scope {
+            Scope::Channel(idx) => self.shared.chans[idx].head_ready.load(Ordering::SeqCst),
+            Scope::Any => self.shared.chans.iter().any(|c| c.head_ready.load(Ordering::SeqCst)),
+        };
+        ready || self.drained(scope)
     }
 
     /// Symbols accepted on `channel` but not yet delivered (queued, in
@@ -942,25 +998,20 @@ impl StreamPipeline {
     /// (plus one brief shard lock each for the per-shard high-water
     /// marks), no queue traversal.
     pub fn stats(&self) -> StreamStats {
-        let mut ds = self.shared.delivery.lock().expect("stream delivery poisoned");
-        // Fold in completions still sitting in worker outboxes so
-        // `completed` counts every finished transform, not just the
+        // The pass folds in completions still sitting in worker outboxes
+        // so `completed` counts every finished transform, not just the
         // drained ones.
-        let drained = self.shared.drain_completions(&mut ds);
-        let per_channel: Vec<ChannelStats> = ds
-            .rings
-            .iter()
-            .enumerate()
-            .map(|(i, ring)| ChannelStats {
-                submitted: self.shared.chans[i].next_seq.load(Ordering::SeqCst),
-                completed: ring.completed,
-                delivered: ring.delivered,
-            })
-            .collect();
-        drop(ds);
-        if drained > 0 {
-            self.shared.done.notify_if_waiting();
-        }
+        let per_channel: Vec<ChannelStats> = self.delivery_pass(|ds| {
+            ds.rings
+                .iter()
+                .enumerate()
+                .map(|(i, ring)| ChannelStats {
+                    submitted: self.shared.chans[i].next_seq.load(Ordering::SeqCst),
+                    completed: ring.completed,
+                    delivered: ring.delivered,
+                })
+                .collect()
+        });
         let shard_high_water: Vec<usize> =
             self.shared.shards.iter().map(|s| s.lock().high_water).collect();
         StreamStats {
@@ -1011,15 +1062,10 @@ impl StreamPipeline {
         for handle in self.handles.drain(..) {
             handle.join().expect("stream worker panicked");
         }
-        let leftover = {
-            let mut ds = self.shared.delivery.lock().expect("stream delivery poisoned");
-            self.shared.drain_completions(&mut ds);
+        let leftover = self.delivery_pass(|ds| {
             let mut leftover = Vec::new();
-            for idx in 0..self.specs.len() {
-                while let Some(done) = self.shared.pop_delivery(&mut ds, idx) {
-                    leftover.push(done);
-                }
-                let ring = &ds.rings[idx];
+            self.shared.pop_ready(ds, &mut leftover);
+            for (idx, ring) in ds.rings.iter().enumerate() {
                 debug_assert!(
                     ring.parked.iter().all(Option::is_none)
                         && ring.delivered == self.shared.chans[idx].next_seq.load(Ordering::SeqCst),
@@ -1027,7 +1073,7 @@ impl StreamPipeline {
                 );
             }
             leftover
-        };
+        });
         (self.stats(), leftover)
     }
 
@@ -1108,15 +1154,35 @@ impl core::fmt::Debug for Shared {
 
 /// Per-channel lock-free state. `next_seq` is only advanced under the
 /// channel's home shard lock (so queue order matches seq order), but
-/// read lock-free; `delivered`/`completed` mirror the ring counters so
-/// `outstanding` and the recv wait predicate never touch the delivery
-/// lock.
+/// read lock-free; `delivered`/`head_ready` mirror the ring (written
+/// under the delivery lock) so `outstanding` and the receive wait
+/// predicate never touch the delivery lock.
 pub(crate) struct ChanShared {
     pub(crate) next_seq: AtomicU64,
     pub(crate) delivered: AtomicU64,
-    pub(crate) completed: AtomicU64,
+    /// The ring holds the channel's next in-order completion
+    /// ([`ChanRing::head_ready`]).
+    pub(crate) head_ready: AtomicBool,
     /// The worker this channel's symbols are queued on.
     pub(crate) home: usize,
+}
+
+impl ChanShared {
+    /// Every accepted symbol has been delivered. `delivered` is loaded
+    /// first: it only trails `next_seq`, so equality means truly
+    /// drained.
+    fn drained(&self) -> bool {
+        self.delivered.load(Ordering::SeqCst) == self.next_seq.load(Ordering::SeqCst)
+    }
+}
+
+/// What a blocking receive waits for.
+#[derive(Debug, Clone, Copy)]
+enum Scope {
+    /// One channel's next in-order completion.
+    Channel(usize),
+    /// Whatever any channel can deliver.
+    Any,
 }
 
 /// The pipeline's metric store: `(channel, stage)` series over
@@ -1136,6 +1202,7 @@ pub(crate) struct PipelineObs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delivery::Parked;
     use afft_core::engine::{EngineRegistry, FftEngine};
     use afft_core::ofdm::{qpsk_demap, qpsk_map};
     use afft_num::Complex;
@@ -1472,6 +1539,88 @@ mod tests {
         let spec = ChannelSpec::from_plan(&plan, ChannelOp::Demodulate { cp: 32 });
         assert_eq!(spec.n, 128);
         assert_eq!(spec.engine, plan.best().name);
+    }
+
+    #[test]
+    fn a_completion_parked_behind_a_gap_does_not_wake_receivers() {
+        let mut builder = StreamPipeline::builder(EngineRegistry::standard).workers(1);
+        let ch = builder.channel(ChannelSpec::transform(64, "radix2_dit", Direction::Forward));
+        let pipeline = builder.build().unwrap();
+        let shared = &pipeline.shared;
+        // Two symbols accepted; seq 1 finished first (a thief took it)
+        // while seq 0 is still in flight.
+        shared.chans[0].next_seq.store(2, Ordering::SeqCst);
+        let parked = |seq: u64| Parked {
+            done: Completion {
+                channel: ch,
+                seq,
+                input: tagged(64, seq as f64),
+                output: vec![Complex::zero(); 64],
+                cycles: None,
+                error: None,
+            },
+            submitted_at: shared.epoch,
+            finished_at: shared.epoch,
+            sampled: false,
+        };
+        shared.park_completion(&mut shared.delivery.lock().unwrap(), parked(1));
+        for scope in [Scope::Channel(0), Scope::Any] {
+            assert!(!pipeline.progress(scope), "seq 1 behind a missing seq 0 woke {scope:?}");
+        }
+        assert!(pipeline.try_recv(ch).is_none());
+        let mut out = Vec::new();
+        let timeout = Duration::from_millis(10);
+        assert!(matches!(pipeline.recv_timeout(ch, timeout), Err(RecvError::Timeout)));
+        assert!(matches!(pipeline.recv_ready(&mut out, timeout), Err(RecvError::Timeout)));
+
+        // The gap fills: both scopes see progress, delivery stays in order.
+        shared.park_completion(&mut shared.delivery.lock().unwrap(), parked(0));
+        for scope in [Scope::Channel(0), Scope::Any] {
+            assert!(pipeline.progress(scope), "a ready head must wake {scope:?}");
+        }
+        assert_eq!(pipeline.recv_ready(&mut out, Duration::ZERO).unwrap(), 2);
+        assert_eq!(out.iter().map(|c| c.seq).collect::<Vec<_>>(), [0, 1]);
+        let (stats, leftover) = pipeline.shutdown();
+        assert!(leftover.is_empty());
+        assert_eq!((stats.completed, stats.delivered), (2, 2));
+    }
+
+    #[test]
+    fn recv_ready_drains_every_channel_in_order() {
+        let mut builder =
+            StreamPipeline::builder(EngineRegistry::standard).workers(2).queue_depth(32);
+        let chs: Vec<ChannelId> = (0..3)
+            .map(|_| builder.channel(ChannelSpec::transform(64, "radix2_dit", Direction::Forward)))
+            .collect();
+        let pipeline = builder.build().unwrap();
+        for s in 0..8u64 {
+            for ch in &chs {
+                pipeline.submit(*ch, tagged(64, s as f64), vec![Complex::zero(); 64]).unwrap();
+            }
+        }
+        let mut got = Vec::new();
+        while got.len() < 24 {
+            let before = got.len();
+            let moved = pipeline.recv_ready(&mut got, Duration::from_secs(10)).unwrap();
+            assert!(moved >= 1 && moved == got.len() - before, "moved {moved}");
+        }
+        for ch in &chs {
+            let seqs: Vec<u64> = got.iter().filter(|c| c.channel == *ch).map(|c| c.seq).collect();
+            assert_eq!(seqs, (0..8).collect::<Vec<u64>>(), "per-channel order kept");
+        }
+        assert!(got.iter().all(|c| c.input == tagged(64, c.seq as f64)));
+
+        // Open and idle: the call waits out its timeout.
+        let timeout = Duration::from_millis(10);
+        assert!(matches!(pipeline.recv_ready(&mut got, timeout), Err(RecvError::Timeout)));
+        // Closed and drained: nothing can arrive, so Ok(0) at once.
+        pipeline.close();
+        let began = Instant::now();
+        assert_eq!(pipeline.recv_ready(&mut got, Duration::from_secs(10)).unwrap(), 0);
+        assert!(began.elapsed() < Duration::from_secs(5));
+        let (stats, leftover) = pipeline.shutdown();
+        assert!(leftover.is_empty());
+        assert_eq!(stats.delivered, 24);
     }
 
     #[test]

@@ -116,6 +116,29 @@ fn recv_timeout_returns_none_immediately_on_a_drained_channel() {
 }
 
 #[test]
+fn recv_ready_returns_what_is_ready_without_waiting_to_fill_a_batch() {
+    let mut builder = StreamPipeline::builder(paced_registry).workers(2).queue_depth(4);
+    let slow = builder.channel(ChannelSpec::transform(16, "paced", Direction::Forward));
+    let fast = builder.channel(ChannelSpec::transform(16, "paced", Direction::Forward));
+    let pipeline = builder.build().unwrap();
+    // Homed on different workers, the fast symbol finishes ~1.5 s
+    // before the slow one; a one-worker pool would serialize them.
+    if pipeline.home_worker(slow) == pipeline.home_worker(fast) {
+        return;
+    }
+    pipeline.submit(slow, paced_symbol(16, 1500.0), vec![Complex::zero(); 16]).unwrap();
+    pipeline.submit(fast, paced_symbol(16, 0.0), vec![Complex::zero(); 16]).unwrap();
+
+    let mut out = Vec::new();
+    let began = Instant::now();
+    assert_eq!(pipeline.recv_ready(&mut out, Duration::from_secs(10)).unwrap(), 1);
+    assert_eq!(out[0].channel, fast);
+    assert!(began.elapsed() < Duration::from_secs(1), "returned with the first completion");
+    assert_eq!(pipeline.recv_ready(&mut out, Duration::from_secs(10)).unwrap(), 1);
+    assert_eq!(out[1].channel, slow);
+}
+
+#[test]
 fn checked_calls_surface_poisoning_as_errors_not_panics() {
     let mut builder = StreamPipeline::builder(paced_registry).workers(1).queue_depth(8);
     let ch = builder.channel(ChannelSpec::transform(16, "paced", Direction::Forward));

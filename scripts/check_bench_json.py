@@ -142,7 +142,8 @@ def check_net(path, doc):
     expect(path, admin, "server", str)
     if admin["server"] != "afft_net":
         fail(path, f"admin.server is {admin['server']!r}, wanted 'afft_net'")
-    for key in ("channels", "connections", "frames_in", "shed", "protocol_errors"):
+    for key in ("channels", "connections_live", "connections_accepted", "frames_in", "shed",
+                "protocol_errors"):
         expect(path, admin, key, (int, float))
     expect(path, admin, "poisoned", bool)
     expect(path, admin, "pipeline", dict)
