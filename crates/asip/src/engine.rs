@@ -31,7 +31,7 @@
 
 use crate::runner::{run_array_fft, AsipConfig, AsipError};
 use afft_core::cached::MemTraffic;
-use afft_core::engine::{check_io, EngineRegistry, FftEngine};
+use afft_core::engine::{check_io, Cost, EngineRegistry, EngineSpec, FftEngine};
 use afft_core::{Direction, FftError, Split};
 use afft_num::{Complex, C64, Q15};
 use afft_sim::Stats;
@@ -158,7 +158,7 @@ impl FftEngine for AsipEngine {
             }
             // Closed form before any run: N/2 beats per epoch, two
             // epochs, two points per beat, each way.
-            None => Some(MemTraffic { loads: 2 * self.n, stores: 2 * self.n }),
+            None => (ASIP_ISS.cost)(self.n).traffic(),
         }
     }
 
@@ -173,10 +173,23 @@ impl FftEngine for AsipEngine {
     }
 }
 
-/// [`EngineRegistry::standard`] plus the cycle-accurate ASIP backend
-/// (for sizes the array structure supports; other sizes — composite,
-/// prime, arbitrary — pass through with the software registry only,
-/// since the array structure is power-of-two by construction).
+/// The ASIP's catalog row. Its Estimate cost is the closed-form cycle
+/// model of the array datapath: `N log2 N / 8` butterfly issues, `2N`
+/// streaming beats and a fixed startup, moving `2N` points each way.
+pub const ASIP_ISS: EngineSpec = EngineSpec {
+    name: "asip_iss",
+    supports: |n| Split::for_size(n).is_ok(),
+    build: |n| Ok(Box::new(AsipEngine::new(n)?)),
+    cost: |n| {
+        let cycles = n * n.ilog2() as usize / 8 + 2 * n + 64;
+        Cost::Cycles(cycles as u64, Some(MemTraffic { loads: 2 * n, stores: 2 * n }))
+    },
+};
+
+/// [`EngineRegistry::standard`] plus the [`ASIP_ISS`] row (for sizes
+/// the array structure supports; other sizes — composite, prime,
+/// arbitrary — pass through with the software registry only, since the
+/// array structure is power-of-two by construction).
 ///
 /// # Errors
 ///
@@ -187,16 +200,12 @@ impl FftEngine for AsipEngine {
 ///
 /// ```
 /// let registry = afft_asip::engine::registry_with_asip(1024)?;
-/// assert!(registry.get("asip_iss").is_some());
+/// assert!(registry.names().contains(&"asip_iss"));
 /// assert!(registry.len() >= 5);
 /// # Ok::<(), afft_core::FftError>(())
 /// ```
 pub fn registry_with_asip(n: usize) -> Result<EngineRegistry, FftError> {
-    let mut registry = EngineRegistry::standard(n)?;
-    if Split::for_size(n).is_ok() {
-        registry.register(Box::new(AsipEngine::new(n)?));
-    }
-    Ok(registry)
+    Ok(EngineRegistry::standard(n)?.with(ASIP_ISS))
 }
 
 #[cfg(test)]
@@ -273,9 +282,14 @@ mod tests {
     #[test]
     fn registry_with_asip_gates_on_size() {
         let small = registry_with_asip(16).unwrap();
-        assert!(small.get("asip_iss").is_none());
+        assert!(!small.names().contains(&"asip_iss"));
         let full = registry_with_asip(64).unwrap();
         assert_eq!(full.names().last().copied(), Some("asip_iss"));
         assert!(full.len() >= 6);
+        // The row prices the engine without building it: the closed
+        // form at N = 1024, moving 2N points each way.
+        let cost = (ASIP_ISS.cost)(1024);
+        assert!(matches!(cost, Cost::Cycles(3392, _)), "{cost:?}");
+        assert_eq!(cost.traffic().unwrap().total(), 4 * 1024);
     }
 }

@@ -38,6 +38,6 @@ pub mod softfloat;
 pub mod swfft;
 pub mod swfft_fixed;
 
-pub use engine::{registry_with_asip, AsipEngine};
+pub use engine::{registry_with_asip, AsipEngine, ASIP_ISS};
 pub use layout::Layout;
 pub use runner::{golden_array_fft, quantize_input, run_array_fft, AsipConfig, AsipError, AsipRun};

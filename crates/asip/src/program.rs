@@ -266,7 +266,7 @@ fn emit_epoch(a: &mut Asm, split: &Split, layout: &Layout, opts: ProgramOptions,
 
 /// Predicted dynamic instruction counts of the generated program — the
 /// analytical form of Algorithm 1's cost, used by tests to pin the
-/// generator and by EXPERIMENTS.md to explain Table I.
+/// generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InstrBudget {
     /// `LDIN` count (`N/2` per epoch).

@@ -67,7 +67,7 @@ const MC_CHANNELS: usize = 4;
 /// "frame" a streaming caller would have buffered up before paying for
 /// a scoped-thread spawn. At N = 256 this is ~100 us of math per call,
 /// a realistic latency budget for a symbol stream — and far too little
-/// work to amortise four spawns plus four registry constructions.
+/// work to amortise four spawns plus four engine constructions.
 const CHUNK: usize = 32;
 
 /// Both arms size their pool to the machine (capped at [`WORKERS`]): a
@@ -294,7 +294,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Per-call scoped threads: every CHUNK symbols pays thread spawns
-    // plus one registry construction per worker — the cost a persistent
+    // plus one engine construction per worker — the cost a persistent
     // pool exists to amortise.
     let mut chunk_out = executor.alloc_output(symbols);
     let mut call_tps = 0.0f64;

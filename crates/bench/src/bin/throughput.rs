@@ -127,7 +127,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut records: Vec<String> = Vec::new();
     for &n in sizes {
         let mut registry = EngineRegistry::standard(n)?;
-        let names: Vec<String> = registry.names().iter().map(|s| s.to_string()).collect();
         let x = random_signal(n, n as u64);
         println!("== throughput at N = {n} (budget {budget:?} per arm) ==");
         println!(
@@ -143,13 +142,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 &widths
             )
         );
-        for name in names {
+        for name in registry.names() {
             // The O(N^2) reference would dwarf the budget for nothing:
             // its allocation fraction is negligible by construction.
             if name == "dft_naive" {
                 continue;
             }
-            let mut engine = registry.take(&name).expect("registered");
+            let mut engine = registry.take(name).expect("registered");
             let wrap_tps = tps(budget, || {
                 black_box(engine.execute(&x, Direction::Forward).expect("execute"));
             });
@@ -160,7 +159,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             });
             // Engines without a legacy entry point get no alloc arm:
             // report "-" rather than substituting the wrapper numbers.
-            let alloc_tps = alloc_path_tps(&name, n, &x, budget);
+            let alloc_tps = alloc_path_tps(name, n, &x, budget);
             let speedup = alloc_tps.map(|a| into_tps / a);
             // The headline (and the acceptance gate below) counts only
             // the sizes the refactor targets, N >= 256.
@@ -175,23 +174,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 }
                 if (name == "split_radix" || name == "radix4_dit") && into_tps > best_mixed_family.0
                 {
-                    best_mixed_family = (
-                        into_tps,
-                        if name == "split_radix" { "split_radix" } else { "radix4_dit" },
-                    );
+                    best_mixed_family = (into_tps, name);
                 }
                 // The SIMD gate compares radix4_simd against the best
                 // *scalar* engine (every non-SIMD N log N backend).
                 if name == "radix4_simd" {
                     radix4_simd_1024 = into_tps;
                 } else if !name.ends_with("_simd") && into_tps > best_scalar_1024.0 {
-                    best_scalar_1024 = (into_tps, name.clone());
+                    best_scalar_1024 = (into_tps, name.to_string());
                 }
             }
             records.push(
                 json::Obj::new()
                     .num("n", n as f64)
-                    .str("engine", &name)
+                    .str("engine", name)
                     .raw("alloc_tps", alloc_tps.map_or("null".into(), json::num))
                     .num("wrap_tps", wrap_tps)
                     .num("into_tps", into_tps)
@@ -201,7 +197,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 "{}",
                 row(
                     &[
-                        name.clone(),
+                        name.to_string(),
                         alloc_tps.map_or("-".into(), |a| format!("{a:.0}")),
                         format!("{wrap_tps:.0}"),
                         format!("{into_tps:.0}"),
@@ -236,6 +232,42 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             best_scalar_1024.1
         );
     }
+    // Machine-readable artifact, full runs only (smoke budgets are too
+    // noisy to be worth recording). Written before the gates below, so
+    // a failed gate still leaves the numbers behind it on disk.
+    if !smoke {
+        let doc = json::Obj::new()
+            .str("bench", "throughput")
+            .num("stamp_unix", stamp as f64)
+            .raw(
+                "host",
+                json::Obj::new()
+                    .str("arch", std::env::consts::ARCH)
+                    .str("simd_level", simd_level.as_str())
+                    .num("simd_lanes", simd_level.lanes() as f64)
+                    .bool("simd_suppressed", simd::simd_suppressed())
+                    .finish(),
+            )
+            .num("budget_ms", budget.as_millis() as f64)
+            .raw("sizes", json::arr(sizes.iter().map(|&n| json::num(n as f64))))
+            .raw("results", json::arr(records))
+            .raw(
+                "summary",
+                json::Obj::new()
+                    .num("array_fft_best_into_vs_alloc", best_array.0)
+                    .num("array_fft_best_n", best_array.1 as f64)
+                    .raw(
+                        "radix4_simd_vs_best_scalar_1024",
+                        simd_speedup.map_or("null".into(), json::num),
+                    )
+                    .str("best_scalar_1024", &best_scalar_1024.1)
+                    .finish(),
+            )
+            .finish();
+        std::fs::write("BENCH_throughput.json", doc + "\n")?;
+        println!("wrote BENCH_throughput.json");
+    }
+
     // The acceptance bar of the refactor, enforced after the full
     // report is printed (never mid-table), and only where the timing
     // is meaningful: a full run of an optimized build. The --smoke
@@ -285,39 +317,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // Machine-readable artifact, full runs only (smoke budgets are too
-    // noisy to be worth recording).
-    if !smoke {
-        let doc = json::Obj::new()
-            .str("bench", "throughput")
-            .num("stamp_unix", stamp as f64)
-            .raw(
-                "host",
-                json::Obj::new()
-                    .str("arch", std::env::consts::ARCH)
-                    .str("simd_level", simd_level.as_str())
-                    .num("simd_lanes", simd_level.lanes() as f64)
-                    .bool("simd_suppressed", simd::simd_suppressed())
-                    .finish(),
-            )
-            .num("budget_ms", budget.as_millis() as f64)
-            .raw("sizes", json::arr(sizes.iter().map(|&n| json::num(n as f64))))
-            .raw("results", json::arr(records))
-            .raw(
-                "summary",
-                json::Obj::new()
-                    .num("array_fft_best_into_vs_alloc", best_array.0)
-                    .num("array_fft_best_n", best_array.1 as f64)
-                    .raw(
-                        "radix4_simd_vs_best_scalar_1024",
-                        simd_speedup.map_or("null".into(), json::num),
-                    )
-                    .str("best_scalar_1024", &best_scalar_1024.1)
-                    .finish(),
-            )
-            .finish();
-        std::fs::write("BENCH_throughput.json", doc + "\n")?;
-        println!("wrote BENCH_throughput.json");
-    }
     Ok(())
 }

@@ -1,12 +1,18 @@
 //! The polymorphic execution layer: every FFT backend in the workspace
-//! behind one [`FftEngine`] trait, enumerable through an
-//! [`EngineRegistry`].
+//! behind one [`FftEngine`] trait, described by one [`CATALOG`] and
+//! enumerable through an [`EngineRegistry`].
 //!
 //! The paper compares one algorithm across several execution substrates
 //! (golden models, prior-art architectures, the cycle-accurate ASIP).
 //! Before this layer each backend exposed an ad-hoc signature and every
 //! harness carried per-backend glue; now a harness iterates the
 //! registry and calls [`FftEngine::execute`].
+//!
+//! Each [`EngineSpec`] row says what one engine is: its name, the sizes
+//! it serves, how to build it, and its Estimate [`Cost`]. A registry is
+//! the rows that support one size and builds an engine only when asked:
+//! [`EngineRegistry::take`] builds one, [`EngineRegistry::engines_mut`]
+//! builds them all, and naming or pricing them builds nothing.
 //!
 //! # Contract
 //!
@@ -68,11 +74,10 @@ use crate::mixed::{factorize, mixed_radix_into, MixedRadixPlan};
 use crate::plan::Split;
 use crate::rader::{is_prime, rader_into, RaderPlan};
 use crate::radix4::{is_power_of_four, radix4_dit_into, Radix4Plan};
-use crate::realfft::RealFft;
 use crate::reference::{
     bit_reverse_permute, dft_naive_into, fft_radix2_dif_f64, fft_radix2_dit_f64, Direction,
 };
-use crate::simd::{self, Radix4SimdEngine, SplitRadixSimdEngine};
+use crate::simd::{self, Radix4SimdEngine};
 use crate::splitradix::{split_radix_into, SplitRadixPlan};
 use afft_num::{Complex, C64};
 
@@ -331,11 +336,7 @@ impl FftEngine for Radix4DitEngine {
     }
 
     fn traffic(&self) -> Option<MemTraffic> {
-        // In-place combine: one full pass per radix-4 stage, half the
-        // stage count of the radix-2 kernels.
-        let n = self.plan.len();
-        let stages = (n.trailing_zeros() / 2) as usize;
-        Some(MemTraffic { loads: n * stages, stores: n * stages })
+        radix4_dit_cost(self.plan.len()).traffic()
     }
 }
 
@@ -376,11 +377,7 @@ impl FftEngine for SplitRadixEngine {
     }
 
     fn traffic(&self) -> Option<MemTraffic> {
-        // The L-shaped recursion touches ~3/4 of the points per radix-2
-        // stage equivalent.
-        let n = self.plan.len();
-        let stages = n.trailing_zeros() as usize;
-        Some(MemTraffic { loads: 3 * n * stages / 4, stores: 3 * n * stages / 4 })
+        split_radix_cost(self.plan.len()).traffic()
     }
 }
 
@@ -400,11 +397,6 @@ impl MixedRadixEngine {
     /// Returns [`FftError::InvalidSize`] otherwise.
     pub fn new(n: usize) -> Result<Self, FftError> {
         Ok(MixedRadixEngine { plan: MixedRadixPlan::new(n)? })
-    }
-
-    /// The stage radices the plan factorised `n` into, outermost first.
-    pub fn radices(&self) -> Vec<usize> {
-        self.plan.radices()
     }
 }
 
@@ -427,10 +419,7 @@ impl FftEngine for MixedRadixEngine {
     }
 
     fn traffic(&self) -> Option<MemTraffic> {
-        // One full load + store pass per factor stage.
-        let n = self.plan.len();
-        let stages = self.plan.radices().len();
-        Some(MemTraffic { loads: n * stages, stores: n * stages })
+        mixed_radix_cost(self.plan.len()).traffic()
     }
 }
 
@@ -458,8 +447,7 @@ impl FftEngine for ArrayFft<f64> {
     fn traffic(&self) -> Option<MemTraffic> {
         // One load and one store per point per epoch through the CRF
         // streaming port (the LDIN/STOUT beat count times two points).
-        let n = ArrayFft::len(self);
-        Some(MemTraffic { loads: 2 * n, stores: 2 * n })
+        each_way(2 * ArrayFft::len(self))
     }
 }
 
@@ -505,7 +493,7 @@ impl FftEngine for CachedFftEngine {
 
     fn traffic(&self) -> Option<MemTraffic> {
         // Two epochs, each touching every point once in each direction.
-        Some(MemTraffic { loads: 2 * self.n, stores: 2 * self.n })
+        each_way(2 * self.n)
     }
 }
 
@@ -576,126 +564,6 @@ impl FftEngine for McfftEngine {
     }
 }
 
-/// The packed real-input FFT as a full-contract engine.
-///
-/// [`RealFft`] transforms a length-`2N` *real* signal with one
-/// `N`-point complex FFT. To satisfy the registry contract (an
-/// unnormalised DFT of arbitrary *complex* input) this wrapper runs
-/// that path twice — `DFT(x) = DFT(re x) + i DFT(im x)`, each half
-/// expanded by conjugate symmetry — so the planner can rank the
-/// packed-real datapath against the complex backends on the same
-/// calibration signals.
-#[derive(Debug, Clone)]
-pub struct RealFftEngine {
-    rfft: RealFft,
-    // Engine-owned scratch for the allocation-free path: split real
-    // components, unique-bin staging, both expanded spectra, and the
-    // conjugated input of the inverse route.
-    re_scratch: Vec<f64>,
-    im_scratch: Vec<f64>,
-    bins_scratch: Vec<C64>,
-    fr_scratch: Vec<C64>,
-    fi_scratch: Vec<C64>,
-    conj_scratch: Vec<C64>,
-}
-
-impl RealFftEngine {
-    /// Plans a real-FFT-backed engine of size `n` (`n/2` must be a
-    /// supported array-FFT size, i.e. a power of two `>= 64`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::InvalidSize`] otherwise.
-    pub fn new(n: usize) -> Result<Self, FftError> {
-        Ok(RealFftEngine {
-            rfft: RealFft::new(n)?,
-            re_scratch: Vec::new(),
-            im_scratch: Vec::new(),
-            bins_scratch: Vec::new(),
-            fr_scratch: Vec::new(),
-            fi_scratch: Vec::new(),
-            conj_scratch: Vec::new(),
-        })
-    }
-
-    /// `DFT(re x) -> fr_scratch`, `DFT(im x) -> fi_scratch`, each via
-    /// the packed real path and conjugate-symmetric expansion.
-    fn split_real_dfts(&mut self, input: &[C64]) -> Result<(), FftError> {
-        let n = input.len();
-        self.re_scratch.resize(n, 0.0);
-        self.im_scratch.resize(n, 0.0);
-        for (i, c) in input.iter().enumerate() {
-            self.re_scratch[i] = c.re;
-            self.im_scratch[i] = c.im;
-        }
-        self.bins_scratch.resize(n / 2 + 1, Complex::zero());
-        self.fr_scratch.resize(n, Complex::zero());
-        self.fi_scratch.resize(n, Complex::zero());
-        self.rfft.process_into(&self.re_scratch, &mut self.bins_scratch)?;
-        self.rfft.expand_full_into(&self.bins_scratch, &mut self.fr_scratch);
-        self.rfft.process_into(&self.im_scratch, &mut self.bins_scratch)?;
-        self.rfft.expand_full_into(&self.bins_scratch, &mut self.fi_scratch);
-        Ok(())
-    }
-}
-
-impl FftEngine for RealFftEngine {
-    fn name(&self) -> &str {
-        "real_fft"
-    }
-
-    fn len(&self) -> usize {
-        self.rfft.len()
-    }
-
-    fn execute_into(
-        &mut self,
-        input: &[C64],
-        output: &mut [C64],
-        dir: Direction,
-    ) -> Result<(), FftError> {
-        check_io(self.rfft.len(), input, output)?;
-        match dir {
-            // DFT(x) = DFT(re x) + i DFT(im x).
-            Direction::Forward => {
-                self.split_real_dfts(input)?;
-                for (k, slot) in output.iter_mut().enumerate() {
-                    *slot = self.fr_scratch[k] + self.fi_scratch[k].mul_i();
-                }
-                Ok(())
-            }
-            // Unnormalised inverse: conjugate in, forward, conjugate out.
-            Direction::Inverse => {
-                let mut conj = core::mem::take(&mut self.conj_scratch);
-                conj.resize(input.len(), Complex::zero());
-                for (slot, c) in conj.iter_mut().zip(input) {
-                    *slot = c.conj();
-                }
-                let result = self.execute_into(&conj, output, Direction::Forward);
-                self.conj_scratch = conj;
-                result?;
-                for slot in output.iter_mut() {
-                    *slot = slot.conj();
-                }
-                Ok(())
-            }
-        }
-    }
-
-    fn traffic(&self) -> Option<MemTraffic> {
-        // Two packed half-size array transforms (2 * (N/2) points each
-        // way apiece) — the O(N) unscrambling stays register-resident.
-        let n = self.len();
-        Some(MemTraffic { loads: 2 * n, stores: 2 * n })
-    }
-
-    fn tolerance(&self) -> f64 {
-        // The conjugate-symmetric post-butterfly adds a twiddle
-        // multiply per bin on top of the inner FFT's roundoff.
-        1e-7
-    }
-}
-
 /// Bluestein's chirp-Z FFT as an engine: **any** `n >= 2` through one
 /// power-of-two cyclic convolution — the registry's universal fallback
 /// that closes the size domain (primes, 5G NR DFT-s-OFDM sizes,
@@ -713,12 +581,6 @@ impl BluesteinEngine {
     /// Returns [`FftError::InvalidSize`] for `n < 2`.
     pub fn new(n: usize) -> Result<Self, FftError> {
         Ok(BluesteinEngine { plan: BluesteinPlan::new(n)? })
-    }
-
-    /// The internal cyclic-convolution length (next power of two
-    /// `>= 2n - 1`).
-    pub fn conv_len(&self) -> usize {
-        self.plan.conv_len()
     }
 }
 
@@ -741,13 +603,7 @@ impl FftEngine for BluesteinEngine {
     }
 
     fn traffic(&self) -> Option<MemTraffic> {
-        // Two m-point split-radix passes around the pointwise multiply,
-        // plus the O(n + m) chirp/fold passes.
-        let n = self.plan.len();
-        let m = self.plan.conv_len();
-        let stages = m.trailing_zeros() as usize;
-        let inner = 2 * (3 * m * stages / 4);
-        Some(MemTraffic { loads: inner + m + 2 * n, stores: inner + m + 2 * n })
+        bluestein_cost(self.plan.len()).traffic()
     }
 
     fn tolerance(&self) -> f64 {
@@ -803,13 +659,7 @@ impl FftEngine for RaderEngine {
     }
 
     fn traffic(&self) -> Option<MemTraffic> {
-        // Two (p-1)-point inner passes, the gather/scatter permutations
-        // and the pointwise kernel multiply.
-        let p = self.plan.len();
-        let m = p - 1;
-        let stages = (usize::BITS - m.leading_zeros()) as usize;
-        let inner = 2 * m * stages;
-        Some(MemTraffic { loads: inner + 3 * m, stores: inner + 3 * m })
+        rader_cost(self.plan.len()).traffic()
     }
 
     fn tolerance(&self) -> f64 {
@@ -831,46 +681,217 @@ fn check_pow2_size(n: usize) -> Result<(), FftError> {
     Ok(())
 }
 
-/// An ordered collection of [`FftEngine`] backends for one size.
-#[derive(Default)]
+/// An engine's Estimate cost of one transform at one size, in physical
+/// units the planner prices with its host constants. Both terms carry
+/// the main-memory traffic in complex points where the engine models it
+/// (what its [`FftEngine::traffic`] reports).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Cost {
+    /// Host arithmetic in scalar issue slots (a vector engine divides
+    /// its operation count by its issue width), plus traffic.
+    Host(f64, Option<MemTraffic>),
+    /// Modeled cycles of a cycle-accurate substrate, hardware time
+    /// rather than host time, plus traffic.
+    Cycles(u64, Option<MemTraffic>),
+}
+
+impl Cost {
+    /// The traffic term.
+    pub fn traffic(self) -> Option<MemTraffic> {
+        match self {
+            Cost::Host(_, traffic) | Cost::Cycles(_, traffic) => traffic,
+        }
+    }
+}
+
+/// One catalog row: what an engine is, known without building it.
+#[derive(Debug, Clone, Copy)]
+pub struct EngineSpec {
+    /// Stable snake_case identifier, equal to the built engine's
+    /// [`FftEngine::name`].
+    pub name: &'static str,
+    /// Whether the engine serves size `n`.
+    pub supports: fn(usize) -> bool,
+    /// Plans the engine for a size it supports.
+    pub build: fn(usize) -> Result<Box<dyn FftEngine>, FftError>,
+    /// The Estimate cost of one transform at a size it supports.
+    pub cost: fn(usize) -> Cost,
+}
+
+/// One [`CATALOG`] row for an engine type planned by `new(n)`.
+macro_rules! row {
+    ($name:literal, $supports:expr, $engine:ty, $cost:expr) => {
+        EngineSpec {
+            name: $name,
+            supports: $supports,
+            build: |n| Ok(Box::new(<$engine>::new(n)?)),
+            cost: $cost,
+        }
+    };
+}
+
+/// Every software engine of this crate, in registration order: the one
+/// place that says what each engine is. `afft_asip::engine::ASIP_ISS`
+/// is the cycle-accurate simulator's row.
+pub static CATALOG: &[EngineSpec] = &[
+    // N^2 overtakes every N log N structure beyond trivially small N.
+    row!("dft_naive", |_| true, NaiveDftEngine, |n| Cost::Host(n as f64 * n as f64, None)),
+    row!("radix2_dit", usize::is_power_of_two, Radix2DitEngine, |n| radix2_cost(1.0, n)),
+    // Radix-2 plus the bit-reverse pass.
+    row!("radix2_dif", usize::is_power_of_two, Radix2DifEngine, |n| radix2_cost(1.1, n)),
+    row!("radix4_dit", is_power_of_four, Radix4DitEngine, radix4_dit_cost),
+    row!("radix4_simd", simd_tier, Radix4SimdEngine, radix4_simd_cost),
+    row!("split_radix", usize::is_power_of_two, SplitRadixEngine, split_radix_cost),
+    row!("mcfft", usize::is_power_of_two, McfftEngine, mcfft_cost),
+    row!("mixed_radix", |n| factorize(n).is_some(), MixedRadixEngine, mixed_radix_cost),
+    row!("rader", |n| is_prime(n) && n >= 3, RaderEngine, rader_cost),
+    row!("bluestein", |_| true, BluesteinEngine, bluestein_cost),
+    // Radix-2 work plus group bookkeeping, over two epochs of traffic.
+    row!("array_fft", array_size, ArrayFft::<f64>, |n| two_epoch_cost(1.15, n)),
+    row!("cached_fft", array_size, CachedFftEngine, |n| two_epoch_cost(1.2, n)),
+];
+
+/// `c · N · log2 N` for a power-of-two `n`.
+fn n_log2n(c: f64, n: usize) -> f64 {
+    c * n as f64 * n.ilog2() as f64
+}
+
+/// `points` loaded and `points` stored.
+fn each_way(points: usize) -> Option<MemTraffic> {
+    Some(MemTraffic { loads: points, stores: points })
+}
+
+fn simd_tier(n: usize) -> bool {
+    is_power_of_four(n) && n >= 16 && simd::active_level().is_simd()
+}
+
+fn array_size(n: usize) -> bool {
+    Split::for_size(n).is_ok()
+}
+
+/// Per-butterfly `cos`/`sin`, no plan-time tables; `N log2 N` points of
+/// traffic each way.
+fn radix2_cost(c: f64, n: usize) -> Cost {
+    Cost::Host(n_log2n(c, n), Some(plain_fft_traffic(n)))
+}
+
+/// The epoch structures move every point once each way per epoch.
+fn two_epoch_cost(c: f64, n: usize) -> Cost {
+    Cost::Host(n_log2n(c, n), each_way(2 * n))
+}
+
+/// Per-epoch twiddle passes, one pass per epoch of at most 16 points.
+fn mcfft_cost(n: usize) -> Cost {
+    Cost::Host(n_log2n(1.25, n), each_way(n * n.ilog2().div_ceil(4) as usize))
+}
+
+/// ~25% fewer complex multiplies than radix-2, with plan-time twiddles;
+/// one in-place pass per radix-4 stage.
+fn radix4_dit_cost(n: usize) -> Cost {
+    Cost::Host(n_log2n(0.75, n), each_way(n * (n.ilog2() / 2) as usize))
+}
+
+/// The scalar radix-4 op count retired ~`lanes × 0.75` per issue; the
+/// layout passes add traffic, since vectors do not widen the memory bus.
+pub(crate) fn radix4_simd_cost(n: usize) -> Cost {
+    let issue_width = (simd::active_level().lanes() as f64 * 0.75).max(1.0);
+    Cost::Host(n_log2n(0.75, n) / issue_width, each_way(n * (n.ilog2() / 2 + 2) as usize))
+}
+
+/// The lowest known power-of-two op count; the L-shaped recursion
+/// touches ~3/4 of the points per radix-2 stage equivalent.
+fn split_radix_cost(n: usize) -> Cost {
+    Cost::Host(n_log2n(0.67, n), each_way(3 * n * n.ilog2() as usize / 4))
+}
+
+/// Per-point ops of one mixed-radix stage, by radix: radix-4 has only
+/// `±i` rotations, radix-3 and radix-5 pay their constant rotations.
+const STAGE_OPS: [f64; 6] = [0.0, 0.0, 1.0, 1.9, 1.7, 3.2];
+
+/// One full load + store pass per {4, 2, 3, 5} factor stage.
+fn mixed_radix_cost(n: usize) -> Cost {
+    let radices = factorize(n).expect("mixed_radix serves 5-smooth sizes only");
+    let ops = n as f64 * radices.iter().map(|&r| STAGE_OPS[r]).sum::<f64>();
+    Cost::Host(ops, each_way(n * radices.len()))
+}
+
+/// Two `m = next_pow2(2n - 1)`-point split-radix passes around the
+/// pointwise multiply, plus the `O(n + m)` chirp and fold passes.
+fn bluestein_cost(n: usize) -> Cost {
+    let m = (2 * n - 1).next_power_of_two();
+    let inner = 2 * (3 * m * m.ilog2() as usize / 4);
+    Cost::Host(bluestein_ops(n), each_way(inner + m + 2 * n))
+}
+
+/// 4–8x a direct kernel at the same size, so Bluestein only ranks first
+/// where nothing structured exists.
+fn bluestein_ops(n: usize) -> f64 {
+    let m = (2 * n - 1).next_power_of_two();
+    let mf = m as f64;
+    2.0 * 0.67 * mf * m.ilog2() as f64 + mf + 2.0 * n as f64
+}
+
+/// Two `(p-1)`-point inner passes priced by the family the engine picks
+/// for that length, plus the generator permutations and the pointwise
+/// multiply: cheaper than Bluestein when `p - 1` is smooth.
+fn rader_cost(p: usize) -> Cost {
+    let m = p - 1;
+    let mf = m as f64;
+    let inner = if m.is_power_of_two() {
+        n_log2n(0.67, m)
+    } else if let Some(radices) = factorize(m) {
+        mf * radices.iter().map(|&r| STAGE_OPS[r]).sum::<f64>()
+    } else {
+        bluestein_ops(m)
+    };
+    let stages = (m.ilog2() + 1) as usize;
+    Cost::Host(2.0 * inner + 4.0 * mf + p as f64, each_way(2 * m * stages + 3 * m))
+}
+
+/// One catalog row supporting the registry's size, and its engine once
+/// something asked for it.
+struct Entry {
+    spec: EngineSpec,
+    engine: Option<Box<dyn FftEngine>>,
+}
+
+impl Entry {
+    fn engine(&mut self, n: usize) -> Result<&mut (dyn FftEngine + 'static), FftError> {
+        let engine = match self.engine.take() {
+            Some(engine) => engine,
+            None => (self.spec.build)(n)?,
+        };
+        Ok(self.engine.insert(engine).as_mut())
+    }
+}
+
+/// The catalog rows that support one size, each engine built on first
+/// use.
 pub struct EngineRegistry {
-    engines: Vec<Box<dyn FftEngine>>,
+    n: usize,
+    entries: Vec<Entry>,
 }
 
 impl EngineRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty registry for size `n`; rows join through
+    /// [`EngineRegistry::with`].
+    pub fn new(n: usize) -> Self {
+        EngineRegistry { n, entries: Vec::new() }
     }
 
     /// Whether [`EngineRegistry::standard`] supports size `n`: **every**
-    /// `n >= 2`. Powers of two get the full
-    /// radix-2/radix-4/split-radix/epoch family; composite 5-smooth
-    /// sizes (60, 1200, 1536, ...) get `mixed_radix`; odd primes get
-    /// `rader`; and `bluestein` registers for every size, so no
-    /// factorisation — however adversarial — falls outside the domain.
-    /// Only the degenerate sizes 0 and 1 are rejected.
+    /// `n >= 2`, since `bluestein` serves any size however adversarial
+    /// its factorisation. Only the degenerate sizes 0 and 1 are rejected.
     pub fn supports(n: usize) -> bool {
         n >= 2
     }
 
-    /// Every software backend of this crate that supports size `n`.
-    /// For any supported `n` (see [`EngineRegistry::supports`]): the
-    /// naive DFT and the universal `bluestein` chirp-Z engine. For
-    /// 5-smooth sizes the general `mixed_radix` engine; for odd primes
-    /// the `rader` engine. For powers of two additionally both radix-2
-    /// FFTs, `split_radix` and the MCFFT (`radix4_dit` on powers of
-    /// 4); from `n >= 64` (the smallest array-structured size) the
-    /// array FFT and Baas's cached FFT; from `n >= 128` the packed
-    /// real-input FFT (whose inner complex transform is `n/2`).
-    ///
-    /// On hosts with a detected vector unit the SIMD tier registers
-    /// alongside its scalar siblings (from `n >= 16`): `radix4_simd`
-    /// on powers of 4 and `split_radix_simd` on powers of two — unless
-    /// suppressed via `AFFT_NO_SIMD=1` (see
-    /// [`simd::active_level`]). Because the backend-set hash keys
-    /// planner wisdom, suppressing the tier invalidates SIMD-era
-    /// wisdom by construction.
+    /// The [`CATALOG`] rows that support size `n`, in catalog order;
+    /// builds nothing. `radix4_simd` joins only on hosts with a
+    /// detected vector unit and without `AFFT_NO_SIMD=1` (see
+    /// [`simd::active_level`]); because the backend-set hash keys
+    /// planner wisdom, suppressing the tier invalidates SIMD-era wisdom
+    /// by construction.
     ///
     /// # Errors
     ///
@@ -884,99 +905,93 @@ impl EngineRegistry {
                 factor: None,
             });
         }
-        let simd_tier = simd::active_level().is_simd() && n >= 16;
-        let mut registry = EngineRegistry::new();
-        registry.register(Box::new(NaiveDftEngine::new(n)?));
-        if n.is_power_of_two() {
-            registry.register(Box::new(Radix2DitEngine::new(n)?));
-            registry.register(Box::new(Radix2DifEngine::new(n)?));
-            if is_power_of_four(n) {
-                registry.register(Box::new(Radix4DitEngine::new(n)?));
-                if simd_tier {
-                    registry.register(Box::new(Radix4SimdEngine::new(n)?));
-                }
-            }
-            registry.register(Box::new(SplitRadixEngine::new(n)?));
-            if simd_tier {
-                registry.register(Box::new(SplitRadixSimdEngine::new(n)?));
-            }
-            registry.register(Box::new(McfftEngine::new(n)?));
-        }
-        if factorize(n).is_some() {
-            registry.register(Box::new(MixedRadixEngine::new(n)?));
-        }
-        if is_prime(n) && n >= 3 {
-            registry.register(Box::new(RaderEngine::new(n)?));
-        }
-        registry.register(Box::new(BluesteinEngine::new(n)?));
-        if Split::for_size(n).is_ok() {
-            registry.register(Box::new(ArrayFft::<f64>::new(n)?));
-            registry.register(Box::new(CachedFftEngine::new(n)?));
-        }
-        if n.is_power_of_two() && Split::for_size(n / 2).is_ok() {
-            registry.register(Box::new(RealFftEngine::new(n)?));
-        }
-        Ok(registry)
+        Ok(CATALOG.iter().fold(Self::new(n), |registry, spec| registry.with(*spec)))
     }
 
-    /// Adds an engine; duplicate names are rejected by debug assertion.
-    pub fn register(&mut self, engine: Box<dyn FftEngine>) -> &mut Self {
-        debug_assert!(
-            self.get(engine.name()).is_none(),
-            "duplicate engine name {:?}",
-            engine.name()
-        );
-        self.engines.push(engine);
+    /// Adds `spec` if it supports the registry's size: the one way an
+    /// engine joins a registry. Duplicate names are rejected by debug
+    /// assertion.
+    #[must_use]
+    pub fn with(mut self, spec: EngineSpec) -> Self {
+        if (spec.supports)(self.n) {
+            debug_assert!(!self.names().contains(&spec.name), "duplicate engine {:?}", spec.name);
+            self.entries.push(Entry { spec, engine: None });
+        }
         self
     }
 
-    /// Iterates the registered engines in registration order (shared
-    /// view: metadata like [`FftEngine::name`], [`FftEngine::traffic`],
-    /// [`FftEngine::cycles`]). Executing needs [`Self::engines_mut`].
-    pub fn engines(&self) -> impl Iterator<Item = &dyn FftEngine> {
-        self.engines.iter().map(Box::as_ref)
+    /// The rows in registration order: names and Estimate costs,
+    /// nothing built.
+    pub fn specs(&self) -> impl Iterator<Item = &EngineSpec> {
+        self.entries.iter().map(|e| &e.spec)
     }
 
-    /// Iterates the registered engines mutably — the execution view:
-    /// [`FftEngine::execute_into`] takes `&mut self` because engines
-    /// own their scratch buffers.
+    /// Builds every engine not built yet and iterates them mutably in
+    /// registration order: the execution view for Measure, surveys and
+    /// conformance tests.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row's constructor rejects a size its `supports`
+    /// predicate accepted: a catalog bug.
     pub fn engines_mut<'a>(
         &'a mut self,
     ) -> impl Iterator<Item = &'a mut (dyn FftEngine + 'static)> + 'a {
-        self.engines.iter_mut().map(Box::as_mut)
+        let n = self.n;
+        self.entries.iter_mut().map(move |entry| {
+            let name = entry.spec.name;
+            entry.engine(n).unwrap_or_else(|e| panic!("catalog row {name} rejected n={n}: {e}"))
+        })
     }
 
-    /// Looks an engine up by name.
-    pub fn get(&self, name: &str) -> Option<&dyn FftEngine> {
-        self.engines().find(|e| e.name() == name)
+    /// Builds (once) the engine named `name`, to execute it in place.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FftError::Backend`] if no row is named `name`, or the
+    /// row's constructor error.
+    pub fn get_mut(&mut self, name: &str) -> Result<&mut (dyn FftEngine + 'static), FftError> {
+        let n = self.n;
+        let idx = self.position(name)?;
+        self.entries[idx].engine(n)
     }
 
-    /// Looks an engine up by name, mutably (to execute it in place).
-    pub fn get_mut(&mut self, name: &str) -> Option<&mut (dyn FftEngine + 'static)> {
-        self.engines_mut().find(|e| e.name() == name)
+    /// Removes the row named `name` and returns its engine owned — how a
+    /// planner hands the winning backend to a long-lived consumer (an
+    /// OFDM modem, a batch executor) without building the others.
+    ///
+    /// # Errors
+    ///
+    /// As [`EngineRegistry::get_mut`].
+    pub fn take(&mut self, name: &str) -> Result<Box<dyn FftEngine>, FftError> {
+        let idx = self.position(name)?;
+        let entry = self.entries.remove(idx);
+        match entry.engine {
+            Some(engine) => Ok(engine),
+            None => (entry.spec.build)(self.n),
+        }
     }
 
-    /// Removes an engine by name and returns it owned — how a planner
-    /// hands the winning backend to long-lived consumers (an OFDM
-    /// modem, a batch executor) without re-planning.
-    pub fn take(&mut self, name: &str) -> Option<Box<dyn FftEngine>> {
-        let idx = self.engines.iter().position(|e| e.name() == name)?;
-        Some(self.engines.remove(idx))
+    fn position(&self, name: &str) -> Result<usize, FftError> {
+        self.entries.iter().position(|e| e.spec.name == name).ok_or_else(|| FftError::Backend {
+            engine: name.to_string(),
+            reason: format!("not in the registry for n = {}", self.n),
+        })
     }
 
-    /// The registered engine names, in registration order.
-    pub fn names(&self) -> Vec<&str> {
-        self.engines().map(FftEngine::name).collect()
+    /// The row names, in registration order.
+    pub fn names(&self) -> Vec<&'static str> {
+        self.specs().map(|s| s.name).collect()
     }
 
-    /// Number of registered engines.
+    /// Number of rows.
     pub fn len(&self) -> usize {
-        self.engines.len()
+        self.entries.len()
     }
 
-    /// Whether the registry is empty.
+    /// Whether the registry has no rows.
     pub fn is_empty(&self) -> bool {
-        self.engines.is_empty()
+        self.entries.is_empty()
     }
 }
 
@@ -999,51 +1014,95 @@ mod tests {
         (0..n).map(|_| Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))).collect()
     }
 
-    /// The expected registration order for size `n`, conditioned on
-    /// the host's active SIMD level the same way `standard` is.
-    fn expected_names(n: usize) -> Vec<&'static str> {
-        let simd_tier = simd::active_level().is_simd() && n >= 16;
-        let mut names = vec!["dft_naive"];
-        if n.is_power_of_two() {
-            names.extend(["radix2_dit", "radix2_dif"]);
-            if is_power_of_four(n) {
-                names.push("radix4_dit");
-                if simd_tier {
-                    names.push("radix4_simd");
-                }
-            }
-            names.push("split_radix");
-            if simd_tier {
-                names.push("split_radix_simd");
-            }
-            names.push("mcfft");
-        }
-        if factorize(n).is_some() {
-            names.push("mixed_radix");
-        }
-        if is_prime(n) && n >= 3 {
-            names.push("rader");
-        }
-        names.push("bluestein");
-        if Split::for_size(n).is_ok() {
-            names.extend(["array_fft", "cached_fft"]);
-        }
-        if n.is_power_of_two() && Split::for_size(n / 2).is_ok() {
-            names.push("real_fft");
-        }
-        names
-    }
-
     #[test]
     fn standard_registry_size_gates() {
-        // Powers of two below/above the radix-4, array and real-FFT
-        // thresholds, plus composite 5-smooth sizes (naive reference +
-        // mixed_radix only). The SIMD tier appears from n >= 16
-        // exactly when the host detects a vector unit.
-        for n in [8usize, 16, 32, 64, 128, 256, 1024] {
-            let r = EngineRegistry::standard(n).unwrap();
-            assert_eq!(r.names(), expected_names(n), "n={n}");
+        // Powers of two below/above the radix-4 and array thresholds,
+        // without and with the SIMD tier, which joins on powers of 4
+        // from n >= 16 exactly when the host detects a vector unit.
+        let simd = simd::active_level().is_simd();
+        let expect = |n: usize, scalar: &[&str], vector: &[&str]| {
+            let want = if simd { vector } else { scalar };
+            assert_eq!(EngineRegistry::standard(n).unwrap().names(), want, "n={n}");
+        };
+        let small = [
+            "dft_naive",
+            "radix2_dit",
+            "radix2_dif",
+            "split_radix",
+            "mcfft",
+            "mixed_radix",
+            "bluestein",
+        ];
+        expect(8, &small, &small);
+        expect(32, &small, &small);
+        expect(
+            16,
+            &[
+                "dft_naive",
+                "radix2_dit",
+                "radix2_dif",
+                "radix4_dit",
+                "split_radix",
+                "mcfft",
+                "mixed_radix",
+                "bluestein",
+            ],
+            &[
+                "dft_naive",
+                "radix2_dit",
+                "radix2_dif",
+                "radix4_dit",
+                "radix4_simd",
+                "split_radix",
+                "mcfft",
+                "mixed_radix",
+                "bluestein",
+            ],
+        );
+        let array = [
+            "dft_naive",
+            "radix2_dit",
+            "radix2_dif",
+            "split_radix",
+            "mcfft",
+            "mixed_radix",
+            "bluestein",
+            "array_fft",
+            "cached_fft",
+        ];
+        expect(128, &array, &array);
+        for n in [64usize, 256, 1024] {
+            expect(
+                n,
+                &[
+                    "dft_naive",
+                    "radix2_dit",
+                    "radix2_dif",
+                    "radix4_dit",
+                    "split_radix",
+                    "mcfft",
+                    "mixed_radix",
+                    "bluestein",
+                    "array_fft",
+                    "cached_fft",
+                ],
+                &[
+                    "dft_naive",
+                    "radix2_dit",
+                    "radix2_dif",
+                    "radix4_dit",
+                    "radix4_simd",
+                    "split_radix",
+                    "mcfft",
+                    "mixed_radix",
+                    "bluestein",
+                    "array_fft",
+                    "cached_fft",
+                ],
+            );
         }
+        // Composite 5-smooth sizes: the naive reference, mixed_radix
+        // and the chirp-Z fallback.
         for n in [60usize, 243, 1200, 1536] {
             let r = EngineRegistry::standard(n).unwrap();
             assert_eq!(r.names(), ["dft_naive", "mixed_radix", "bluestein"], "n={n}");
@@ -1064,18 +1123,31 @@ mod tests {
 
     #[test]
     fn simd_tier_registers_exactly_when_detected() {
-        let expect = simd::active_level().is_simd();
-        let r = EngineRegistry::standard(1024).unwrap();
-        assert_eq!(r.get("radix4_simd").is_some(), expect);
-        assert_eq!(r.get("split_radix_simd").is_some(), expect);
-        // Non-power-of-4 keeps split_radix_simd only; below the tier
-        // minimum neither registers.
-        let r = EngineRegistry::standard(32).unwrap();
-        assert!(r.get("radix4_simd").is_none());
-        assert_eq!(r.get("split_radix_simd").is_some(), expect);
-        let r = EngineRegistry::standard(8).unwrap();
-        assert!(r.get("radix4_simd").is_none());
-        assert!(r.get("split_radix_simd").is_none());
+        let has = |n: usize| EngineRegistry::standard(n).unwrap().names().contains(&"radix4_simd");
+        assert_eq!(has(1024), simd::active_level().is_simd());
+        // Not a power of 4, or below the tier minimum: never.
+        assert!(!has(32));
+        assert!(!has(4));
+    }
+
+    #[test]
+    fn catalog_names_are_unique_and_match_the_built_engines() {
+        let mut names: Vec<&str> = CATALOG.iter().map(|s| s.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), CATALOG.len(), "duplicate catalog name");
+        // Every row builds at every size it claims, under its own name,
+        // and its Estimate traffic is what the built engine reports.
+        for n in [2usize, 3, 7, 8, 16, 60, 64, 97, 128, 243, 256, 1009, 1022, 1024, 1200] {
+            let mut registry = EngineRegistry::standard(n).unwrap();
+            let specs: Vec<EngineSpec> = registry.specs().copied().collect();
+            for (engine, spec) in registry.engines_mut().zip(specs) {
+                assert_eq!((engine.name(), engine.len()), (spec.name, n));
+                let cost = (spec.cost)(n);
+                assert_eq!(engine.traffic(), cost.traffic(), "{} at n={n}", spec.name);
+                assert!(matches!(cost, Cost::Host(ops, _) if ops > 0.0), "{} at n={n}", spec.name);
+            }
+        }
     }
 
     #[test]
@@ -1202,26 +1274,26 @@ mod tests {
     #[test]
     fn traffic_reporting_matches_the_motivating_counts() {
         let n = 1024usize;
-        let registry = EngineRegistry::standard(n).unwrap();
+        let mut registry = EngineRegistry::standard(n).unwrap();
+        let mut traffic = |name: &str| registry.get_mut(name).unwrap().traffic();
         // The paper's Section II motivation: plain FFT moves N log2 N
         // points each way; the epoch structures move 2N each way.
-        let plain = registry.get("radix2_dit").unwrap().traffic().unwrap();
-        assert_eq!(plain.loads, n * 10);
-        let cached = registry.get("cached_fft").unwrap().traffic().unwrap();
-        assert_eq!(cached.total(), 4 * n);
-        let array = registry.get("array_fft").unwrap().traffic().unwrap();
-        assert_eq!(array.total(), 4 * n);
-        assert!(registry.get("dft_naive").unwrap().traffic().is_none());
+        assert_eq!(traffic("radix2_dit").unwrap().loads, n * 10);
+        assert_eq!(traffic("cached_fft").unwrap().total(), 4 * n);
+        assert_eq!(traffic("array_fft").unwrap().total(), 4 * n);
+        assert!(traffic("dft_naive").is_none());
     }
 
     #[test]
     fn registry_lookup_and_registration() {
-        let mut r = EngineRegistry::new();
+        let r = EngineRegistry::new(8);
         assert!(r.is_empty());
-        r.register(Box::new(NaiveDftEngine::new(8).unwrap()));
+        // A row joins only at sizes it supports.
+        let array_row = *CATALOG.iter().find(|s| s.name == "array_fft").unwrap();
+        let mut r = r.with(CATALOG[0]).with(array_row);
         assert_eq!(r.len(), 1);
-        assert!(r.get("dft_naive").is_some());
-        assert!(r.get("missing").is_none());
+        assert_eq!(r.get_mut("dft_naive").unwrap().len(), 8);
+        assert!(matches!(r.get_mut("missing"), Err(FftError::Backend { .. })));
         assert_eq!(format!("{r:?}"), "EngineRegistry { engines: [\"dft_naive\"] }");
     }
 
@@ -1233,24 +1305,10 @@ mod tests {
         assert_eq!(engine.name(), "radix2_dit");
         assert_eq!(engine.len(), 128);
         assert_eq!(r.len(), before - 1);
-        assert!(r.get("radix2_dit").is_none());
-        assert!(r.take("radix2_dit").is_none());
-    }
-
-    #[test]
-    fn real_fft_engine_meets_the_complex_contract() {
-        let n = 256;
-        let mut engine = RealFftEngine::new(n).unwrap();
-        let x = random_signal(n, 9);
-        let want = dft_naive(&x, Direction::Forward).unwrap();
-        let peak = want.iter().map(|c| c.abs()).fold(0.0, f64::max);
-        let got = engine.execute(&x, Direction::Forward).unwrap();
-        assert!(max_error(&got, &want) / peak < engine.tolerance());
-        // Inverse via conjugation honours the unnormalised contract.
-        let back = engine.execute(&got, Direction::Inverse).unwrap();
-        let rt: Vec<C64> = back.iter().map(|&v| v * (1.0 / n as f64)).collect();
-        assert!(max_error(&rt, &x) < engine.tolerance() * n as f64);
-        // Below the inner array threshold the wrapper is rejected.
-        assert!(RealFftEngine::new(64).is_err());
+        assert!(!r.names().contains(&"radix2_dit"));
+        assert!(matches!(r.take("radix2_dit"), Err(FftError::Backend { .. })));
+        // An engine already built for execution is handed over as well.
+        r.get_mut("mcfft").unwrap().execute(&random_signal(128, 3), Direction::Forward).unwrap();
+        assert_eq!(r.take("mcfft").unwrap().name(), "mcfft");
     }
 }

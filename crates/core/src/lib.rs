@@ -28,12 +28,13 @@
 //!   close the size domain: chirp-Z for **any** `n >= 2` and the
 //!   prime-length generator-permutation FFT, so 5G NR DFT-s-OFDM sizes
 //!   and arbitrary user requests plan instead of erroring;
-//! * [`simd`] — the vectorized kernel tier: AVX2/NEON variants of the
-//!   radix-4 and split-radix butterflies over split real/imag planes,
-//!   behind runtime feature dispatch (`AFFT_NO_SIMD=1` to suppress);
-//! * [`engine`] — the [`FftEngine`] trait and [`EngineRegistry`]: every
-//!   backend above behind one polymorphic execute interface (the
-//!   cycle-accurate ISS registers through `afft_asip`).
+//! * [`simd`] — the vectorized kernel tier: an AVX2/NEON radix-4
+//!   butterfly over split real/imag planes, behind runtime feature
+//!   dispatch (`AFFT_NO_SIMD=1` to suppress);
+//! * [`engine`] — the [`FftEngine`] trait, the engine catalog and
+//!   [`EngineRegistry`]: every backend above behind one polymorphic
+//!   execute interface (the cycle-accurate ISS joins through
+//!   `afft_asip`).
 //!
 //! # Quickstart
 //!

@@ -143,11 +143,6 @@ impl MixedRadixPlan {
     pub fn is_empty(&self) -> bool {
         self.n == 0
     }
-
-    /// The stage radices, outermost first (e.g. `[4, 4, 3]` for 48).
-    pub fn radices(&self) -> Vec<usize> {
-        self.levels.iter().map(|l| l.radix).collect()
-    }
 }
 
 /// Executes the planned mixed-radix FFT into `output` (natural bin

@@ -31,10 +31,6 @@ use afft_num::{twiddle, Complex, C64};
 pub struct RealFft {
     inner: ArrayFft<f64>,
     len: usize,
-    // Reusable buffers for the allocation-free path: the packed
-    // even/odd complex signal and the inner transform's output.
-    packed_scratch: Vec<C64>,
-    z_scratch: Vec<C64>,
 }
 
 impl RealFft {
@@ -53,12 +49,7 @@ impl RealFft {
                 factor: None,
             });
         }
-        Ok(RealFft {
-            inner: ArrayFft::new(len / 2)?,
-            len,
-            packed_scratch: Vec::new(),
-            z_scratch: Vec::new(),
-        })
+        Ok(RealFft { inner: ArrayFft::new(len / 2)?, len })
     }
 
     /// Transform size (`2N`).
@@ -92,32 +83,6 @@ impl RealFft {
         Ok(out)
     }
 
-    /// The allocation-free variant of [`RealFft::process`]: writes the
-    /// `N+1` unique bins into `output`, reusing plan-owned packing and
-    /// transform scratch (no heap work once the scratch is warm).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::LengthMismatch`] if `input.len() != len` or
-    /// `output.len() != len/2 + 1`.
-    pub fn process_into(&mut self, input: &[f64], output: &mut [C64]) -> Result<(), FftError> {
-        if input.len() != self.len {
-            return Err(FftError::LengthMismatch { expected: self.len, got: input.len() });
-        }
-        let n = self.len / 2;
-        if output.len() != n + 1 {
-            return Err(FftError::LengthMismatch { expected: n + 1, got: output.len() });
-        }
-        self.packed_scratch.resize(n, Complex::zero());
-        self.z_scratch.resize(n, Complex::zero());
-        for (m, slot) in self.packed_scratch.iter_mut().enumerate() {
-            *slot = Complex::new(input[2 * m], input[2 * m + 1]);
-        }
-        self.inner.process_into(&self.packed_scratch, &mut self.z_scratch, Direction::Forward)?;
-        unscramble(&self.z_scratch, output);
-        Ok(())
-    }
-
     /// Expands the unique bins into the full `2N`-point spectrum using
     /// conjugate symmetry.
     ///
@@ -125,25 +90,14 @@ impl RealFft {
     ///
     /// Panics if `bins.len() != len/2 + 1`.
     pub fn expand_full(&self, bins: &[C64]) -> Vec<C64> {
-        let mut full = vec![Complex::zero(); self.len];
-        self.expand_full_into(bins, &mut full);
-        full
-    }
-
-    /// [`RealFft::expand_full`] into a caller-provided `2N`-point
-    /// buffer (no allocation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins.len() != len/2 + 1` or `full.len() != len`.
-    pub fn expand_full_into(&self, bins: &[C64], full: &mut [C64]) {
         let n = self.len / 2;
         assert_eq!(bins.len(), n + 1, "expand_full: need N+1 unique bins");
-        assert_eq!(full.len(), self.len, "expand_full: need a 2N-point output");
+        let mut full = vec![Complex::zero(); self.len];
         full[..=n].copy_from_slice(bins);
         for k in 1..n {
             full[2 * n - k] = bins[k].conj();
         }
+        full
     }
 }
 

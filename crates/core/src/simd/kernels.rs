@@ -1,21 +1,12 @@
-//! The portable split-plane kernels: layout passes, twiddle tables in
-//! structure-of-arrays form, and the scalar reference implementations
-//! of the two vectorized butterflies.
+//! The portable split-plane kernels: the interleaving layout pass,
+//! twiddle tables in structure-of-arrays form, and the scalar
+//! reference implementation of the vectorized radix-4 butterfly.
 //!
 //! Everything here is safe code over `f64` planes. The architecture
 //! back-ends (`x86`/`neon`) mirror these loops lane-parallel; the
 //! equivalence suite holds them to this reference.
 
 use afft_num::{twiddle, C64};
-
-/// Splits interleaved complex points into separate real/imag planes.
-pub(crate) fn deinterleave(src: &[C64], re: &mut [f64], im: &mut [f64]) {
-    debug_assert!(src.len() == re.len() && src.len() == im.len());
-    for ((c, r), i) in src.iter().zip(re.iter_mut()).zip(im.iter_mut()) {
-        *r = c.re;
-        *i = c.im;
-    }
-}
 
 /// Recombines real/imag planes into interleaved complex points.
 pub(crate) fn interleave(re: &[f64], im: &[f64], dst: &mut [C64]) {
@@ -61,38 +52,6 @@ impl R4Twiddles {
             t.w1im.push(w1.im);
             t.w2re.push(w2.re);
             t.w2im.push(w2.im);
-            t.w3re.push(w3.re);
-            t.w3im.push(w3.im);
-        }
-        t
-    }
-}
-
-/// One split-radix combine level's twiddle pairs in split form:
-/// `w1 = W_len^k`, `w3 = W_len^{3k}` for `k in 0..len/4`.
-#[derive(Debug, Clone)]
-pub(crate) struct SrTwiddles {
-    pub w1re: Vec<f64>,
-    pub w1im: Vec<f64>,
-    pub w3re: Vec<f64>,
-    pub w3im: Vec<f64>,
-}
-
-impl SrTwiddles {
-    /// The split twiddle table of one combine level of size `len`.
-    pub(crate) fn for_level(len: usize) -> Self {
-        let quarter = len / 4;
-        let mut t = SrTwiddles {
-            w1re: Vec::with_capacity(quarter),
-            w1im: Vec::with_capacity(quarter),
-            w3re: Vec::with_capacity(quarter),
-            w3im: Vec::with_capacity(quarter),
-        };
-        for k in 0..quarter {
-            let w1 = twiddle(len, k);
-            let w3 = twiddle(len, 3 * k % len);
-            t.w1re.push(w1.re);
-            t.w1im.push(w1.im);
             t.w3re.push(w3.re);
             t.w3im.push(w3.im);
         }
@@ -147,47 +106,6 @@ pub(crate) fn radix4_stage_scalar(
     }
 }
 
-/// One split-radix combine over split planes — the scalar reference of
-/// the vector combine kernels. `cur` holds the three sub-spectra
-/// `[U (len/2) | Z (len/4) | Z' (len/4)]`; the combined `len`-point
-/// spectrum lands in `out`. `sign` as in [`radix4_stage_scalar`].
-pub(crate) fn split_combine_scalar(
-    cur_re: &[f64],
-    cur_im: &[f64],
-    out_re: &mut [f64],
-    out_im: &mut [f64],
-    tw: &SrTwiddles,
-    sign: f64,
-) {
-    let len = out_re.len();
-    let half = len / 2;
-    let quarter = len / 4;
-    for k in 0..quarter {
-        let w1re = tw.w1re[k];
-        let w1im = sign * tw.w1im[k];
-        let w3re = tw.w3re[k];
-        let w3im = sign * tw.w3im[k];
-        let (zre, zim) = (cur_re[half + k], cur_im[half + k]);
-        let (pre, pim) = (cur_re[half + quarter + k], cur_im[half + quarter + k]);
-        let (t1re, t1im) = (zre * w1re - zim * w1im, zre * w1im + zim * w1re);
-        let (t2re, t2im) = (pre * w3re - pim * w3im, pre * w3im + pim * w3re);
-        let (sre, sim) = (t1re + t2re, t1im + t2im);
-        let (dre, dim) = (t1re - t2re, t1im - t2im);
-        // diff * (-i) forward, diff * (+i) inverse.
-        let (rre, rim) = (sign * dim, -sign * dre);
-        let (u0re, u0im) = (cur_re[k], cur_im[k]);
-        let (u1re, u1im) = (cur_re[k + quarter], cur_im[k + quarter]);
-        out_re[k] = u0re + sre;
-        out_im[k] = u0im + sim;
-        out_re[k + half] = u0re - sre;
-        out_im[k + half] = u0im - sim;
-        out_re[k + quarter] = u1re + rre;
-        out_im[k + quarter] = u1im + rim;
-        out_re[k + 3 * quarter] = u1re - rre;
-        out_im[k + 3 * quarter] = u1im - rim;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,14 +114,11 @@ mod tests {
     #[test]
     fn layout_passes_round_trip() {
         let src: Vec<C64> = (0..9).map(|i| Complex::new(i as f64, -(i as f64))).collect();
-        let mut re = vec![0.0; 9];
-        let mut im = vec![0.0; 9];
+        let re: Vec<f64> = src.iter().map(|c| c.re).collect();
+        let im: Vec<f64> = src.iter().map(|c| c.im).collect();
         let mut back = vec![Complex::zero(); 9];
-        deinterleave(&src, &mut re, &mut im);
         interleave(&re, &im, &mut back);
         assert_eq!(src, back);
-        assert_eq!(re[3], 3.0);
-        assert_eq!(im[3], -3.0);
     }
 
     #[test]
@@ -214,9 +129,5 @@ mod tests {
             assert_eq!(Complex::new(t.w2re[j], t.w2im[j]), twiddle(16, 2 * j));
             assert_eq!(Complex::new(t.w3re[j], t.w3im[j]), twiddle(16, 3 * j));
         }
-        let s = SrTwiddles::for_level(8);
-        assert_eq!(s.w1re.len(), 2);
-        assert_eq!(Complex::new(s.w1re[1], s.w1im[1]), twiddle(8, 1));
-        assert_eq!(Complex::new(s.w3re[1], s.w3im[1]), twiddle(8, 3));
     }
 }

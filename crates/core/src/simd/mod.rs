@@ -1,13 +1,12 @@
-//! The SIMD kernel tier: vectorized butterfly engines behind runtime
+//! The SIMD kernel tier: a vectorized butterfly engine behind runtime
 //! feature dispatch.
 //!
-//! Every other kernel in the crate is scalar. This module adds
-//! register-vectorized variants of the hot butterflies — the radix-4
-//! DIT stage and the split-radix combine — as *distinct engines*
-//! ([`Radix4SimdEngine`], [`SplitRadixSimdEngine`]), the FFTW codelet
-//! idiom the planner is built on: the registry offers scalar and SIMD
-//! side by side, `Strategy::Measure` ranks them honestly per host, and
-//! wisdom remembers the winner.
+//! Every other kernel in the crate is scalar. This module adds a
+//! register-vectorized radix-4 DIT stage as a *distinct engine*
+//! ([`Radix4SimdEngine`]), the FFTW codelet idiom the planner is built
+//! on: the registry offers scalar and SIMD side by side,
+//! `Strategy::Measure` ranks them honestly per host, and wisdom
+//! remembers the winner.
 //!
 //! # Runtime dispatch
 //!
@@ -21,26 +20,25 @@
 //! * anywhere else, or when the **`AFFT_NO_SIMD`** environment
 //!   variable is set non-empty (and not `"0"`) — [`SimdLevel::Scalar`].
 //!
-//! [`EngineRegistry::standard`](crate::engine::EngineRegistry::standard)
-//! registers the SIMD engines only when `active_level().is_simd()`
-//! holds, so `AFFT_NO_SIMD=1` removes them from every registry (and
-//! with them from plans, wisdom keys and benches) — the escape hatch
-//! for A/B measurement and for exercising the scalar fallback path in
-//! CI. The engines themselves clamp their level to what the host
-//! really supports ([`SimdLevel::clamp_to_host`]), so an engine
-//! constructed with a forced level is always sound: the `unsafe`
-//! vectorized stage functions run only after the matching CPU features
-//! were detected.
+//! The catalog's `radix4_simd` row supports a size only when
+//! `active_level().is_simd()` holds, so `AFFT_NO_SIMD=1` removes it
+//! from every registry (and with it from plans, wisdom keys and
+//! benches) — the escape hatch for A/B measurement and for exercising
+//! the scalar fallback path in CI. The engine itself clamps its level
+//! to what the host really supports ([`SimdLevel::clamp_to_host`]), so
+//! an engine constructed with a forced level is always sound: the
+//! `unsafe` vectorized stage functions run only after the matching CPU
+//! features were detected.
 //!
 //! # Layout: interleaved trait boundary, split planes inside
 //!
 //! The [`FftEngine`](crate::engine::FftEngine) contract stays
 //! interleaved `C64` — callers never see the vector layout. At plan
-//! time each SIMD engine allocates engine-owned split real/imag
-//! scratch planes and twiddle tables in split (structure-of-arrays)
-//! form; `execute_into` deinterleaves once on entry, runs every
-//! butterfly stage as pure plane arithmetic (a vector complex multiply
-//! is four FMAs, no shuffles), and re-interleaves once on exit. That
+//! time the engine allocates engine-owned split real/imag scratch
+//! planes and twiddle tables in split (structure-of-arrays) form;
+//! `execute_into` deinterleaves once on entry, runs every butterfly
+//! stage as pure plane arithmetic (a vector complex multiply is four
+//! FMAs, no shuffles), and re-interleaves once on exit. That
 //! keeps the per-transform heap traffic at zero (the PR-3
 //! `execute_into` idiom) and makes the vector inner loops straight
 //! contiguous loads.
@@ -58,16 +56,13 @@ pub(crate) mod kernels;
 pub(crate) mod neon;
 #[allow(unsafe_code)]
 pub mod radix4;
-#[allow(unsafe_code)]
-pub mod splitradix;
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 pub(crate) mod x86;
 
 pub use radix4::Radix4SimdEngine;
-pub use splitradix::SplitRadixSimdEngine;
 
-/// The vector datapath a SIMD engine plans for.
+/// The vector datapath the SIMD engine plans for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimdLevel {
     /// No vector unit used: the portable split-plane kernels.
@@ -103,7 +98,7 @@ impl SimdLevel {
     }
 
     /// This level if the host actually supports it, else
-    /// [`SimdLevel::Scalar`] — the soundness clamp every SIMD engine
+    /// [`SimdLevel::Scalar`] — the soundness clamp the SIMD engine
     /// applies at plan time, so a forced level can never make an
     /// `unsafe` vector kernel run on a host without the feature.
     pub fn clamp_to_host(self) -> SimdLevel {
@@ -142,8 +137,8 @@ pub fn simd_suppressed() -> bool {
 }
 
 /// The level the SIMD tier actually plans with: [`detect_host`] unless
-/// [`simd_suppressed`] — the one decision point the registry, the
-/// engines and the planner's cost models all share.
+/// [`simd_suppressed`] — the one decision point the catalog row, the
+/// engine and its cost model all share.
 pub fn active_level() -> SimdLevel {
     if simd_suppressed() {
         SimdLevel::Scalar

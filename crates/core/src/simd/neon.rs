@@ -13,7 +13,7 @@
 //! on aarch64), and raw load/store bounds are debug-asserted and
 //! guaranteed by the callers' loop structure.
 
-use super::kernels::{R4Twiddles, SrTwiddles};
+use super::kernels::R4Twiddles;
 use core::arch::aarch64::{
     float64x2_t, vaddq_f64, vdupq_n_f64, vfmaq_f64, vfmsq_f64, vld1q_f64, vmulq_f64, vst1q_f64,
     vsubq_f64,
@@ -118,59 +118,6 @@ pub(crate) unsafe fn radix4_stage_neon(
                 st(re, i3, vsubq_f64(t1re, rre));
                 st(im, i3, vsubq_f64(t1im, rim));
             }
-        }
-    }
-}
-
-/// One split-radix combine (`cur = [U | Z | Z']` → `out`), 2 bins per
-/// iteration — the NEON mirror of `kernels::split_combine_scalar`.
-///
-/// # Safety
-///
-/// The host must support NEON (verified at plan time). `cur_*` must
-/// hold `out_re.len()` points, `out_*` be equal-length, and
-/// `out_re.len() / 4` a multiple of 2.
-#[target_feature(enable = "neon")]
-pub(crate) unsafe fn split_combine_neon(
-    cur_re: &[f64],
-    cur_im: &[f64],
-    out_re: &mut [f64],
-    out_im: &mut [f64],
-    tw: &SrTwiddles,
-    forward: bool,
-) {
-    let len = out_re.len();
-    let half = len / 2;
-    let quarter = len / 4;
-    debug_assert!(cur_re.len() >= len && cur_im.len() >= len && out_im.len() == len);
-    debug_assert!(quarter % 2 == 0);
-    let sign = vdupq_n_f64(if forward { 1.0 } else { -1.0 });
-    let neg_sign = vdupq_n_f64(if forward { -1.0 } else { 1.0 });
-    for k in (0..quarter).step_by(2) {
-        // SAFETY: k + 2 <= quarter, so every index below stays within
-        // `len` (out planes) / `quarter` (twiddle planes).
-        unsafe {
-            let w1re = ld(&tw.w1re, k);
-            let w1im = vmulq_f64(ld(&tw.w1im, k), sign);
-            let w3re = ld(&tw.w3re, k);
-            let w3im = vmulq_f64(ld(&tw.w3im, k), sign);
-            let (t1re, t1im) = cmul(ld(cur_re, half + k), ld(cur_im, half + k), w1re, w1im);
-            let (t2re, t2im) =
-                cmul(ld(cur_re, half + quarter + k), ld(cur_im, half + quarter + k), w3re, w3im);
-            let (sre, sim) = (vaddq_f64(t1re, t2re), vaddq_f64(t1im, t2im));
-            let (dre, dim) = (vsubq_f64(t1re, t2re), vsubq_f64(t1im, t2im));
-            let rre = vmulq_f64(dim, sign);
-            let rim = vmulq_f64(dre, neg_sign);
-            let (u0re, u0im) = (ld(cur_re, k), ld(cur_im, k));
-            let (u1re, u1im) = (ld(cur_re, k + quarter), ld(cur_im, k + quarter));
-            st(out_re, k, vaddq_f64(u0re, sre));
-            st(out_im, k, vaddq_f64(u0im, sim));
-            st(out_re, k + half, vsubq_f64(u0re, sre));
-            st(out_im, k + half, vsubq_f64(u0im, sim));
-            st(out_re, k + quarter, vaddq_f64(u1re, rre));
-            st(out_im, k + quarter, vaddq_f64(u1im, rim));
-            st(out_re, k + 3 * quarter, vsubq_f64(u1re, rre));
-            st(out_im, k + 3 * quarter, vsubq_f64(u1im, rim));
         }
     }
 }

@@ -169,10 +169,7 @@ impl FftEngine for Radix4SimdEngine {
     }
 
     fn traffic(&self) -> Option<MemTraffic> {
-        // One full pass per radix-4 stage plus the deinterleave and
-        // interleave layout passes.
-        let stages = (self.n.trailing_zeros() / 2) as usize;
-        Some(MemTraffic { loads: self.n * (stages + 2), stores: self.n * (stages + 2) })
+        crate::engine::radix4_simd_cost(self.n).traffic()
     }
 }
 

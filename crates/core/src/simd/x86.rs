@@ -1,7 +1,7 @@
 //! AVX2 + FMA back-end: 4 × f64 lanes over split real/imag planes.
 //!
-//! Mirrors `kernels::radix4_stage_scalar` / `split_combine_scalar`
-//! lane-parallel. Because the data lives in split planes, a vector
+//! Mirrors `kernels::radix4_stage_scalar` lane-parallel. Because the
+//! data lives in split planes, a vector
 //! complex multiply is two FMAs and two multiplies — no shuffles
 //! anywhere — and twiddle loads are contiguous. Direction handling is
 //! branch-free: the imag twiddle plane and the `∓i` rotation are
@@ -13,7 +13,7 @@
 //! bounds are asserted in debug builds and guaranteed by the callers'
 //! loop structure (`quarter % 4 == 0`, indices `< n`).
 
-use super::kernels::{R4Twiddles, SrTwiddles};
+use super::kernels::R4Twiddles;
 use core::arch::x86_64::{
     __m256d, _mm256_add_pd, _mm256_fmadd_pd, _mm256_fmsub_pd, _mm256_loadu_pd, _mm256_mul_pd,
     _mm256_set1_pd, _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_pd, _mm256_xor_pd,
@@ -126,59 +126,6 @@ pub(crate) unsafe fn radix4_stage_avx2(
                 st(re, i3, _mm256_sub_pd(t1re, rre));
                 st(im, i3, _mm256_sub_pd(t1im, rim));
             }
-        }
-    }
-}
-
-/// One split-radix combine (`cur = [U | Z | Z']` → `out`), 4 bins per
-/// iteration — the AVX2 mirror of `kernels::split_combine_scalar`.
-///
-/// # Safety
-///
-/// The host must support AVX2 + FMA (verified at plan time via
-/// `SimdLevel::clamp_to_host`). `cur_*` must hold `out_re.len()`
-/// points, `out_*` be equal-length, and `out_re.len() / 4` a multiple
-/// of 4.
-#[target_feature(enable = "avx2", enable = "fma")]
-pub(crate) unsafe fn split_combine_avx2(
-    cur_re: &[f64],
-    cur_im: &[f64],
-    out_re: &mut [f64],
-    out_im: &mut [f64],
-    tw: &SrTwiddles,
-    forward: bool,
-) {
-    let len = out_re.len();
-    let half = len / 2;
-    let quarter = len / 4;
-    debug_assert!(cur_re.len() >= len && cur_im.len() >= len && out_im.len() == len);
-    debug_assert!(quarter.is_multiple_of(4));
-    let (m_conj, m_rot_re, m_rot_im) = masks(forward);
-    for k in (0..quarter).step_by(4) {
-        // SAFETY: k + 4 <= quarter, so every index below stays within
-        // `len` (out planes) / `quarter` (twiddle planes).
-        unsafe {
-            let w1re = ld(&tw.w1re, k);
-            let w1im = _mm256_xor_pd(ld(&tw.w1im, k), m_conj);
-            let w3re = ld(&tw.w3re, k);
-            let w3im = _mm256_xor_pd(ld(&tw.w3im, k), m_conj);
-            let (t1re, t1im) = cmul(ld(cur_re, half + k), ld(cur_im, half + k), w1re, w1im);
-            let (t2re, t2im) =
-                cmul(ld(cur_re, half + quarter + k), ld(cur_im, half + quarter + k), w3re, w3im);
-            let (sre, sim) = (_mm256_add_pd(t1re, t2re), _mm256_add_pd(t1im, t2im));
-            let (dre, dim) = (_mm256_sub_pd(t1re, t2re), _mm256_sub_pd(t1im, t2im));
-            let rre = _mm256_xor_pd(dim, m_rot_re);
-            let rim = _mm256_xor_pd(dre, m_rot_im);
-            let (u0re, u0im) = (ld(cur_re, k), ld(cur_im, k));
-            let (u1re, u1im) = (ld(cur_re, k + quarter), ld(cur_im, k + quarter));
-            st(out_re, k, _mm256_add_pd(u0re, sre));
-            st(out_im, k, _mm256_add_pd(u0im, sim));
-            st(out_re, k + half, _mm256_sub_pd(u0re, sre));
-            st(out_im, k + half, _mm256_sub_pd(u0im, sim));
-            st(out_re, k + quarter, _mm256_add_pd(u1re, rre));
-            st(out_im, k + quarter, _mm256_add_pd(u1im, rim));
-            st(out_re, k + 3 * quarter, _mm256_sub_pd(u1re, rre));
-            st(out_im, k + 3 * quarter, _mm256_sub_pd(u1im, rim));
         }
     }
 }

@@ -8,10 +8,11 @@
 //! Three pillars:
 //!
 //! * [`Planner`] — ranks the registry per `(n, direction)` by
-//!   [`Strategy::Estimate`] (built-in cost heuristics over engine
-//!   `traffic()`/cycle metadata) or [`Strategy::Measure`] (times a
-//!   calibration run of every engine; cycle-accurate backends rank by
-//!   modeled hardware cycles instead of simulator wall time);
+//!   [`Strategy::Estimate`] (each catalog row's cost — operation count
+//!   and traffic, or modeled cycles — priced with host constants,
+//!   building no engine) or [`Strategy::Measure`] (times a calibration
+//!   run of every engine; cycle-accurate backends rank by modeled
+//!   hardware cycles instead of simulator wall time);
 //! * [`Wisdom`] — a plan cache keyed by `(n, direction, strategy,
 //!   backend-set hash)` with a dependency-free line-oriented text
 //!   serialization ([`Wisdom::load`] / [`Wisdom::store`] /

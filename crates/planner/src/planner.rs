@@ -5,7 +5,7 @@
 
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-use afft_core::engine::{EngineRegistry, FftEngine};
+use afft_core::engine::{Cost, EngineRegistry, FftEngine};
 use afft_core::{Direction, FftError};
 use afft_num::{Complex, C64};
 use afft_obs::{Histogram, Snapshot};
@@ -23,12 +23,17 @@ pub type RegistryFactory = fn(usize) -> Result<EngineRegistry, FftError>;
 /// nanosecond scale the rankings share.
 pub const ASIP_CLOCK_GHZ: f64 = 0.3;
 
+/// Rough per-point-operation cost of the f64 software backends, ns.
+const HOST_OP_NS: f64 = 2.0;
+/// Rough cost of moving one complex point through main memory, ns.
+const HOST_MEM_NS: f64 = 0.5;
+
 /// How a [`Planner`] ranks the registry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Strategy {
-    /// Rank by built-in cost heuristics (per-engine operation models,
-    /// [`FftEngine::traffic`] metadata, size thresholds). Free, but
-    /// blind to the host.
+    /// Rank by each catalog row's [`Cost`] (operation count and
+    /// traffic, or modeled cycles), priced with the planner's host
+    /// constants. Free — it builds no engine — but blind to the host.
     Estimate,
     /// Execute every engine on a calibration signal and rank by what
     /// it actually cost: wall time for host backends, modeled cycles
@@ -105,9 +110,6 @@ pub struct Planner {
     factory: RegistryFactory,
     wisdom: Wisdom,
     reps: usize,
-    // The factory's backend-set hash per size: a wisdom replay must
-    // not pay for building every engine just to key the lookup.
-    hash_cache: std::collections::BTreeMap<usize, u64>,
     /// Whether Measure keeps per-rep calibration distributions
     /// (resolved from `AFFT_OBS` at construction).
     obs_enabled: bool,
@@ -136,7 +138,6 @@ impl Planner {
             factory,
             wisdom: Wisdom::new(),
             reps: 3,
-            hash_cache: std::collections::BTreeMap::new(),
             obs_enabled: afft_obs::enabled(),
             calibration: std::collections::BTreeMap::new(),
         }
@@ -202,17 +203,10 @@ impl Planner {
         direction: Direction,
         strategy: Strategy,
     ) -> Result<Plan, FftError> {
-        let mut registry = None;
-        let backends = match self.hash_cache.get(&n) {
-            Some(&hash) => hash,
-            None => {
-                let r = (self.factory)(n)?;
-                let hash = backend_set_hash(&r.names());
-                self.hash_cache.insert(n, hash);
-                registry = Some(r);
-                hash
-            }
-        };
+        // Listing the rows builds nothing, so keying the wisdom lookup
+        // (and ranking by Estimate) costs no engine construction.
+        let mut registry = (self.factory)(n)?;
+        let backends = backend_set_hash(&registry.names());
         let key = WisdomKey::new(n, direction, strategy, backends);
         if let Some(entry) = self.wisdom.get(&key) {
             let ranking = entry
@@ -229,13 +223,9 @@ impl Planner {
             return Ok(Plan { n, direction, strategy, backends, from_wisdom: true, ranking });
         }
 
-        let mut registry = match registry {
-            Some(r) => r,
-            None => (self.factory)(n)?,
-        };
         let mut ranking = match strategy {
             Strategy::Estimate => {
-                registry.engines().map(estimate_rank).collect::<Vec<EngineRank>>()
+                registry.specs().map(|spec| estimate_rank(spec.name, (spec.cost)(n))).collect()
             }
             Strategy::Measure => {
                 let signal = calibration_signal(n);
@@ -281,8 +271,7 @@ impl Planner {
         Ok(Plan { n, direction, strategy, backends, from_wisdom: false, ranking })
     }
 
-    /// Instantiates the plan's winning engine, owned, from a fresh
-    /// registry.
+    /// Builds the plan's winning engine, owned, and no other.
     ///
     /// # Errors
     ///
@@ -318,8 +307,8 @@ fn unix_stamp() -> u64 {
     SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_secs())
 }
 
-/// Builds the factory's registry for size `n` and takes `name` out of
-/// it, owned — the one plan→engine resolution path shared by
+/// Builds the engine `name` from the factory's rows for size `n`, and
+/// no other — the one plan→engine resolution path shared by
 /// [`Planner::engine`], the batch executor's per-worker engines, and
 /// the `afft_stream` pipeline's long-lived workers. Public so any
 /// layer that holds a [`RegistryFactory`] and a planned engine name
@@ -330,16 +319,13 @@ fn unix_stamp() -> u64 {
 ///
 /// Returns [`FftError::Backend`] if `name` is not in the factory's
 /// registry for `n` (e.g. wisdom from a different backend set), or any
-/// error the factory itself reports.
+/// error the factory or the engine's constructor reports.
 pub fn take_engine(
     factory: RegistryFactory,
     n: usize,
     name: &str,
 ) -> Result<Box<dyn FftEngine>, FftError> {
-    factory(n)?.take(name).ok_or_else(|| FftError::Backend {
-        engine: name.to_string(),
-        reason: "planned engine is not in the registry".into(),
-    })
+    factory(n)?.take(name)
 }
 
 /// A deterministic QPSK-like calibration signal (xorshift-driven, no
@@ -396,138 +382,16 @@ fn measure_rank(
     })
 }
 
-/// Per-point operation count of one mixed-radix transform: the sum of
-/// per-stage butterfly costs over `n`'s {4, 2, 3, 5} factor stages
-/// (radix-4 spends ~1.7 ops/point/stage with only `±i` rotations,
-/// radix-3 and radix-5 pay their constant rotations). Falls back to a
-/// generic `log2 n` for sizes the factoriser rejects, so the model
-/// never panics on a foreign registry.
-fn mixed_radix_stage_cost(n: usize) -> f64 {
-    match afft_core::mixed::factorize(n) {
-        Some(radices) => radices
-            .iter()
-            .map(|r| match r {
-                2 => 1.0,
-                3 => 1.9,
-                4 => 1.7,
-                _ => 3.2,
-            })
-            .sum(),
-        None => (usize::BITS - n.leading_zeros()).saturating_sub(1) as f64,
-    }
-}
-
-/// Total op count of one Bluestein chirp-Z transform of size `n`: two
-/// `m`-point split-radix runs (the kernel spectrum is plan-time) around
-/// the pointwise multiply, plus the O(n) chirp passes, with
-/// `m = next_pow2(2n - 1)`. This is 4–8x the cost of a direct kernel
-/// at the same size — the model must price that honestly so
-/// `mixed_radix` keeps winning every 5-smooth size and `bluestein`
-/// only ranks first where nothing structured exists.
-fn bluestein_ops(n: usize) -> f64 {
-    let m = (2 * n - 1).next_power_of_two();
-    let mf = m as f64;
-    let log2m = m.trailing_zeros() as f64;
-    2.0 * 0.67 * mf * log2m + mf + 2.0 * n as f64
-}
-
-/// Total op count of one Rader prime-length transform: two
-/// `(p-1)`-point inner passes priced by whichever family serves that
-/// length (split-radix on powers of two, mixed-radix on 5-smooth,
-/// Bluestein otherwise — mirroring the engine's own inner dispatch),
-/// plus the generator permutations and the pointwise kernel multiply.
-/// When `p - 1` is smooth this beats Bluestein's `>= 2p - 1` padded
-/// convolution, which is exactly why both engines register at primes.
-fn rader_ops(p: usize) -> f64 {
-    let m = p - 1;
-    let mf = m as f64;
-    let inner = if m.is_power_of_two() {
-        0.67 * mf * m.trailing_zeros() as f64
-    } else if afft_core::mixed::factorize(m).is_some() {
-        mf * mixed_radix_stage_cost(m)
-    } else {
-        bluestein_ops(m)
-    };
-    2.0 * inner + 4.0 * mf + p as f64
-}
-
-/// Rough per-point-operation cost of the f64 software backends, ns.
-const HOST_OP_NS: f64 = 2.0;
-/// Rough cost of moving one complex point through main memory, ns.
-const HOST_MEM_NS: f64 = 0.5;
-
-fn estimate_rank(engine: &dyn FftEngine) -> EngineRank {
-    let n = engine.len();
-    let nf = n as f64;
-    let log2n = (usize::BITS - n.leading_zeros()).saturating_sub(1) as f64;
-    let traffic = engine.traffic().map(|t| t.total());
-    let (score_ns, modeled_cycles) = if engine.name() == "asip_iss" {
-        // Closed-form cycle model of the array ASIP: N log2 N / 8
-        // butterfly issues, 2N streaming beats, fixed startup.
-        let cycles = nf * log2n / 8.0 + 2.0 * nf + 64.0;
-        (cycles / ASIP_CLOCK_GHZ, Some(cycles as u64))
-    } else {
-        // Operation models per backend; the constants encode the size
-        // thresholds (the naive DFT's N^2 overtakes every N log N
-        // structure beyond trivially small N).
-        let ops = match engine.name() {
-            "dft_naive" => nf * nf,
-            "radix2_dit" => nf * log2n,
-            "radix2_dif" => 1.1 * nf * log2n, // + bit-reverse pass
-            // The mixed-radix family: split-radix holds the lowest
-            // known power-of-two op count (~4/5 of radix-2 multiplies
-            // with plan-time twiddles beating the per-butterfly
-            // cos/sin of the radix-2 reference); radix-4 saves ~25% of
-            // the complex multiplies over radix-2.
-            "split_radix" => 0.67 * nf * log2n,
-            "radix4_dit" => 0.75 * nf * log2n,
-            // The iterative SIMD engine runs the same op count as its
-            // scalar sibling — the win is issue width, modeled by the
-            // throughput class below, not a smaller op count.
-            "radix4_simd" => 0.75 * nf * log2n,
-            // The recursive SIMD split-radix *measures slower* than its
-            // scalar sibling (ROADMAP item 1 follow-up): per-level call
-            // and split-plane re-layout overhead dominates the vector
-            // combines, so it earns no issue-width discount (excluded
-            // below) and pays an O(N) recursion-overhead term on top of
-            // the scalar op count. Until the iterative restructure
-            // lands, Estimate must price the engine as the loser it is.
-            "split_radix_simd" => 0.67 * nf * log2n + 2.0 * nf,
-            // General mixed radix: per-point cost of one stage grows
-            // with its radix (hardcoded {2,3,4,5} butterflies).
-            "mixed_radix" => nf * mixed_radix_stage_cost(n),
-            // The convolution engines close the size domain; their
-            // models price the padded/inner transforms they actually
-            // run, so they only win where no structured kernel exists.
-            "bluestein" => bluestein_ops(n),
-            "rader" => rader_ops(n),
-            "array_fft" => 1.15 * nf * log2n, // group bookkeeping
-            "cached_fft" => 1.2 * nf * log2n,
-            "mcfft" => 1.25 * nf * log2n, // per-epoch twiddle passes
-            // The complex contract costs real_fft its packed-real
-            // saving: two half-size packed transforms (re + im) plus
-            // O(N) split/expand/recombine with per-bin twiddles.
-            "real_fft" => 2.2 * nf * log2n,
-            _ => nf * log2n,
-        };
-        // Throughput class: vectorized engines retire ~`lanes` point
-        // operations per issue; the 0.75 derate covers the layout
-        // passes and narrow recursion levels the wide path can't cover.
-        // Memory traffic is not divided — the vector unit does not
-        // widen the memory bus. `split_radix_simd` is carved out: its
-        // recursive walker never sustains wide issue (see its op model
-        // above), and granting it the discount made Estimate pick a
-        // known loser over scalar `split_radix`.
-        let issue_width = if engine.name().ends_with("_simd") && engine.name() != "split_radix_simd"
-        {
-            (afft_core::simd::active_level().lanes() as f64 * 0.75).max(1.0)
-        } else {
-            1.0
-        };
-        (HOST_OP_NS * ops / issue_width + HOST_MEM_NS * traffic.unwrap_or(0) as f64, None)
+/// Prices one catalog row's [`Cost`]: host operations and traffic in
+/// host nanoseconds, modeled cycles at the ASIP clock.
+fn estimate_rank(name: &str, cost: Cost) -> EngineRank {
+    let traffic = cost.traffic().map(|t| t.total());
+    let (score_ns, modeled_cycles) = match cost {
+        Cost::Host(ops, _) => (HOST_OP_NS * ops + HOST_MEM_NS * traffic.unwrap_or(0) as f64, None),
+        Cost::Cycles(cycles, _) => (cycles as f64 / ASIP_CLOCK_GHZ, Some(cycles)),
     };
     EngineRank {
-        name: engine.name().to_string(),
+        name: name.to_string(),
         score_ns,
         wall_ns: None,
         modeled_cycles,
@@ -561,29 +425,6 @@ mod tests {
             return;
         }
         let mut planner = Planner::new();
-        let plan = planner.plan(1024, Strategy::Estimate).unwrap();
-        let pos = |name: &str| {
-            plan.ranking
-                .iter()
-                .position(|r| r.name == name)
-                .unwrap_or_else(|| panic!("{name} missing from estimate ranking"))
-        };
-        // Same op model, wider issue: the iterative SIMD engine must
-        // outrank its scalar sibling under Estimate.
-        assert!(pos("radix4_simd") < pos("radix4_dit"));
-    }
-
-    #[test]
-    fn estimate_ranks_split_radix_simd_behind_its_scalar_sibling() {
-        if !afft_core::simd::active_level().is_simd() {
-            return;
-        }
-        // `split_radix_simd` measures *slower* than scalar
-        // `split_radix` (recursion overhead dominates the vector
-        // combines — ROADMAP item 1); the op model must never let
-        // Estimate pick the known loser. Pin the ordering across the
-        // practical power-of-two range.
-        let mut planner = Planner::new();
         for n in [64usize, 256, 1024, 4096] {
             let plan = planner.plan(n, Strategy::Estimate).unwrap();
             let pos = |name: &str| {
@@ -592,14 +433,45 @@ mod tests {
                     .position(|r| r.name == name)
                     .unwrap_or_else(|| panic!("{name} missing from estimate ranking at n={n}"))
             };
-            assert!(
-                pos("split_radix") < pos("split_radix_simd"),
-                "Estimate re-promoted the losing split_radix_simd at n={n}"
-            );
-            // The carve-out must not leak onto the SIMD engine that
-            // genuinely wins.
-            assert!(pos("radix4_simd") < pos("radix4_dit"), "radix4_simd demoted at n={n}");
+            // Same op model, wider issue: the iterative SIMD engine must
+            // outrank its scalar sibling under Estimate.
+            assert!(pos("radix4_simd") < pos("radix4_dit"), "n={n}");
         }
+    }
+
+    /// The standard rows plus one whose constructor panics: any path
+    /// that builds an engine it was not asked for trips it.
+    fn trapped_registry(n: usize) -> Result<EngineRegistry, FftError> {
+        Ok(EngineRegistry::standard(n)?.with(afft_core::engine::EngineSpec {
+            name: "trap",
+            supports: |_| true,
+            build: |_| panic!("built an engine nobody asked for"),
+            cost: |_| Cost::Cycles(1 << 40, None),
+        }))
+    }
+
+    #[test]
+    fn planning_builds_only_the_engines_it_is_asked_for() {
+        let mut planner = Planner::with_factory(trapped_registry);
+        let plan = planner.plan(256, Strategy::Estimate).unwrap();
+        // Ranked without being built, its modeled cycles at the ASIP
+        // clock.
+        let trap = plan.ranking.last().unwrap();
+        assert_eq!((trap.name.as_str(), trap.modeled_cycles), ("trap", Some(1 << 40)));
+        assert_eq!(trap.score_ns, (1u64 << 40) as f64 / ASIP_CLOCK_GHZ);
+        assert_eq!(planner.engine(&plan).unwrap().name(), plan.best().name);
+        let engine = take_engine(trapped_registry, 256, "radix2_dit").unwrap();
+        assert_eq!(engine.name(), "radix2_dit");
+        // Wisdom replays, of this plan and of a Measure ranking recorded
+        // elsewhere, build nothing either.
+        assert!(planner.plan(256, Strategy::Estimate).unwrap().from_wisdom);
+        let backends = backend_set_hash(&trapped_registry(256).unwrap().names());
+        let key = WisdomKey::new(256, Direction::Forward, Strategy::Measure, backends);
+        let measured = vec![("split_radix".to_string(), 900.0), ("trap".to_string(), 1e6)];
+        planner.wisdom_mut().insert(key, WisdomEntry { stamp: 1, ranking: measured });
+        let replay = planner.plan(256, Strategy::Measure).unwrap();
+        assert!(replay.from_wisdom);
+        assert_eq!(replay.best().name, "split_radix");
     }
 
     #[test]

@@ -68,7 +68,8 @@ impl Stats {
     ///
     /// Back-derived from Table I, the paper's figures correspond to 6
     /// bits per sample at a 300 MHz clock:
-    /// `throughput = 6 * N * f / cycles` (see EXPERIMENTS.md).
+    /// `throughput = 6 * N * f / cycles` (the `table1` bench bin prints
+    /// it beside the paper's figures).
     pub fn throughput_mbps(&self, n: usize, clock_mhz: f64) -> f64 {
         throughput_mbps(n, self.cycles, clock_mhz)
     }

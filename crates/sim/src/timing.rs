@@ -2,8 +2,9 @@
 //!
 //! All numbers are architectural parameters of the reproduction, chosen
 //! to sit in the regime the paper describes (single-issue in-order core,
-//! single-cycle custom units, multi-cycle multiplier, cache miss stall)
-//! and documented in EXPERIMENTS.md. There are no branch delay slots;
+//! single-cycle custom units, multi-cycle multiplier, cache miss stall);
+//! the `profile_asip` bench bin shows where they put the cycles of a
+//! run. There are no branch delay slots;
 //! instead a taken branch pays a refill penalty.
 
 /// Per-operation latencies in cycles.

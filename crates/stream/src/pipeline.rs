@@ -1203,7 +1203,7 @@ pub(crate) struct PipelineObs {
 mod tests {
     use super::*;
     use crate::delivery::Parked;
-    use afft_core::engine::{EngineRegistry, FftEngine};
+    use afft_core::engine::{Cost, EngineRegistry, EngineSpec, FftEngine};
     use afft_core::ofdm::{qpsk_demap, qpsk_map};
     use afft_num::Complex;
 
@@ -1398,9 +1398,12 @@ mod tests {
     }
 
     fn fragile_registry(n: usize) -> Result<EngineRegistry, FftError> {
-        let mut registry = EngineRegistry::new();
-        registry.register(Box::new(FragileEngine { n }));
-        Ok(registry)
+        Ok(EngineRegistry::new(n).with(EngineSpec {
+            name: "fragile",
+            supports: |_| true,
+            build: |n| Ok(Box::new(FragileEngine { n })),
+            cost: |_| Cost::Host(0.0, None),
+        }))
     }
 
     #[test]

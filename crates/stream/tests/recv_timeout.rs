@@ -7,7 +7,7 @@
 
 use std::time::{Duration, Instant};
 
-use afft_core::engine::{EngineRegistry, FftEngine};
+use afft_core::engine::{Cost, EngineRegistry, EngineSpec, FftEngine};
 use afft_core::{Direction, FftError};
 use afft_num::{Complex, C64};
 use afft_stream::{ChannelSpec, RecvError, StreamPipeline, SubmitError};
@@ -53,9 +53,12 @@ impl FftEngine for PacedEngine {
 }
 
 fn paced_registry(n: usize) -> Result<EngineRegistry, FftError> {
-    let mut registry = EngineRegistry::new();
-    registry.register(Box::new(PacedEngine { n }));
-    Ok(registry)
+    Ok(EngineRegistry::new(n).with(EngineSpec {
+        name: "paced",
+        supports: |_| true,
+        build: |n| Ok(Box::new(PacedEngine { n })),
+        cost: |_| Cost::Host(0.0, None),
+    }))
 }
 
 fn paced_symbol(n: usize, millis: f64) -> Vec<C64> {

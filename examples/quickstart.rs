@@ -75,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
 
     // The cycle-accurate backend also reports the paper's throughput.
-    let asip = registry.get("asip_iss").expect("asip backend");
+    let asip = registry.get_mut("asip_iss").expect("asip backend");
     let cycles = asip.cycles().expect("ran above");
     println!(
         "ASIP: {cycles} cycles -> {:.1} Mbps at 300 MHz ({:.2} us per transform)",

@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .expect("the ISS competes at every WiMAX size");
         let cycles = asip
             .modeled_cycles
-            .or_else(|| registry.get("asip_iss").and_then(|e| e.cycles()))
+            .or_else(|| registry.get_mut("asip_iss").ok().and_then(|e| e.cycles()))
             .expect("the validation sweep ran the ISS");
         println!(
             "{:>6} {:>5} {:>5} {:>9} {:>10.2} {:>10.1} {:>12.2e} {:>12} {:>12} {:>9}",

@@ -14,9 +14,8 @@ use afft::core::engine::EngineRegistry;
 use afft::core::simd;
 use afft::planner::wisdom::backend_set_hash;
 
-fn registry_names(n: usize) -> Vec<String> {
-    let registry = EngineRegistry::standard(n).expect("registry");
-    registry.names().iter().map(|s| s.to_string()).collect()
+fn registry_names(n: usize) -> Vec<&'static str> {
+    EngineRegistry::standard(n).expect("registry").names()
 }
 
 #[test]
@@ -28,7 +27,7 @@ fn afft_no_simd_suppresses_the_tier_and_changes_the_backend_hash() {
     std::env::set_var("AFFT_NO_SIMD", "0");
     assert!(!simd::simd_suppressed());
     let baseline = registry_names(1024);
-    let baseline_hash = backend_set_hash(&baseline.iter().map(String::as_str).collect::<Vec<_>>());
+    let baseline_hash = backend_set_hash(&baseline);
     let host_has_simd = simd::detect_host().is_simd();
     assert_eq!(
         baseline.iter().any(|n| n.ends_with("_simd")),
@@ -41,8 +40,7 @@ fn afft_no_simd_suppresses_the_tier_and_changes_the_backend_hash() {
     assert!(simd::simd_suppressed());
     assert_eq!(simd::active_level(), simd::SimdLevel::Scalar);
     let suppressed = registry_names(1024);
-    let suppressed_hash =
-        backend_set_hash(&suppressed.iter().map(String::as_str).collect::<Vec<_>>());
+    let suppressed_hash = backend_set_hash(&suppressed);
     assert!(
         !suppressed.iter().any(|n| n.ends_with("_simd")),
         "AFFT_NO_SIMD=1 must remove every SIMD engine, got {suppressed:?}"
@@ -52,9 +50,9 @@ fn afft_no_simd_suppresses_the_tier_and_changes_the_backend_hash() {
         // SIMD-era rankings cannot be replayed against this registry.
         assert_ne!(baseline_hash, suppressed_hash);
         assert_eq!(
-            suppressed.len() + 2,
+            suppressed.len() + 1,
             baseline.len(),
-            "exactly radix4_simd and split_radix_simd should disappear at n=1024"
+            "exactly radix4_simd should disappear at n=1024"
         );
     } else {
         assert_eq!(baseline_hash, suppressed_hash);

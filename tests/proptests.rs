@@ -311,11 +311,13 @@ fn every_size_up_to_2048_is_supported_and_plans() {
     assert!(EngineRegistry::standard(1).is_err());
     for n in 2..=2048usize {
         assert!(EngineRegistry::supports(n), "supports({n}) must hold");
-        let registry =
+        let mut registry =
             EngineRegistry::standard(n).unwrap_or_else(|e| panic!("standard({n}) must plan: {e}"));
         // Every registry carries the naive reference and the universal
         // chirp-Z fallback; nothing is ever near-empty.
-        assert!(registry.get("dft_naive").is_some(), "n={n}");
-        assert!(registry.get("bluestein").is_some(), "n={n}");
+        let names = registry.names();
+        assert!(names.contains(&"dft_naive") && names.contains(&"bluestein"), "n={n}");
+        // And every row it lists builds at that size.
+        assert!(registry.engines_mut().all(|engine| engine.len() == n), "n={n}");
     }
 }
