@@ -14,18 +14,17 @@
 //!   *shape* (per-call spawns vs a persistent pool), not a thread-count
 //!   mismatch;
 //! * `stream` — the persistent pipeline: the pool and the per-worker
-//!   engines outlive the whole stream, symbols flow through the sharded
-//!   work-stealing scheduler, and the payload buffers recycle through
+//!   engines outlive the whole stream, symbols flow through the
+//!   one-queue scheduler, and the payload buffers recycle through
 //!   the completions (zero allocation per symbol in steady state). Run
 //!   twice — metrics off, then metrics on — so the observability layer
 //!   prices itself on every report;
 //! * `stream/mc` — the multi-worker contention arm: a forced 4-worker
 //!   pool serving 4 channels round-robin, submissions racing the
-//!   workers on every shard. Exists to exercise (and publish counters
-//!   for) the sharded scheduler — steals, local-hit ratio, per-shard
-//!   queue high-water — under real cross-worker traffic even on a
-//!   1-core host, where its absolute throughput is time-slice noise and
-//!   carries no acceptance bar.
+//!   workers for the one queue lock. Exists to exercise (and publish
+//!   the per-worker transform counts of) the scheduler under real
+//!   cross-worker traffic even on a 1-core host, where its absolute
+//!   throughput is time-slice noise and carries no acceptance bar.
 //!
 //! ```text
 //! cargo run -p afft-bench --release --bin stream            # 4096-symbol stream
@@ -160,9 +159,9 @@ impl StreamArm {
     }
 }
 
-/// The multi-worker contention arm: [`MC_CHANNELS`] channels homed
-/// round-robin across a forced [`MC_CHANNELS`]-worker pool, fed
-/// round-robin so every shard sees submissions racing its worker.
+/// The multi-worker contention arm: [`MC_CHANNELS`] channels on a
+/// forced [`MC_CHANNELS`]-worker pool, fed round-robin so submissions
+/// race every worker for the queue.
 /// Symbol `s` of the stream goes to channel `s % MC_CHANNELS`, so the
 /// per-channel in-order deliveries reassemble into the sequential
 /// reference for verification.
@@ -244,8 +243,8 @@ impl McArm {
     }
 
     /// Verifies against the sequential reference (de-interleaving by
-    /// channel) and returns the final stats with the scheduler
-    /// counters.
+    /// channel) and returns the final stats with the per-worker
+    /// transform counts.
     fn finish(self, reference: &[Vec<C64>]) -> StreamStats {
         for (ch, outputs) in self.outputs.iter().enumerate() {
             let expected: Vec<&Vec<C64>> = reference.iter().skip(ch).step_by(MC_CHANNELS).collect();
@@ -324,9 +323,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let on_stats = arm_on.finish(&reference);
 
     // The contention arm: a forced multi-worker pool under round-robin
-    // cross-channel traffic, run for its scheduler counters (steals,
-    // local-hit ratio, shard high-water) rather than for a throughput
-    // bar — on a small host its pool oversubscribes the cores by design.
+    // cross-channel traffic, run for its per-worker transform counts
+    // rather than for a throughput bar — on a small host its pool
+    // oversubscribes the cores by design.
     let mut arm_mc = McArm::build(&plan, &stream_in)?;
     let mc_workers = arm_mc.pipeline.worker_count();
     let mut mc_tps = 0.0f64;
@@ -352,11 +351,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nmetrics-off pipeline after {reps} passes: {off_stats}");
     println!("metrics-on  pipeline after {reps} passes: {on_stats}");
     println!(
-        "contention arm ({mc_workers} workers, {MC_CHANNELS} channels): {} steals, \
-         {:.0}% local-hit, shard hwm {:?}",
-        mc_stats.steals(),
-        mc_stats.local_hit_ratio() * 100.0,
-        mc_stats.shard_high_water,
+        "contention arm ({mc_workers} workers, {MC_CHANNELS} channels): transforms per worker {:?}",
+        mc_stats.worker_transforms,
     );
     let obs = on_stats.obs.as_ref().expect("metrics-on arm records histograms");
     println!("\nper-channel latency (metrics-on arm):\n{obs}");
@@ -407,21 +403,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             json::Obj::new()
                 .num("workers", mc_workers as f64)
                 .num("channels", MC_CHANNELS as f64)
-                .num("steals", mc_stats.steals() as f64)
-                .num("stolen_symbols", mc_stats.worker_stolen.iter().sum::<u64>() as f64)
-                .num("local_symbols", mc_stats.worker_local.iter().sum::<u64>() as f64)
-                .num("local_hit_ratio", mc_stats.local_hit_ratio())
                 .raw(
-                    "shard_high_water",
-                    format!(
-                        "[{}]",
-                        mc_stats
-                            .shard_high_water
-                            .iter()
-                            .map(usize::to_string)
-                            .collect::<Vec<_>>()
-                            .join(",")
-                    ),
+                    "worker_transforms",
+                    json::arr(mc_stats.worker_transforms.iter().map(|&t| json::num(t as f64))),
                 )
                 .finish(),
         )

@@ -10,14 +10,11 @@
 //! from a [`RegistryFactory`](afft_planner::RegistryFactory) and a set
 //! of [`ChannelSpec`]s (typically the winners of wisdom-ranked plans),
 //! spawns `N` long-lived workers that each own a private engine and
-//! pre-warmed scratch per channel, and feeds them through a **sharded
-//! work-stealing scheduler**: each worker owns a bounded local queue,
-//! each channel is homed on one worker (round-robin at registration,
-//! [`StreamPipeline::home_worker`]) so its engine scratch stays
-//! cache-hot, and a worker whose queue runs dry steals from a loaded
-//! sibling, so one flooded channel cannot idle the pool. Backpressure
-//! is a pipeline-wide budget of
-//! [`queue_depth`](StreamBuilder::queue_depth) queued symbols:
+//! pre-warmed scratch per channel, and feeds them from **one bounded
+//! FIFO queue under one lock**: the next free worker takes the oldest
+//! queued symbol, whatever its channel, so one flooded channel cannot
+//! idle the pool. Backpressure is the queue's bound of
+//! [`queue_depth`](StreamBuilder::queue_depth) symbols:
 //!
 //! * [`StreamPipeline::try_submit`] refuses with
 //!   [`SubmitError::QueueFull`] (handing the payload buffers back)
@@ -32,7 +29,7 @@
 //!   as [`RecvError::Poisoned`] / [`SubmitError::Poisoned`] instead of
 //!   panicking;
 //! * a single consumer of every channel drains them all at once with
-//!   [`StreamPipeline::recv_ready`]: one delivery-lock pass moves
+//!   [`StreamPipeline::recv_ready`]: one pass under the lock moves
 //!   whatever every channel has ready, and it never waits to fill a
 //!   batch;
 //! * [`StreamPipeline::shutdown`] drains every in-flight symbol before
@@ -81,9 +78,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod delivery;
 pub mod pipeline;
-mod shard;
 pub mod stats;
 mod worker;
 

@@ -1,31 +1,29 @@
-//! The streaming pipeline: channels, the sharded work-stealing
-//! scheduler, the long-lived worker pool, and strict per-channel
-//! in-order completion delivery.
+//! The streaming pipeline: channels, the scheduler, the long-lived
+//! worker pool, and strict per-channel in-order completion delivery.
 //!
-//! # Sharded scheduling
+//! # One queue, one lock
 //!
-//! There is no global submission queue. Each worker owns a bounded
-//! local queue (its *shard*); a channel is assigned a **home worker**
-//! at build time (round-robin over registration order) and every
-//! symbol submitted on it lands in that worker's shard, so a channel's
-//! engine scratch stays hot in one worker's cache. A worker whose
-//! shard runs dry **steals** the older half of another worker's queue
-//! (randomized victim order, only from queues holding at least two
-//! jobs), so a flooded channel cannot starve the rest of the pipeline.
-//! Backpressure is a pipeline-wide lock-free budget of
-//! [`queue_depth`](StreamBuilder::queue_depth) accepted-but-unclaimed
-//! symbols: [`try_submit`](StreamPipeline::try_submit) refuses with
-//! [`SubmitError::QueueFull`] when it is exhausted,
-//! [`submit`](StreamPipeline::submit) blocks on a low-watermark wake.
+//! The scheduler is a single monitor. One mutex guards all of its
+//! state: the bounded FIFO of accepted-but-unclaimed symbols, every
+//! channel's sequence counter and reorder ring, the counters
+//! [`StreamPipeline::stats`] reports, and the closed/poisoned flags.
+//! Three condvars hang off it — workers wait on `work`, blocked
+//! submitters on `space`, blocked receivers on `done` — and each is
+//! notified only after the guard is dropped, and only when the state
+//! records a waiter.
 //!
-//! Completions are sharded too: each worker parks finished symbols in
-//! its own outbox, and the delivery side drains every outbox into
-//! per-channel seq-keyed reorder rings under a delivery-only lock no
-//! worker ever takes. On the steady-state hot path no lock is acquired
-//! by more than one worker: submission touches one shard mutex (the
-//! home worker's), the transform holds nothing, and parking touches
-//! one outbox mutex (the worker's own). The private `shard` module
-//! documents the locking discipline.
+//! Any worker runs any channel's symbol: a worker pops the oldest
+//! queued job, transforms it without the lock, then parks the
+//! completion in its channel's ring and pops its next job in one
+//! critical section. A symbol therefore costs one lock acquisition on
+//! each of its three sides (submit, worker, receive), and one flooded
+//! channel cannot idle the pool, since a free worker always takes the
+//! queue head. Backpressure is the queue bound,
+//! [`queue_depth`](StreamBuilder::queue_depth):
+//! [`try_submit`](StreamPipeline::try_submit) refuses with
+//! [`SubmitError::QueueFull`] when the queue is full,
+//! [`submit`](StreamPipeline::submit) blocks until workers have drained
+//! it to half capacity.
 //!
 //! Engines are **never** shared: each worker constructs its own
 //! backend per channel from the registry factory (the same idiom as
@@ -33,27 +31,18 @@
 //! then warms its scratch once, so steady-state traffic does zero heap
 //! work per symbol.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use afft_core::{Direction, FftError};
 use afft_num::C64;
-use afft_obs::{Recorder, Stage};
+use afft_obs::{ns_between, Recorder, Stage};
 use afft_planner::{Plan, RegistryFactory};
 
-use crate::delivery::{ChanRing, CompletionBuf, DeliveryState};
-use crate::shard::{Budget, Gate, Job, Shard};
 use crate::stats::{ChannelObs, ChannelStats, StreamObs, StreamStats};
-use crate::worker::{worker_loop, Front, WorkerCounters};
-
-/// How many jobs a worker claims (and how many completions it parks)
-/// per lock acquisition. Bounds added latency under low load — a worker
-/// only takes what is already queued — while amortising the mutex and
-/// condvar traffic under sustained load, where per-symbol transform
-/// time is small enough for lock contention to dominate. Also the cap
-/// on how many jobs one steal takes.
-pub const WORKER_BATCH: usize = 8;
+use crate::worker::{worker_loop, Front};
 
 /// What a channel does to each submitted payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,10 +73,8 @@ pub enum ChannelOp {
 ///
 /// Channels are registered on the [`StreamBuilder`]; every worker builds
 /// a private backend (and, for the OFDM ops, a private
-/// [`Ofdm`](afft_core::ofdm::Ofdm) front-end) per channel. The channel
-/// is assigned a home worker — round-robin in registration order — and
-/// its symbols run there unless stolen (see
-/// [`StreamPipeline::home_worker`]).
+/// [`Ofdm`](afft_core::ofdm::Ofdm) front-end) per channel, so any worker
+/// can run any channel's next symbol.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChannelSpec {
     /// Transform size (number of subcarriers for the OFDM ops).
@@ -181,7 +168,7 @@ pub struct Completion {
 /// allocations.
 #[derive(Debug)]
 pub enum SubmitError {
-    /// The pipeline-wide submission budget is at capacity (only
+    /// The bounded submission queue is at capacity (only
     /// [`StreamPipeline::try_submit`] returns this; `submit` blocks
     /// instead).
     QueueFull {
@@ -301,8 +288,8 @@ pub const DEFAULT_SAMPLE_EVERY: u64 = 8;
 
 /// Resolves the worker-pool size: the `AFFT_STREAM_WORKERS` environment
 /// variable (clamped to at least 1) overrides the builder's setting, so
-/// CI can force a multi-worker pool — and exercise the stealing and
-/// cross-shard paths — even on a 1-core runner.
+/// CI can force a multi-worker pool — and with it out-of-order
+/// completion across workers — even on a 1-core runner.
 fn resolve_workers(configured: usize) -> usize {
     std::env::var("AFFT_STREAM_WORKERS")
         .ok()
@@ -313,7 +300,7 @@ fn resolve_workers(configured: usize) -> usize {
 impl StreamBuilder {
     /// Sets the worker-pool size (clamped to at least 1; default 4).
     /// The `AFFT_STREAM_WORKERS` environment variable, when set to a
-    /// number, overrides this — CI uses it to force the sharded paths
+    /// number, overrides this — CI uses it to force a multi-worker pool
     /// onto small runners.
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
@@ -345,10 +332,10 @@ impl StreamBuilder {
         self
     }
 
-    /// Sets the pipeline-wide submission budget (clamped to at least
-    /// 1; default 64): how many accepted symbols may sit in shard
-    /// queues awaiting a worker. A full budget is the backpressure
-    /// signal: [`StreamPipeline::try_submit`] refuses,
+    /// Sets the submission queue's bound (clamped to at least 1;
+    /// default 64): how many accepted symbols may wait for a worker. A
+    /// full queue is the backpressure signal:
+    /// [`StreamPipeline::try_submit`] refuses,
     /// [`StreamPipeline::submit`] blocks.
     #[must_use]
     pub fn queue_depth(mut self, depth: usize) -> Self {
@@ -365,8 +352,7 @@ impl StreamBuilder {
     /// Validates every channel (engine present in the factory's
     /// registry, supported size, cyclic prefix shorter than the symbol)
     /// and spawns the worker pool. Each worker builds its private
-    /// engines and warms their scratch before serving traffic. Channels
-    /// are homed round-robin over the workers in registration order.
+    /// engines and warms their scratch before serving traffic.
     ///
     /// # Errors
     ///
@@ -405,28 +391,23 @@ impl StreamBuilder {
 
         let specs = Arc::new(self.specs);
         let shared = Arc::new(Shared {
-            shards: (0..workers).map(|_| Shard::new(self.queue_depth)).collect(),
-            budget: Budget::new(self.queue_depth),
-            space: Gate::new(),
-            done: Gate::new(),
-            delivery: Mutex::new(DeliveryState {
+            state: Mutex::new(State {
+                queue: VecDeque::with_capacity(self.queue_depth),
                 rings: specs.iter().map(|_| ChanRing::default()).collect(),
+                in_flight: 0,
+                high_water: 0,
+                rejected: 0,
+                worker_transforms: vec![0; workers],
+                idle_workers: 0,
+                space_waiters: 0,
+                recv_waiters: 0,
+                closed: false,
+                poisoned: false,
             }),
-            cbufs: (0..workers).map(|_| CompletionBuf::new()).collect(),
-            chans: specs
-                .iter()
-                .enumerate()
-                .map(|(i, _)| ChanShared {
-                    next_seq: AtomicU64::new(0),
-                    delivered: AtomicU64::new(0),
-                    head_ready: AtomicBool::new(false),
-                    home: i % workers,
-                })
-                .collect(),
-            wstats: (0..workers).map(|_| WorkerCounters::new()).collect(),
-            closed: AtomicBool::new(false),
-            worker_panicked: AtomicBool::new(false),
-            poke_cursor: AtomicUsize::new(0),
+            work: Condvar::new(),
+            space: Condvar::new(),
+            done: Condvar::new(),
+            depth: self.queue_depth,
             obs,
             epoch: Instant::now(),
         });
@@ -439,14 +420,7 @@ impl StreamBuilder {
             handles.push(std::thread::spawn(move || worker_loop(idx, &shared, &specs, factory)));
         }
 
-        Ok(StreamPipeline {
-            shared,
-            specs,
-            handles,
-            queue_depth: self.queue_depth,
-            stamp: self.stamp,
-            started: Instant::now(),
-        })
+        Ok(StreamPipeline { shared, specs, handles, stamp: self.stamp, started: Instant::now() })
     }
 }
 
@@ -457,7 +431,6 @@ pub struct StreamPipeline {
     shared: Arc<Shared>,
     specs: Arc<Vec<ChannelSpec>>,
     handles: Vec<std::thread::JoinHandle<()>>,
-    queue_depth: usize,
     stamp: u64,
     started: Instant,
 }
@@ -494,17 +467,6 @@ impl StreamPipeline {
         &self.specs[self.chan(channel)]
     }
 
-    /// The worker a channel is homed on: its symbols are queued (and,
-    /// absent stealing, transformed) there. Assigned round-robin over
-    /// the pool in registration order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel` did not come from this pipeline's builder.
-    pub fn home_worker(&self, channel: ChannelId) -> usize {
-        self.shared.chans[self.chan(channel)].home
-    }
-
     /// Resolves a [`ChannelId`] to its index, enforcing provenance: an
     /// id minted by a different pipeline must fail loudly even when its
     /// index happens to be in range here.
@@ -523,16 +485,15 @@ impl StreamPipeline {
         self.handles.len().max(1)
     }
 
-    /// Capacity of the pipeline-wide submission budget.
+    /// Capacity of the bounded submission queue.
     pub fn queue_capacity(&self) -> usize {
-        self.queue_depth
+        self.shared.depth
     }
 
-    /// Non-blocking submission: enqueues the payload on the channel's
-    /// home shard or refuses with [`SubmitError::QueueFull`] — the
-    /// backpressure signal for callers that would rather shed or buffer
-    /// load than stall. Refusal hands both buffers back and loses no
-    /// previously accepted work.
+    /// Non-blocking submission: enqueues the payload or refuses with
+    /// [`SubmitError::QueueFull`] — the backpressure signal for callers
+    /// that would rather shed or buffer load than stall. Refusal hands
+    /// both buffers back and loses no previously accepted work.
     ///
     /// Returns the symbol's per-channel sequence number; its
     /// [`Completion`] is delivered in exactly this order.
@@ -552,25 +513,10 @@ impl StreamPipeline {
         input: Vec<C64>,
         output: Vec<C64>,
     ) -> Result<u64, SubmitError> {
-        if let Err(error) = self.validate(channel, &input, &output) {
-            return Err(SubmitError::Shape { error, input, output });
-        }
-        // Poisoning is checked before closed: a worker panic also closes
-        // the intake, and "the pipeline is dead" is the truer refusal.
-        if self.shared.worker_panicked.load(Ordering::SeqCst) {
-            return Err(SubmitError::Poisoned { input, output });
-        }
-        if self.shared.closed.load(Ordering::SeqCst) {
-            return Err(SubmitError::Closed { input, output });
-        }
-        if !self.shared.budget.try_acquire() {
-            self.shared.budget.rejected.fetch_add(1, Ordering::SeqCst);
-            return Err(SubmitError::QueueFull { input, output });
-        }
-        self.finish_enqueue(channel, input, output)
+        self.enqueue(channel, input, output, false)
     }
 
-    /// Blocking submission: waits for budget space instead of refusing.
+    /// Blocking submission: waits for queue space instead of refusing.
     /// A thin wrapper over [`StreamPipeline::submit_checked`] kept for
     /// callers that prefer a crash to handling a dead pipeline.
     ///
@@ -600,7 +546,7 @@ impl StreamPipeline {
     }
 
     /// Blocking submission that reports a dead pipeline as an error
-    /// instead of panicking: waits for budget space, and returns
+    /// instead of panicking: waits for queue space, and returns
     /// [`SubmitError::Poisoned`] (with the payload buffers) if a worker
     /// panic poisons the pipeline before the symbol is accepted. The
     /// form for callers — like a connection handler — that must degrade
@@ -621,105 +567,59 @@ impl StreamPipeline {
         input: Vec<C64>,
         output: Vec<C64>,
     ) -> Result<u64, SubmitError> {
-        if let Err(error) = self.validate(channel, &input, &output) {
-            return Err(SubmitError::Shape { error, input, output });
-        }
-        loop {
-            if self.shared.worker_panicked.load(Ordering::SeqCst) {
-                return Err(SubmitError::Poisoned { input, output });
-            }
-            if self.shared.closed.load(Ordering::SeqCst) {
-                return Err(SubmitError::Closed { input, output });
-            }
-            if self.shared.budget.try_acquire() {
-                return self.finish_enqueue(channel, input, output);
-            }
-            // Park on the space gate. The waiter-count increment comes
-            // *before* the re-check under the gate mutex: a worker
-            // freeing budget reads the count after its release, so
-            // either it sees us (and notifies) or we see its release
-            // (and skip the wait) — never neither.
-            let gate = &self.shared.space;
-            gate.waiting.fetch_add(1, Ordering::SeqCst);
-            let mut g = gate.m.lock().expect("stream gate poisoned");
-            while !self.shared.worker_panicked.load(Ordering::SeqCst)
-                && !self.shared.closed.load(Ordering::SeqCst)
-                && self.shared.budget.queued.load(Ordering::SeqCst) >= self.shared.budget.depth
-            {
-                g = gate.cv.wait(g).expect("stream gate poisoned");
-            }
-            drop(g);
-            gate.waiting.fetch_sub(1, Ordering::SeqCst);
-        }
+        self.enqueue(channel, input, output, true)
     }
 
-    /// Routes an accepted symbol (budget slot already held) to its home
-    /// shard. Sequence numbers are assigned under the shard lock, so a
-    /// channel's queue order always matches its seq order.
-    fn finish_enqueue(
+    /// The one submission path: validates the payload, then — under the
+    /// state lock — waits for queue space (or refuses, when `block` is
+    /// false), assigns the channel's next sequence number and queues
+    /// the job, so queue order always matches seq order.
+    fn enqueue(
         &self,
         channel: ChannelId,
         input: Vec<C64>,
         output: Vec<C64>,
+        block: bool,
     ) -> Result<u64, SubmitError> {
-        let idx = channel.index;
-        let chan = &self.shared.chans[idx];
-        let shard = &self.shared.shards[chan.home];
-        let mut q = shard.lock();
-        // Re-check closed under the shard lock: the home worker's exit
-        // path checks closed-then-empty under this same lock, so a push
-        // here can never land after its final drain (the critical
-        // sections are totally ordered, and close's store happens-before
-        // whichever runs second).
-        if self.shared.closed.load(Ordering::SeqCst) {
-            drop(q);
-            self.shared.budget.release(1);
-            return Err(SubmitError::Closed { input, output });
+        if let Err(error) = self.validate(channel, &input, &output) {
+            return Err(SubmitError::Shape { error, input, output });
         }
-        let seq = chan.next_seq.fetch_add(1, Ordering::SeqCst);
-        let sampled = self.shared.obs.as_ref().is_some_and(|o| seq.is_multiple_of(o.sample_every));
-        let submitted_at = if sampled { Instant::now() } else { self.shared.epoch };
-        q.queue.push_back(Job { channel, seq, input, output, submitted_at, sampled });
-        q.high_water = q.high_water.max(q.queue.len());
-        let home_idle = q.idle;
-        let qlen = q.queue.len();
-        if home_idle {
-            shard.work.notify_one();
+        let shared = &*self.shared;
+        let mut st = shared.lock();
+        loop {
+            // Poisoning is checked before closed: a worker panic also
+            // closes the intake, and "the pipeline is dead" is the truer
+            // refusal.
+            if st.poisoned {
+                return Err(SubmitError::Poisoned { input, output });
+            }
+            if st.closed {
+                return Err(SubmitError::Closed { input, output });
+            }
+            if st.queue.len() < shared.depth {
+                break;
+            }
+            if !block {
+                st.rejected += 1;
+                return Err(SubmitError::QueueFull { input, output });
+            }
+            st.space_waiters += 1;
+            st = shared.space.wait(st).expect(STATE_POISONED);
+            st.space_waiters -= 1;
         }
-        drop(q);
-        // Home worker busy and a backlog forming: poke a parked worker
-        // to wake and steal. A singleton queue is deliberately not
-        // poked — the home worker claims it next, and thieves won't
-        // take the last job from a live shard anyway.
-        if !home_idle && qlen >= 2 {
-            self.poke_thief(chan.home);
+        let ring = &mut st.rings[channel.index];
+        let seq = ring.submitted;
+        ring.submitted += 1;
+        let sampled = shared.obs.as_ref().is_some_and(|o| seq.is_multiple_of(o.sample_every));
+        let submitted_at = if sampled { Instant::now() } else { shared.epoch };
+        st.queue.push_back(Job { channel, seq, input, output, submitted_at, sampled });
+        st.high_water = st.high_water.max(st.queue.len());
+        let wake_worker = st.idle_workers > 0;
+        drop(st);
+        if wake_worker {
+            shared.work.notify_one();
         }
         Ok(seq)
-    }
-
-    /// Wakes one parked worker (other than `home`) so it can steal from
-    /// the backlog. Scans the lock-free idle hints with a rotating
-    /// cursor; locks only the chosen victim's shard, and only when the
-    /// hint says its worker is parked.
-    fn poke_thief(&self, home: usize) {
-        let shards = &self.shared.shards;
-        let n = shards.len();
-        if n <= 1 {
-            return;
-        }
-        let start = self.shared.poke_cursor.fetch_add(1, Ordering::Relaxed) % n;
-        for step in 0..n {
-            let v = (start + step) % n;
-            if v == home || !shards[v].idle_hint.load(Ordering::SeqCst) {
-                continue;
-            }
-            let mut q = shards[v].lock();
-            if q.idle {
-                q.poked = true;
-                shards[v].work.notify_one();
-                return;
-            }
-        }
     }
 
     /// Non-blocking delivery: the channel's next in-order completion,
@@ -730,22 +630,7 @@ impl StreamPipeline {
     /// Panics if `channel` did not come from this pipeline's builder.
     pub fn try_recv(&self, channel: ChannelId) -> Option<Completion> {
         let idx = self.chan(channel);
-        self.delivery_pass(|ds| self.shared.pop_delivery(ds, idx))
-    }
-
-    /// One pass under the delivery lock: drain every worker outbox into
-    /// the reorder rings, then let `take` pop what the caller wants.
-    fn delivery_pass<T>(&self, take: impl FnOnce(&mut DeliveryState) -> T) -> T {
-        let mut ds = self.shared.delivery.lock().expect("stream delivery poisoned");
-        let drained = self.shared.drain_completions(&mut ds);
-        let got = take(&mut ds);
-        drop(ds);
-        if drained > 0 {
-            // The drain may have moved *other* channels' completions
-            // into their rings; their blocked receivers wake here.
-            self.shared.done.notify_if_waiting();
-        }
-        got
+        self.shared.deliver(&mut self.shared.lock(), idx)
     }
 
     /// Blocking delivery: waits for the channel's next in-order
@@ -789,7 +674,7 @@ impl StreamPipeline {
     /// Panics if `channel` did not come from this pipeline's builder.
     pub fn recv_checked(&self, channel: ChannelId) -> Result<Option<Completion>, RecvError> {
         let idx = self.chan(channel);
-        self.receive(Scope::Channel(idx), None, |ds| self.shared.pop_delivery(ds, idx))
+        self.receive(None, |st| self.shared.deliver(st, idx), |st| st.rings[idx].drained())
     }
 
     /// Deadline-bounded delivery: like
@@ -820,14 +705,14 @@ impl StreamPipeline {
         let idx = self.chan(channel);
         // A deadline too far to represent means "wait forever".
         let deadline = Instant::now().checked_add(timeout);
-        self.receive(Scope::Channel(idx), deadline, |ds| self.shared.pop_delivery(ds, idx))
+        self.receive(deadline, |st| self.shared.deliver(st, idx), |st| st.rings[idx].drained())
     }
 
     /// Batched delivery across every channel: waits at most `timeout`
     /// for anything deliverable, then appends **every** completion any
     /// channel can deliver in order to `out` — per-channel submission
     /// order kept, channels in registration order — in one pass under
-    /// the delivery lock, and returns how many it moved. A batch is
+    /// the state lock, and returns how many it moved. A batch is
     /// whatever is ready: under load one call collects many
     /// completions, and at low load it returns with the first one; it
     /// never waits to fill a batch. The form for a single consumer of
@@ -851,100 +736,58 @@ impl StreamPipeline {
         timeout: Duration,
     ) -> Result<usize, RecvError> {
         let deadline = Instant::now().checked_add(timeout);
-        let moved = self.receive(Scope::Any, deadline, |ds| {
-            let before = out.len();
-            self.shared.pop_ready(ds, out);
-            (out.len() > before).then(|| out.len() - before)
-        })?;
+        let moved = self.receive(
+            deadline,
+            |st| {
+                let before = out.len();
+                self.shared.deliver_ready(st, out);
+                (out.len() > before).then(|| out.len() - before)
+            },
+            |st| st.closed && st.rings.iter().all(ChanRing::drained),
+        )?;
         Ok(moved.unwrap_or(0))
     }
 
     /// The one receive loop behind `recv`/`recv_checked`/`recv_timeout`
-    /// and `recv_ready`: a delivery pass that lets `take` pop what it
-    /// wants, and otherwise a park on the done gate (deadline-bounded
-    /// when given) until `scope` has something to act on. `Ok(None)`
-    /// means `scope` is drained. After the deadline expires the loop
-    /// runs one last full delivery pass before conceding
-    /// [`RecvError::Timeout`].
+    /// and `recv_ready`, all under one hold of the state lock (released
+    /// only while parked on `done`): `take` pops what the caller wants,
+    /// else a poisoned pipeline is an error, else `drained` (nothing
+    /// left that could become deliverable) is `Ok(None)`, else the
+    /// caller parks until a worker parks a deliverable completion or
+    /// the deadline passes. After the deadline the loop runs `take` one
+    /// last time before conceding [`RecvError::Timeout`].
     fn receive<T>(
         &self,
-        scope: Scope,
         deadline: Option<Instant>,
-        mut take: impl FnMut(&mut DeliveryState) -> Option<T>,
+        mut take: impl FnMut(&mut State) -> Option<T>,
+        drained: impl Fn(&State) -> bool,
     ) -> Result<Option<T>, RecvError> {
-        let mut expired = false;
+        let shared = &*self.shared;
+        let mut st = shared.lock();
         loop {
-            if let Some(got) = self.delivery_pass(&mut take) {
+            if let Some(got) = take(&mut st) {
                 return Ok(Some(got));
             }
-            if self.shared.worker_panicked.load(Ordering::SeqCst) {
+            if st.poisoned {
                 return Err(RecvError::Poisoned);
             }
-            if self.drained(scope) {
+            if drained(&st) {
                 return Ok(None);
             }
-            if expired {
-                return Err(RecvError::Timeout);
-            }
-            // Park on the done gate; the predicate re-check is
-            // lock-free (outbox occupancy hints + the channels'
-            // head_ready/delivered mirrors), so no waiter ever holds the
-            // gate and a scheduler or delivery lock together.
-            let gate = &self.shared.done;
-            gate.waiting.fetch_add(1, Ordering::SeqCst);
-            let mut g = gate.m.lock().expect("stream gate poisoned");
-            while !self.progress(scope) {
-                match deadline {
-                    None => g = gate.cv.wait(g).expect("stream gate poisoned"),
-                    Some(when) => {
-                        let now = Instant::now();
-                        if now >= when {
-                            expired = true;
-                            break;
-                        }
-                        g = gate.cv.wait_timeout(g, when - now).expect("stream gate poisoned").0;
-                    }
-                }
-            }
-            drop(g);
-            gate.waiting.fetch_sub(1, Ordering::SeqCst);
+            let left = match deadline {
+                None => None,
+                Some(when) => match when.checked_duration_since(Instant::now()) {
+                    Some(left) if !left.is_zero() => Some(left),
+                    _ => return Err(RecvError::Timeout),
+                },
+            };
+            st.recv_waiters += 1;
+            st = match left {
+                None => shared.done.wait(st).expect(STATE_POISONED),
+                Some(left) => shared.done.wait_timeout(st, left).expect(STATE_POISONED).0,
+            };
+            st.recv_waiters -= 1;
         }
-    }
-
-    /// Whether `scope` has nothing left to deliver: the channel has
-    /// delivered everything accepted on it, or — for [`Scope::Any`] —
-    /// the pipeline is closed and every channel has. An open pipeline
-    /// is never drained as a whole: a submission may still arrive.
-    fn drained(&self, scope: Scope) -> bool {
-        match scope {
-            Scope::Channel(idx) => self.shared.chans[idx].drained(),
-            Scope::Any => {
-                self.shared.closed.load(Ordering::SeqCst)
-                    && self.shared.chans.iter().all(ChanShared::drained)
-            }
-        }
-    }
-
-    /// Whether a receiver parked on `scope` has anything to act on: a
-    /// poisoned pipeline, a non-empty worker outbox, a next-in-order
-    /// completion already in a ring, or a drained scope. A completion
-    /// parked behind a gap (a later seq that finished first) is *not*
-    /// progress — the receiver stays parked until the gap fills.
-    /// Outboxes are checked *before* the `head_ready` mirrors so a
-    /// concurrent drain (which publishes the mirror before clearing the
-    /// hint) cannot slip between the loads.
-    fn progress(&self, scope: Scope) -> bool {
-        if self.shared.worker_panicked.load(Ordering::SeqCst) {
-            return true;
-        }
-        if self.shared.cbufs.iter().any(|c| c.len_hint.load(Ordering::SeqCst) > 0) {
-            return true;
-        }
-        let ready = match scope {
-            Scope::Channel(idx) => self.shared.chans[idx].head_ready.load(Ordering::SeqCst),
-            Scope::Any => self.shared.chans.iter().any(|c| c.head_ready.load(Ordering::SeqCst)),
-        };
-        ready || self.drained(scope)
     }
 
     /// Symbols accepted on `channel` but not yet delivered (queued, in
@@ -954,33 +797,22 @@ impl StreamPipeline {
     ///
     /// Panics if `channel` did not come from this pipeline's builder.
     pub fn outstanding(&self, channel: ChannelId) -> u64 {
-        let chan = &self.shared.chans[self.chan(channel)];
-        // delivered first: it only trails next_seq, so the subtraction
-        // can never underflow even against concurrent submitters.
-        let delivered = chan.delivered.load(Ordering::SeqCst);
-        chan.next_seq.load(Ordering::SeqCst) - delivered
+        let idx = self.chan(channel);
+        let st = self.shared.lock();
+        st.rings[idx].submitted - st.rings[idx].delivered
     }
 
     /// Stops accepting new submissions. Already-accepted work keeps
-    /// flowing: workers drain every shard and completions stay
+    /// flowing: workers drain the queue and completions stay
     /// retrievable. Blocked [`StreamPipeline::submit`] callers return
     /// [`SubmitError::Closed`].
     pub fn close(&self) {
-        self.shared.closed.store(true, Ordering::SeqCst);
-        for shard in &self.shared.shards {
-            // Notify under the shard lock so a worker between its
-            // predicate check and its wait cannot miss the wake.
-            // Poison-tolerant: close also runs from Drop during unwind.
-            let _g = shard.q.lock().ok();
-            shard.work.notify_all();
-        }
-        self.shared.space.notify_all();
-        self.shared.done.notify_all();
+        self.shared.close(false);
     }
 
     /// Whether [`StreamPipeline::close`] (or shutdown) has been called.
     pub fn is_closed(&self) -> bool {
-        self.shared.closed.load(Ordering::SeqCst)
+        self.shared.lock().closed
     }
 
     /// Whether a worker panic has poisoned the pipeline. A poisoned
@@ -991,65 +823,67 @@ impl StreamPipeline {
     /// legacy forms panic, and [`StreamPipeline::shutdown`] would panic
     /// on join — a graceful owner checks here and drops instead.
     pub fn is_poisoned(&self) -> bool {
-        self.shared.worker_panicked.load(Ordering::SeqCst)
+        self.shared.lock().poisoned
     }
 
-    /// A snapshot of the pipeline's counters. Cheap: the delivery lock
-    /// (plus one brief shard lock each for the per-shard high-water
-    /// marks), no queue traversal.
+    /// A snapshot of the pipeline's counters, read under one hold of
+    /// the state lock so they agree with each other: `submitted ==
+    /// completed + in_queue + in_flight` and `delivered <= completed`
+    /// hold in every snapshot. The latency histograms are read after
+    /// the lock is released.
     pub fn stats(&self) -> StreamStats {
-        // The pass folds in completions still sitting in worker outboxes
-        // so `completed` counts every finished transform, not just the
-        // drained ones.
-        let per_channel: Vec<ChannelStats> = self.delivery_pass(|ds| {
-            ds.rings
-                .iter()
-                .enumerate()
-                .map(|(i, ring)| ChannelStats {
-                    submitted: self.shared.chans[i].next_seq.load(Ordering::SeqCst),
-                    completed: ring.completed,
-                    delivered: ring.delivered,
-                })
-                .collect()
-        });
-        let shard_high_water: Vec<usize> =
-            self.shared.shards.iter().map(|s| s.lock().high_water).collect();
+        let counters = self.counters(&self.shared.lock());
+        self.with_obs(counters)
+    }
+
+    /// The lock-protected part of a [`StreamStats`] snapshot.
+    fn counters(&self, st: &State) -> StreamStats {
+        let per_channel: Vec<ChannelStats> = st
+            .rings
+            .iter()
+            .map(|ring| ChannelStats {
+                submitted: ring.submitted,
+                completed: ring.completed,
+                delivered: ring.delivered,
+            })
+            .collect();
         StreamStats {
             submitted: per_channel.iter().map(|c| c.submitted).sum(),
             completed: per_channel.iter().map(|c| c.completed).sum(),
             delivered: per_channel.iter().map(|c| c.delivered).sum(),
-            rejected: self.shared.budget.rejected.load(Ordering::SeqCst),
-            in_queue: self.shared.budget.queued.load(Ordering::SeqCst),
-            in_flight: self.shared.budget.in_flight.load(Ordering::SeqCst),
-            queue_capacity: self.queue_depth,
-            queue_high_water: self.shared.budget.high_water.load(Ordering::SeqCst),
-            shard_high_water,
-            worker_transforms: self.shared.wstats.iter().map(|w| w.transforms.get()).collect(),
-            worker_local: self.shared.wstats.iter().map(|w| w.local_symbols.get()).collect(),
-            worker_stolen: self.shared.wstats.iter().map(|w| w.stolen_symbols.get()).collect(),
-            worker_steals: self.shared.wstats.iter().map(|w| w.steals.get()).collect(),
+            rejected: st.rejected,
+            in_queue: st.queue.len(),
+            in_flight: st.in_flight,
+            queue_capacity: self.shared.depth,
+            queue_high_water: st.high_water,
+            worker_transforms: st.worker_transforms.clone(),
             per_channel,
-            obs: self.shared.obs.as_ref().map(|obs| StreamObs {
-                per_channel: (0..self.specs.len())
-                    .map(|i| {
-                        let base = i * Stage::COUNT;
-                        let hist =
-                            |stage: Stage| obs.recorder.series_histogram(base + stage.index());
-                        ChannelObs {
-                            queue_wait: hist(Stage::QueueWait),
-                            transform: hist(Stage::Transform),
-                            reorder_park: hist(Stage::ReorderPark),
-                            latency: hist(Stage::Deliver),
-                        }
-                    })
-                    .collect(),
-            }),
+            obs: None,
             elapsed: self.started.elapsed(),
         }
     }
 
+    /// Attaches the per-channel stage histograms, when metrics are on.
+    fn with_obs(&self, stats: StreamStats) -> StreamStats {
+        let obs = self.shared.obs.as_ref().map(|obs| StreamObs {
+            per_channel: (0..self.specs.len())
+                .map(|i| {
+                    let base = i * Stage::COUNT;
+                    let hist = |stage: Stage| obs.recorder.series_histogram(base + stage.index());
+                    ChannelObs {
+                        queue_wait: hist(Stage::QueueWait),
+                        transform: hist(Stage::Transform),
+                        reorder_park: hist(Stage::ReorderPark),
+                        latency: hist(Stage::Deliver),
+                    }
+                })
+                .collect(),
+        });
+        StreamStats { obs, ..stats }
+    }
+
     /// Graceful shutdown: closes the intake, lets the workers drain
-    /// every shard, joins the pool, and returns the final stats plus
+    /// the queue, joins the pool, and returns the final stats plus
     /// every undelivered [`Completion`] (per-channel submission order,
     /// channels in registration order) — accepted work is never lost,
     /// even if the caller stopped receiving.
@@ -1062,19 +896,15 @@ impl StreamPipeline {
         for handle in self.handles.drain(..) {
             handle.join().expect("stream worker panicked");
         }
-        let leftover = self.delivery_pass(|ds| {
-            let mut leftover = Vec::new();
-            self.shared.pop_ready(ds, &mut leftover);
-            for (idx, ring) in ds.rings.iter().enumerate() {
-                debug_assert!(
-                    ring.parked.iter().all(Option::is_none)
-                        && ring.delivered == self.shared.chans[idx].next_seq.load(Ordering::SeqCst),
-                    "channel {idx} lost work at shutdown"
-                );
-            }
-            leftover
-        });
-        (self.stats(), leftover)
+        let mut st = self.shared.lock();
+        let mut leftover = Vec::new();
+        self.shared.deliver_ready(&mut st, &mut leftover);
+        for (idx, ring) in st.rings.iter().enumerate() {
+            debug_assert!(ring.drained(), "channel {idx} lost work at shutdown");
+        }
+        let counters = self.counters(&st);
+        drop(st);
+        (self.with_obs(counters), leftover)
     }
 
     fn validate(&self, channel: ChannelId, input: &[C64], output: &[C64]) -> Result<(), FftError> {
@@ -1105,38 +935,20 @@ impl Drop for StreamPipeline {
     }
 }
 
-/// Everything the pool and its callers share. Split by role: the
-/// scheduler side (`shards`, `budget`), the delivery side (`cbufs`,
-/// `delivery`), the wake gates, per-channel atomics, and the metric
-/// store — each with its own synchronisation, so the three stages of a
-/// symbol's life never serialize on a common lock.
+pub(crate) const STATE_POISONED: &str = "stream pipeline state poisoned";
+
+/// Everything the pool and its callers share: the monitor (state plus
+/// its three condvars) and the immutable configuration around it.
 pub(crate) struct Shared {
-    /// One local queue per worker; a channel's symbols go to its home
-    /// worker's shard.
-    pub(crate) shards: Vec<Shard>,
-    /// The pipeline-wide lock-free submission budget.
-    pub(crate) budget: Budget,
-    /// Submitters blocked waiting for budget space.
-    pub(crate) space: Gate,
-    /// Receivers blocked waiting for completions.
-    pub(crate) done: Gate,
-    /// The reorder rings, behind the delivery-only lock. Workers never
-    /// take it.
-    pub(crate) delivery: Mutex<DeliveryState>,
-    /// One completion outbox per worker.
-    pub(crate) cbufs: Vec<CompletionBuf>,
-    /// Per-channel lock-free state: seq counters and the home worker.
-    pub(crate) chans: Vec<ChanShared>,
-    /// Per-worker scheduler counters (transforms, local/stolen, steals).
-    pub(crate) wstats: Vec<WorkerCounters>,
-    /// Intake closed ([`StreamPipeline::close`] or a worker panic).
-    pub(crate) closed: AtomicBool,
-    /// Set by a worker's unwind guard: jobs it had claimed are gone,
-    /// so blocking callers must fail loudly instead of waiting forever.
-    pub(crate) worker_panicked: AtomicBool,
-    /// Rotates which idle worker gets poked to steal, so repeated pokes
-    /// spread across the pool.
-    pub(crate) poke_cursor: AtomicUsize,
+    pub(crate) state: Mutex<State>,
+    /// Workers wait here for a job (or for the close that ends them).
+    pub(crate) work: Condvar,
+    /// Blocked submitters wait here for queue space.
+    pub(crate) space: Condvar,
+    /// Blocked receivers wait here for a deliverable completion.
+    pub(crate) done: Condvar,
+    /// The queue bound: [`StreamBuilder::queue_depth`].
+    pub(crate) depth: usize,
     /// Metrics recorder, when the pipeline was built with
     /// observability on. Recording is lock-free; `None` removes every
     /// clock read from the hot path.
@@ -1152,37 +964,168 @@ impl core::fmt::Debug for Shared {
     }
 }
 
-/// Per-channel lock-free state. `next_seq` is only advanced under the
-/// channel's home shard lock (so queue order matches seq order), but
-/// read lock-free; `delivered`/`head_ready` mirror the ring (written
-/// under the delivery lock) so `outstanding` and the receive wait
-/// predicate never touch the delivery lock.
-pub(crate) struct ChanShared {
-    pub(crate) next_seq: AtomicU64,
-    pub(crate) delivered: AtomicU64,
-    /// The ring holds the channel's next in-order completion
-    /// ([`ChanRing::head_ready`]).
-    pub(crate) head_ready: AtomicBool,
-    /// The worker this channel's symbols are queued on.
-    pub(crate) home: usize,
-}
+impl Shared {
+    pub(crate) fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect(STATE_POISONED)
+    }
 
-impl ChanShared {
-    /// Every accepted symbol has been delivered. `delivered` is loaded
-    /// first: it only trails `next_seq`, so equality means truly
-    /// drained.
-    fn drained(&self) -> bool {
-        self.delivered.load(Ordering::SeqCst) == self.next_seq.load(Ordering::SeqCst)
+    /// Closes the intake (and, for a worker's unwind guard, marks the
+    /// pipeline poisoned), then wakes every waiter so it can see it.
+    /// Poison-tolerant: it runs from `Drop` and from a panicking
+    /// worker, neither of which may panic again.
+    pub(crate) fn close(&self, poisoned: bool) {
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        st.closed = true;
+        st.poisoned |= poisoned;
+        drop(st);
+        self.work.notify_all();
+        self.space.notify_all();
+        self.done.notify_all();
+    }
+
+    /// Pops the channel's next in-order completion, recording the
+    /// delivery-side stage latencies for sampled symbols.
+    fn deliver(&self, st: &mut State, idx: usize) -> Option<Completion> {
+        let parked = st.rings[idx].pop_next()?;
+        if let Some(obs) = self.obs.as_ref().filter(|_| parked.sampled) {
+            let now = Instant::now();
+            let series = |stage: Stage| idx * Stage::COUNT + stage.index();
+            let (rec, shard) = (&obs.recorder, obs.caller_shard);
+            rec.record(shard, series(Stage::ReorderPark), ns_between(parked.finished_at, now));
+            rec.record(shard, series(Stage::Deliver), ns_between(parked.submitted_at, now));
+        }
+        Some(parked.done)
+    }
+
+    /// Pops every deliverable completion of every channel onto `out`:
+    /// per-channel submission order, channels in registration order.
+    fn deliver_ready(&self, st: &mut State, out: &mut Vec<Completion>) {
+        for idx in 0..st.rings.len() {
+            while let Some(done) = self.deliver(st, idx) {
+                out.push(done);
+            }
+        }
     }
 }
 
-/// What a blocking receive waits for.
-#[derive(Debug, Clone, Copy)]
-enum Scope {
-    /// One channel's next in-order completion.
-    Channel(usize),
-    /// Whatever any channel can deliver.
-    Any,
+/// The scheduler state, all behind [`Shared::state`].
+pub(crate) struct State {
+    /// Accepted symbols no worker has claimed yet, oldest first; never
+    /// longer than [`Shared::depth`].
+    pub(crate) queue: VecDeque<Job>,
+    /// Per-channel sequence counters and reorder rings.
+    pub(crate) rings: Vec<ChanRing>,
+    /// Symbols claimed by a worker and not yet parked.
+    pub(crate) in_flight: usize,
+    /// Deepest the queue has ever been.
+    pub(crate) high_water: usize,
+    /// `try_submit` refusals.
+    pub(crate) rejected: u64,
+    /// Symbols each worker has parked, in spawn order.
+    pub(crate) worker_transforms: Vec<u64>,
+    /// Workers parked on [`Shared::work`]; submitters notify only when
+    /// this is non-zero.
+    pub(crate) idle_workers: usize,
+    /// Submitters parked on [`Shared::space`].
+    pub(crate) space_waiters: usize,
+    /// Receivers parked on [`Shared::done`].
+    pub(crate) recv_waiters: usize,
+    /// Intake closed ([`StreamPipeline::close`] or a worker panic).
+    pub(crate) closed: bool,
+    /// Set by a worker's unwind guard: jobs it had claimed are gone,
+    /// so blocking callers must fail loudly instead of waiting forever.
+    pub(crate) poisoned: bool,
+}
+
+impl State {
+    /// Parks a symbol `worker` finished and returns whether a parked
+    /// receiver should be woken: only when the symbol's channel now
+    /// has its next in-order completion ready. A completion parked
+    /// behind a gap (a later seq that finished first) wakes nobody.
+    pub(crate) fn complete(&mut self, worker: usize, parked: Parked) -> bool {
+        self.in_flight -= 1;
+        self.worker_transforms[worker] += 1;
+        let ring = &mut self.rings[parked.done.channel.index];
+        ring.completed += 1;
+        ring.park(parked);
+        self.recv_waiters > 0 && ring.head_ready()
+    }
+}
+
+/// Per-channel sequencing and in-order delivery state.
+#[derive(Default)]
+pub(crate) struct ChanRing {
+    /// The sequence number the next accepted symbol gets (so also the
+    /// number of symbols accepted).
+    pub(crate) submitted: u64,
+    /// Next sequence number to deliver; everything below has been
+    /// handed to the caller.
+    pub(crate) delivered: u64,
+    /// Symbols workers have finished (delivered or parked awaiting
+    /// their turn).
+    pub(crate) completed: u64,
+    /// Reorder ring: slot `i` holds the completion for sequence number
+    /// `delivered + i`, or `None` while that symbol is still queued or
+    /// in flight. A ring (rather than a map) keeps its capacity across
+    /// park/deliver cycles, so steady-state parking allocates nothing.
+    pub(crate) parked: VecDeque<Option<Parked>>,
+}
+
+impl ChanRing {
+    /// Parks a finished symbol at its in-order slot.
+    fn park(&mut self, done: Parked) {
+        let offset = usize::try_from(done.done.seq - self.delivered).expect("reorder window fits");
+        while self.parked.len() <= offset {
+            self.parked.push_back(None);
+        }
+        self.parked[offset] = Some(done);
+    }
+
+    /// Whether the next in-order completion is parked.
+    fn head_ready(&self) -> bool {
+        matches!(self.parked.front(), Some(Some(_)))
+    }
+
+    /// Takes the next in-order completion, if it has been parked.
+    fn pop_next(&mut self) -> Option<Parked> {
+        match self.parked.front_mut() {
+            Some(slot @ Some(_)) => {
+                let done = slot.take();
+                self.parked.pop_front();
+                self.delivered += 1;
+                done
+            }
+            _ => None,
+        }
+    }
+
+    /// Every accepted symbol has been delivered.
+    fn drained(&self) -> bool {
+        self.delivered == self.submitted
+    }
+}
+
+/// One queued symbol, waiting in [`State::queue`] for a worker.
+pub(crate) struct Job {
+    pub(crate) channel: ChannelId,
+    pub(crate) seq: u64,
+    pub(crate) input: Vec<C64>,
+    pub(crate) output: Vec<C64>,
+    /// When the submission was accepted (the `epoch` stand-in for
+    /// unsampled symbols and with metrics off).
+    pub(crate) submitted_at: Instant,
+    /// Whether this symbol carries stage-timing stamps (metrics on and
+    /// its sequence number hit the sample rate).
+    pub(crate) sampled: bool,
+}
+
+/// A finished symbol in a reorder ring, carrying the stamps the
+/// delivery side turns into reorder-park and end-to-end latencies.
+pub(crate) struct Parked {
+    pub(crate) done: Completion,
+    pub(crate) submitted_at: Instant,
+    pub(crate) finished_at: Instant,
+    pub(crate) sampled: bool,
 }
 
 /// The pipeline's metric store: `(channel, stage)` series over
@@ -1190,8 +1133,8 @@ enum Scope {
 /// stages.
 pub(crate) struct PipelineObs {
     pub(crate) recorder: Recorder,
-    /// The shard delivery-path records go to (`pop_delivery` runs under
-    /// the delivery lock, so one shard serves every delivering thread).
+    /// The shard delivery-side records go to (they are recorded under
+    /// the state lock, so one shard serves every delivering thread).
     pub(crate) caller_shard: usize,
     /// Stage-timing sample rate: symbols whose per-channel sequence
     /// number is a multiple of this get clock stamps; the rest skip
@@ -1202,7 +1145,6 @@ pub(crate) struct PipelineObs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delivery::Parked;
     use afft_core::engine::{Cost, EngineRegistry, EngineSpec, FftEngine};
     use afft_core::ofdm::{qpsk_demap, qpsk_map};
     use afft_num::Complex;
@@ -1349,7 +1291,6 @@ mod tests {
         assert!(pipeline.worker_count() >= 1);
         assert_eq!(pipeline.channel_count(), 1);
         assert_eq!(ch.index(), 0);
-        assert!(pipeline.home_worker(ch) < pipeline.worker_count());
         for s in 0..6u64 {
             pipeline.submit(ch, tagged(64, s as f64), vec![Complex::zero(); 64]).unwrap();
         }
@@ -1357,8 +1298,6 @@ mod tests {
         let stats = pipeline.stats();
         assert_eq!(stats.delivered, 6);
         assert!(stats.queue_high_water >= 1 && stats.queue_high_water <= 2);
-        assert_eq!(stats.shard_high_water.len(), pipeline.worker_count());
-        assert!(stats.shard_high_water[pipeline.home_worker(ch)] >= 1);
         assert_eq!(stats.per_channel.len(), 1);
         assert_eq!(stats.per_channel[0].delivered, 6);
         assert!(stats.throughput() > 0.0);
@@ -1550,9 +1489,6 @@ mod tests {
         let ch = builder.channel(ChannelSpec::transform(64, "radix2_dit", Direction::Forward));
         let pipeline = builder.build().unwrap();
         let shared = &pipeline.shared;
-        // Two symbols accepted; seq 1 finished first (a thief took it)
-        // while seq 0 is still in flight.
-        shared.chans[0].next_seq.store(2, Ordering::SeqCst);
         let parked = |seq: u64| Parked {
             done: Completion {
                 channel: ch,
@@ -1566,20 +1502,31 @@ mod tests {
             finished_at: shared.epoch,
             sampled: false,
         };
-        shared.park_completion(&mut shared.delivery.lock().unwrap(), parked(1));
-        for scope in [Scope::Channel(0), Scope::Any] {
-            assert!(!pipeline.progress(scope), "seq 1 behind a missing seq 0 woke {scope:?}");
+        // Two symbols accepted and claimed; seq 1 finishes first while
+        // seq 0 is still in flight on another worker. A receiver is
+        // parked, yet the gap means there is nothing to wake it for.
+        {
+            let mut st = shared.lock();
+            st.rings[0].submitted = 2;
+            st.in_flight = 2;
+            st.recv_waiters = 1;
+            assert!(!st.complete(0, parked(1)), "seq 1 behind a missing seq 0 woke receivers");
+            st.recv_waiters = 0;
         }
         assert!(pipeline.try_recv(ch).is_none());
         let mut out = Vec::new();
         let timeout = Duration::from_millis(10);
         assert!(matches!(pipeline.recv_timeout(ch, timeout), Err(RecvError::Timeout)));
         assert!(matches!(pipeline.recv_ready(&mut out, timeout), Err(RecvError::Timeout)));
+        assert!(out.is_empty());
 
-        // The gap fills: both scopes see progress, delivery stays in order.
-        shared.park_completion(&mut shared.delivery.lock().unwrap(), parked(0));
-        for scope in [Scope::Channel(0), Scope::Any] {
-            assert!(pipeline.progress(scope), "a ready head must wake {scope:?}");
+        // The gap fills: the ready head wakes receivers, and delivery
+        // stays in order.
+        {
+            let mut st = shared.lock();
+            st.recv_waiters = 1;
+            assert!(st.complete(0, parked(0)), "a ready head must wake receivers");
+            st.recv_waiters = 0;
         }
         assert_eq!(pipeline.recv_ready(&mut out, Duration::ZERO).unwrap(), 2);
         assert_eq!(out.iter().map(|c| c.seq).collect::<Vec<_>>(), [0, 1]);
@@ -1624,19 +1571,5 @@ mod tests {
         let (stats, leftover) = pipeline.shutdown();
         assert!(leftover.is_empty());
         assert_eq!(stats.delivered, 24);
-    }
-
-    #[test]
-    fn round_robin_homes_cover_the_pool() {
-        let mut builder =
-            StreamPipeline::builder(EngineRegistry::standard).workers(2).queue_depth(8);
-        let chs: Vec<ChannelId> = (0..4)
-            .map(|_| builder.channel(ChannelSpec::transform(64, "radix2_dit", Direction::Forward)))
-            .collect();
-        let pipeline = builder.build().unwrap();
-        let workers = pipeline.worker_count();
-        for (i, ch) in chs.iter().enumerate() {
-            assert_eq!(pipeline.home_worker(*ch), i % workers, "round-robin affinity");
-        }
     }
 }

@@ -32,8 +32,8 @@ pub struct ChannelStats {
 /// also differ across stages on a live snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChannelObs {
-    /// Submission to worker claim: time spent in the bounded queue
-    /// (plus time claimed-but-unstarted inside a worker batch).
+    /// Submission to the start of the transform: time spent in the
+    /// bounded queue waiting for a free worker.
     pub queue_wait: Histogram,
     /// The transform itself, engine `execute_into` plus the OFDM
     /// front-end when the channel runs one.
@@ -149,21 +149,9 @@ pub struct StreamStats {
     /// stream has come to backpressure (equals `queue_capacity` once
     /// any submission has been refused or blocked).
     pub queue_high_water: usize,
-    /// Deepest each worker's local shard queue has ever been, in spawn
-    /// order — where backpressure actually built up (the global
-    /// `queue_high_water` says only that it did).
-    pub shard_high_water: Vec<usize>,
     /// Transforms finished per worker, in spawn order — the pool's
     /// load balance.
     pub worker_transforms: Vec<u64>,
-    /// Symbols each worker claimed from its own shard (the local-hit
-    /// path), in spawn order.
-    pub worker_local: Vec<u64>,
-    /// Symbols each worker stole from other shards, in spawn order.
-    pub worker_stolen: Vec<u64>,
-    /// Steal operations (batches taken from a victim) per worker, in
-    /// spawn order.
-    pub worker_steals: Vec<u64>,
     /// Per-channel counters, in channel registration order.
     pub per_channel: Vec<ChannelStats>,
     /// Per-channel latency histograms, when the pipeline was built with
@@ -195,35 +183,13 @@ impl StreamStats {
             .collect()
     }
 
-    /// Total steal operations across the pool.
-    pub fn steals(&self) -> u64 {
-        self.worker_steals.iter().sum()
-    }
-
-    /// Fraction of claimed symbols that came from their home worker's
-    /// own shard — the scheduler's affinity hit rate, `1.0` when no
-    /// symbol has been claimed yet (an idle pipeline has missed
-    /// nothing). Per-channel affinity, stealing only under imbalance,
-    /// keeps this near 1 under balanced load.
-    pub fn local_hit_ratio(&self) -> f64 {
-        let local: u64 = self.worker_local.iter().sum();
-        let stolen: u64 = self.worker_stolen.iter().sum();
-        if local + stolen == 0 {
-            1.0
-        } else {
-            local as f64 / (local + stolen) as f64
-        }
-    }
-
     /// Renders the snapshot as one JSON object carrying the same
     /// figures as the [`Display`](core::fmt::Display) line — global
-    /// counters, queue pressure, and the scheduler block (per-shard
-    /// high-water, per-worker local/stolen/steal counts, the local-hit
-    /// ratio) — plus per-channel counters and, when metrics are on, the
-    /// stage histograms of [`StreamObs::to_json`].
+    /// counters, queue pressure, and the scheduler block (per-worker
+    /// transforms) — plus per-channel counters and, when metrics are
+    /// on, the stage histograms of [`StreamObs::to_json`].
     pub fn to_json(&self) -> String {
         use afft_obs::json;
-        let ints = |vals: &[u64]| json::arr(vals.iter().map(|v| json::num(*v as f64)));
         let mut obj = json::Obj::new()
             .num("submitted", self.submitted as f64)
             .num("completed", self.completed as f64)
@@ -237,15 +203,9 @@ impl StreamStats {
                 "scheduler",
                 json::Obj::new()
                     .raw(
-                        "shard_high_water",
-                        json::arr(self.shard_high_water.iter().map(|v| json::num(*v as f64))),
+                        "worker_transforms",
+                        json::arr(self.worker_transforms.iter().map(|v| json::num(*v as f64))),
                     )
-                    .raw("worker_transforms", ints(&self.worker_transforms))
-                    .raw("worker_local", ints(&self.worker_local))
-                    .raw("worker_stolen", ints(&self.worker_stolen))
-                    .raw("worker_steals", ints(&self.worker_steals))
-                    .num("steals", self.steals() as f64)
-                    .num("local_hit_ratio", self.local_hit_ratio())
                     .finish(),
             )
             .raw(
@@ -291,14 +251,7 @@ impl core::fmt::Display for StreamStats {
             }
             write!(f, "{count} ({share:.0}%)")?;
         }
-        write!(f, "] | shard hwm [")?;
-        for (i, hwm) in self.shard_high_water.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{hwm}")?;
-        }
-        write!(f, "] | local-hit {:.0}% ({} steals)", self.local_hit_ratio() * 100.0, self.steals())
+        write!(f, "]")
     }
 }
 
@@ -316,11 +269,7 @@ mod tests {
             in_flight: 1,
             queue_capacity: 4,
             queue_high_water: 4,
-            shard_high_water: vec![3, 1],
             worker_transforms: vec![5, 3],
-            worker_local: vec![5, 1],
-            worker_stolen: vec![0, 2],
-            worker_steals: vec![0, 1],
             per_channel: vec![ChannelStats { submitted: 10, completed: 8, delivered: 6 }],
             obs: None,
             elapsed: Duration::from_secs(2),
@@ -341,24 +290,7 @@ mod tests {
         assert!(line.contains("submitted 10"));
         assert!(line.contains("rejected 2"));
         assert!(line.contains("queue 1/4 (hwm 4)"));
-        assert!(line.contains("[5 (62%), 3 (38%)]"), "{line}");
-        assert!(line.contains("shard hwm [3, 1]"), "{line}");
-        assert!(line.contains("local-hit 75% (1 steals)"), "{line}");
-    }
-
-    #[test]
-    fn local_hit_ratio_counts_stolen_symbols_and_defaults_to_one() {
-        let stats = sample();
-        // 6 local + 2 stolen claims.
-        assert!((stats.local_hit_ratio() - 0.75).abs() < 1e-12);
-        assert_eq!(stats.steals(), 1);
-        let idle = StreamStats {
-            worker_local: vec![0, 0],
-            worker_stolen: vec![0, 0],
-            worker_steals: vec![0, 0],
-            ..sample()
-        };
-        assert_eq!(idle.local_hit_ratio(), 1.0, "nothing claimed, nothing missed");
+        assert!(line.ends_with("workers [5 (62%), 3 (38%)]"), "{line}");
     }
 
     #[test]
@@ -370,17 +302,12 @@ mod tests {
         let doc = stats.to_json();
         assert!(doc.contains("\"submitted\":10"), "{doc}");
         assert!(doc.contains("\"queue_high_water\":4"), "{doc}");
-        assert!(doc.contains("\"scheduler\":{"), "{doc}");
-        assert!(doc.contains("\"shard_high_water\":[3,1]"), "{doc}");
-        assert!(doc.contains("\"worker_local\":[5,1]"), "{doc}");
-        assert!(doc.contains("\"worker_stolen\":[0,2]"), "{doc}");
-        assert!(doc.contains("\"steals\":1"), "{doc}");
-        assert!(doc.contains("\"local_hit_ratio\":0.75"), "{doc}");
+        assert!(doc.contains("\"scheduler\":{\"worker_transforms\":[5,3]}"), "{doc}");
         assert!(doc.contains("\"per_channel\":[{\"channel\":0"), "{doc}");
         assert!(!doc.contains("\"channels\""), "obs off leaves no histogram block: {doc}");
         let line = stats.to_string();
         assert!(line.contains("(hwm 4)") && doc.contains("\"queue_high_water\":4"));
-        assert!(line.contains("local-hit 75%") && doc.contains("\"local_hit_ratio\":0.75"));
+        assert!(line.contains("[5 (62%), 3 (38%)]") && doc.contains("[5,3]"));
     }
 
     #[test]

@@ -1,62 +1,18 @@
-//! The worker side of the sharded scheduler: claim from the local
-//! queue, steal when dry, transform with private engines, park
-//! completions in the worker's own outbox.
-//!
-//! Steady state (balanced load) a worker's loop touches exactly two
-//! mutexes, both effectively private: its own shard queue (shared only
-//! with submitters routed to it by affinity) and its own completion
-//! buffer (shared only with the draining caller). No mutex is ever
-//! acquired by two workers on that path — stealing, the exception, is
-//! by construction the *imbalance* path.
-//!
-//! # Stealing policy
-//!
-//! A worker steals only when its own queue is dry, scanning victims in
-//! a per-worker pseudo-random rotation and taking the older half of
-//! the first queue holding **at least two** jobs (capped at
-//! [`WORKER_BATCH`]). The ≥ 2 floor keeps a singleton queued behind a
-//! live worker where its engine scratch is warm — a lone symbol is
-//! about to be claimed by its home worker anyway, and leaving it makes
-//! channel→worker affinity deterministic under balanced load (the
-//! property the affinity test asserts).
+//! The worker side of the scheduler: take the oldest queued job,
+//! transform it with the worker's private engines outside the lock,
+//! then park the completion and take the next job in one critical
+//! section.
 
 use afft_core::engine::FftEngine;
 use afft_core::ofdm::Ofdm;
 use afft_core::{Direction, FftError};
 use afft_num::{Complex, C64};
-use afft_obs::{ns_between, Counter, Stage};
+use afft_obs::{ns_between, Stage};
 use afft_planner::planner::take_engine;
 use afft_planner::RegistryFactory;
-use std::sync::atomic::Ordering;
 use std::time::Instant;
 
-use crate::pipeline::{ChannelOp, ChannelSpec, Completion, Shared, WORKER_BATCH};
-use crate::shard::Job;
-
-/// Per-worker scheduler counters ([`afft_obs::Counter`]s: relaxed
-/// atomic adds, readable from any thread), surfaced through
-/// [`StreamStats`](crate::StreamStats).
-pub(crate) struct WorkerCounters {
-    /// Symbols this worker transformed (local + stolen).
-    pub(crate) transforms: Counter,
-    /// Symbols claimed from the worker's own shard queue.
-    pub(crate) local_symbols: Counter,
-    /// Symbols this worker stole from other shards.
-    pub(crate) stolen_symbols: Counter,
-    /// Steal operations (batches taken from a victim).
-    pub(crate) steals: Counter,
-}
-
-impl WorkerCounters {
-    pub(crate) fn new() -> WorkerCounters {
-        WorkerCounters {
-            transforms: Counter::new(),
-            local_symbols: Counter::new(),
-            stolen_symbols: Counter::new(),
-            steals: Counter::new(),
-        }
-    }
-}
+use crate::pipeline::{ChannelOp, ChannelSpec, Completion, Parked, Shared, STATE_POISONED};
 
 /// A worker's private per-channel execution front: the raw engine, or
 /// an [`Ofdm`] modem wrapping it.
@@ -103,108 +59,9 @@ struct PanicGuard<'a>(&'a Shared);
 impl Drop for PanicGuard<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            self.0.worker_panicked.store(true, Ordering::SeqCst);
-            self.0.closed.store(true, Ordering::SeqCst);
-            // Tolerate poisoned shard mutexes: every other accessor
-            // treats poison as fatal anyway, which surfaces the
-            // failure too.
-            for shard in &self.0.shards {
-                let _g = shard.q.lock().ok();
-                shard.work.notify_all();
-            }
-            self.0.space.notify_all();
-            self.0.done.notify_all();
+            self.0.close(true);
         }
     }
-}
-
-/// Claims up to [`WORKER_BATCH`] jobs from the worker's own shard —
-/// the local-hit path. Returns the number claimed.
-fn claim_local(shared: &Shared, idx: usize, batch: &mut Vec<Job>) -> usize {
-    let mut q = shared.shards[idx].lock();
-    while batch.len() < WORKER_BATCH {
-        match q.queue.pop_front() {
-            Some(job) => batch.push(job),
-            None => break,
-        }
-    }
-    let k = batch.len();
-    if k > 0 {
-        shared.budget.on_claim(k);
-    }
-    drop(q);
-    if k > 0 {
-        shared.wstats[idx].local_symbols.add(k as u64);
-        wake_submitters(shared);
-    }
-    k
-}
-
-/// Steals the older half of the first victim queue holding ≥ 2 jobs,
-/// scanning in a pseudo-random per-call rotation. Returns the number
-/// stolen (0 when every other shard is dry or down to a singleton).
-fn try_steal(shared: &Shared, idx: usize, seed: &mut u64, batch: &mut Vec<Job>) -> usize {
-    let n = shared.shards.len();
-    if n <= 1 {
-        return 0;
-    }
-    // xorshift64 — no external randomness, just decorrelating which
-    // victim concurrent thieves hit first.
-    *seed ^= *seed << 13;
-    *seed ^= *seed >> 7;
-    *seed ^= *seed << 17;
-    let start = (*seed as usize) % n;
-    for step in 0..n {
-        let victim = (start + step) % n;
-        if victim == idx {
-            continue;
-        }
-        let mut q = shared.shards[victim].lock();
-        let len = q.queue.len();
-        if len < 2 {
-            continue;
-        }
-        let take = (len / 2).min(WORKER_BATCH);
-        for _ in 0..take {
-            batch.push(q.queue.pop_front().expect("len checked"));
-        }
-        shared.budget.on_claim(take);
-        drop(q);
-        shared.wstats[idx].steals.incr();
-        shared.wstats[idx].stolen_symbols.add(take as u64);
-        wake_submitters(shared);
-        return take;
-    }
-    0
-}
-
-/// Low-watermark backpressure release: wake blocked submitters only
-/// once the global budget has drained to half capacity, so each wake
-/// is amortised over ~depth/2 submissions. One atomic load each on the
-/// uncontended path; the gate mutex only when someone is parked.
-fn wake_submitters(shared: &Shared) {
-    if shared.space.waiting.load(Ordering::SeqCst) > 0 && shared.budget.at_low_watermark() {
-        shared.space.notify_if_waiting();
-    }
-}
-
-/// Parks the worker on its own shard condvar until a submitter pushes
-/// to it, pokes it to steal, or the pipeline closes.
-fn park(shared: &Shared, idx: usize) {
-    let shard = &shared.shards[idx];
-    let mut q = shard.lock();
-    if !q.queue.is_empty() || shared.closed.load(Ordering::SeqCst) {
-        return;
-    }
-    q.idle = true;
-    q.poked = false;
-    shard.idle_hint.store(true, Ordering::SeqCst);
-    while q.queue.is_empty() && !q.poked && !shared.closed.load(Ordering::SeqCst) {
-        q = shard.work.wait(q).expect("stream shard poisoned");
-    }
-    q.idle = false;
-    q.poked = false;
-    shard.idle_hint.store(false, Ordering::SeqCst);
 }
 
 pub(crate) fn worker_loop(
@@ -231,77 +88,70 @@ pub(crate) fn worker_loop(
         })
         .collect();
 
-    // Job and completion staging reused across iterations: the worker
-    // loop itself allocates nothing per symbol in steady state.
-    let mut batch: Vec<Job> = Vec::with_capacity(WORKER_BATCH);
-    let mut finished: Vec<crate::delivery::Parked> = Vec::with_capacity(WORKER_BATCH);
-    let mut steal_seed = 0x9e37_79b9_7f4a_7c15u64 ^ ((idx as u64 + 1) << 17);
-
+    let mut finished: Option<Parked> = None;
     loop {
-        if claim_local(shared, idx, &mut batch) == 0 {
-            try_steal(shared, idx, &mut steal_seed, &mut batch);
-        }
-        if batch.is_empty() {
-            // Nothing local, nothing stealable. Exit once closed: this
-            // worker's own queue is empty (checked under its lock) and
-            // post-close nothing new can land there — every other
-            // shard is drained by its own home worker, with thieves
-            // helping while queues stay ≥ 2 deep.
-            if shared.closed.load(Ordering::SeqCst) {
-                let own_empty = shared.shards[idx].lock().queue.is_empty();
-                if own_empty {
-                    return;
-                }
+        let mut st = shared.lock();
+        let mut wake_receivers = finished.take().is_some_and(|done| st.complete(idx, done));
+        while st.queue.is_empty() && !st.closed {
+            if wake_receivers {
+                // Deliver the wake before parking: it must not wait for
+                // the next submission.
+                drop(st);
+                shared.done.notify_all();
+                wake_receivers = false;
+                st = shared.lock();
                 continue;
             }
-            park(shared, idx);
-            continue;
+            st.idle_workers += 1;
+            st = shared.work.wait(st).expect(STATE_POISONED);
+            st.idle_workers -= 1;
         }
+        // Empty here means closed and drained: the other workers park
+        // whatever they still hold.
+        let job = st.queue.pop_front();
+        if job.is_some() {
+            st.in_flight += 1;
+        }
+        // The low-watermark rule: wake blocked submitters only once the
+        // queue has drained to half capacity, so each wake is amortised
+        // over ~depth/2 submissions.
+        let wake_submitters = st.space_waiters > 0 && st.queue.len() <= shared.depth / 2;
+        drop(st);
+        if wake_receivers {
+            shared.done.notify_all();
+        }
+        if wake_submitters {
+            shared.space.notify_all();
+        }
+        let Some(mut job) = job else { return };
 
         // Only sampled jobs read the clock: two stamps bracketing the
-        // transform. Queue-wait charges a job up to the moment its own
-        // transform begins — including time spent claimed-but-behind
-        // earlier jobs in this batch, since it was not transformable
-        // anywhere else during that window.
-        for mut job in batch.drain(..) {
-            let front = &mut fronts[job.channel.index];
-            let begin = if job.sampled { Instant::now() } else { shared.epoch };
-            let error = front.run(&job.input, &mut job.output).err();
-            let finished_at = match &obs {
-                Some(rec) if job.sampled => {
-                    let end = Instant::now();
-                    let base = job.channel.index * Stage::COUNT;
-                    rec.record(
-                        base + Stage::QueueWait.index(),
-                        ns_between(job.submitted_at, begin),
-                    );
-                    rec.record(base + Stage::Transform.index(), ns_between(begin, end));
-                    end
-                }
-                _ => shared.epoch,
-            };
-            finished.push(crate::delivery::Parked {
-                done: Completion {
-                    channel: job.channel,
-                    seq: job.seq,
-                    input: job.input,
-                    output: job.output,
-                    cycles: front.cycles(),
-                    error,
-                },
-                submitted_at: job.submitted_at,
-                finished_at,
-                sampled: job.sampled,
-            });
-        }
-
-        // Park the batch in this worker's own outbox — never the
-        // delivery lock, so completion traffic from N workers fans out
-        // over N mutexes instead of serializing on one.
-        let k = finished.len();
-        shared.cbufs[idx].push_batch(&mut finished);
-        shared.budget.in_flight.fetch_sub(k, Ordering::SeqCst);
-        shared.wstats[idx].transforms.add(k as u64);
-        shared.done.notify_if_waiting();
+        // transform.
+        let front = &mut fronts[job.channel.index];
+        let begin = if job.sampled { Instant::now() } else { shared.epoch };
+        let error = front.run(&job.input, &mut job.output).err();
+        let finished_at = match &obs {
+            Some(rec) if job.sampled => {
+                let end = Instant::now();
+                let base = job.channel.index * Stage::COUNT;
+                rec.record(base + Stage::QueueWait.index(), ns_between(job.submitted_at, begin));
+                rec.record(base + Stage::Transform.index(), ns_between(begin, end));
+                end
+            }
+            _ => shared.epoch,
+        };
+        finished = Some(Parked {
+            done: Completion {
+                channel: job.channel,
+                seq: job.seq,
+                input: job.input,
+                output: job.output,
+                cycles: front.cycles(),
+                error,
+            },
+            submitted_at: job.submitted_at,
+            finished_at,
+            sampled: job.sampled,
+        });
     }
 }

@@ -47,6 +47,16 @@ def check_histogram(path, where, hist):
         fail(path, f"{where}: non-empty histogram with null p50_ns")
 
 
+def check_worker_transforms(path, where, sched, workers):
+    expect(path, sched, "worker_transforms", list)
+    if len(sched["worker_transforms"]) != workers:
+        fail(
+            path,
+            f"{where}.worker_transforms has {len(sched['worker_transforms'])} entries "
+            f"for {workers} workers",
+        )
+
+
 def check_stream(path, doc):
     for key in ("stamp_unix", "n", "symbols", "reps", "workers", "call_workers", "sample_every"):
         expect(path, doc, key, (int, float))
@@ -67,23 +77,14 @@ def check_stream(path, doc):
     expect(path, doc, "queue", dict)
     expect(path, doc["queue"], "capacity", (int, float))
     expect(path, doc["queue"], "high_water", (int, float))
-    # The sharded-scheduler counters from the multi-worker contention
-    # arm. Shallow like everything else, except the one invariant that
-    # is load-bearing: the shard array must match the pool size.
+    # The per-worker counters from the multi-worker contention arm.
+    # Shallow like everything else, except the one invariant that is
+    # load-bearing: one transform count per pool worker.
     expect(path, doc, "scheduler", dict)
     sched = doc["scheduler"]
-    for key in ("workers", "channels", "steals", "stolen_symbols", "local_symbols"):
+    for key in ("workers", "channels"):
         expect(path, sched, key, (int, float))
-    expect(path, sched, "local_hit_ratio", (int, float))
-    if not 0.0 <= sched["local_hit_ratio"] <= 1.0:
-        fail(path, f"scheduler.local_hit_ratio out of [0, 1]: {sched['local_hit_ratio']}")
-    expect(path, sched, "shard_high_water", list)
-    if len(sched["shard_high_water"]) != sched["workers"]:
-        fail(
-            path,
-            f"scheduler.shard_high_water has {len(sched['shard_high_water'])} entries "
-            f"for {sched['workers']} workers",
-        )
+    check_worker_transforms(path, "scheduler", sched, sched["workers"])
     expect(path, doc, "channels", list)
     if not doc["channels"]:
         fail(path, "channels array is empty")
@@ -151,6 +152,7 @@ def check_net(path, doc):
     for key in ("submitted", "completed", "delivered", "rejected", "queue_capacity"):
         expect(path, pipe, key, (int, float))
     expect(path, pipe, "scheduler", dict)
+    check_worker_transforms(path, "admin.pipeline.scheduler", pipe["scheduler"], doc["workers"])
     expect(path, pipe, "per_channel", list)
     if not pipe["per_channel"]:
         fail(path, "admin.pipeline.per_channel is empty")
