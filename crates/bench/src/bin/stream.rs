@@ -407,6 +407,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     "worker_transforms",
                     json::arr(mc_stats.worker_transforms.iter().map(|&t| json::num(t as f64))),
                 )
+                .num("caller_transforms", mc_stats.caller_transforms as f64)
                 .finish(),
         )
         .raw("channels", obs.to_json())

@@ -43,7 +43,10 @@
 //! own one engine instance (and therefore one scratch set) per thread
 //! — [`FftEngine`] deliberately carries no `Sync` bound — and drive it
 //! through `execute_into` so steady-state throughput work never
-//! touches the allocator.
+//! touches the allocator. It does carry `Send`: an engine may move
+//! between threads, one at a time, which is what lets the stream
+//! pipeline keep a per-channel engine behind a mutex for whichever
+//! connection thread runs that channel's symbol inline.
 //!
 //! # Examples
 //!
@@ -84,7 +87,9 @@ use afft_num::{Complex, C64};
 /// A uniform interface over every FFT backend in the workspace.
 ///
 /// See the [module documentation](self) for the execute contract.
-pub trait FftEngine {
+/// Engines are `Send` but not `Sync`: one thread drives an engine at a
+/// time, and it may be a different thread from one call to the next.
+pub trait FftEngine: Send {
     /// Stable snake_case identifier (e.g. `"array_fft"`, `"asip_iss"`).
     fn name(&self) -> &str;
 

@@ -3,22 +3,36 @@
 //!
 //! # Thread shape
 //!
-//! One **accept thread** polls a non-blocking listener and reaps the
-//! handler threads of closed connections; each connection gets a
-//! **handler thread** that reads frames through a buffered reader and
-//! submits symbols; one **delivery thread** answers every connection.
-//! It drains the pipeline with [`StreamPipeline::recv_ready`], which
-//! hands over every completion any channel has ready in one pass,
-//! groups the drain's replies by connection, and writes each group with
-//! a single `write_all`. A batch is simply whatever is ready: under load
-//! one drain carries many frames per write, while a lone frame at
-//! window 1 goes out the moment it completes. Nothing waits to fill a
-//! batch, so there is no batch size to tune.
+//! One **accept thread** blocks in `accept`; each connection gets a
+//! **handler thread** that reads frames through a buffered reader, and
+//! that removes its own join handle from the server's list as it
+//! exits, so the list holds open connections only.
+//!
+//! A frame runs in one of two places:
+//!
+//! * **On the handler thread**, when it is its connection's only
+//!   unanswered frame: nothing further sits in the handler's buffered
+//!   reader and none of the connection's frames are in the pool. The
+//!   handler calls [`StreamPipeline::try_run`] and writes the reply
+//!   itself, so a window-1 frame crosses two thread hops (client →
+//!   handler → client) instead of four. Such a frame never counts
+//!   toward [`max_conn_outstanding`](NetServerBuilder::max_conn_outstanding):
+//!   it is answered before the handler reads on.
+//! * **On the worker pool**, otherwise — a pipelined frame, or a lone
+//!   one whose channel has another connection's symbols outstanding
+//!   ([`SubmitError::Busy`]). The handler submits it with
+//!   `try_submit`, and one **delivery thread** answers it. That thread
+//!   drains the pipeline with [`StreamPipeline::recv_ready`], which
+//!   hands over every completion any channel has ready in one pass,
+//!   groups the drain's replies by connection, and writes each group
+//!   with a single `write_all`. A batch is simply whatever is ready, so
+//!   there is no batch size to tune.
 //!
 //! Handlers and the delivery thread meet at a per-channel *pending map*
 //! (pipeline seq → submitting connection): the handler inserts under
 //! the map's lock **around** the `try_submit` call, so a completion can
-//! never be routed before its origin is recorded.
+//! never be routed before its origin is recorded. Frames run on the
+//! handler thread never enter the map.
 //!
 //! # Backpressure = load-shedding
 //!
@@ -27,20 +41,24 @@
 //! frame instead of queueing unboundedly — the symbol is *not* accepted
 //! and its buffers go straight back to the channel's pool. Every frame
 //! the pipeline *does* accept is answered eventually: a `RESULT`, an
-//! `ERROR` carrying the backend's verdict, or — if a worker panic
-//! poisons the pipeline — an `ERROR` from the delivery thread.
+//! `ERROR` carrying the backend's verdict, or — if a backend panic
+//! poisons the pipeline — an `ERROR`, from the handler for the frame
+//! it was running and from the delivery thread for pooled frames. A
+//! poisoned server keeps its connections open and answers every later
+//! frame with `ERROR`.
 //!
 //! # Buffer recycling
 //!
 //! Payload buffers travel with the job and come back in the completion
-//! (the stream crate's own contract); the delivery thread returns them
-//! to a per-channel pool the handlers draw from, and keeps its reply
-//! buffers from drain to drain, so the steady-state per-frame path
-//! allocates nothing.
+//! (the stream crate's own contract); whichever thread answers the
+//! frame returns them to a per-channel pool the handlers draw from, and
+//! handlers and the delivery thread keep their reply buffers from frame
+//! to frame, so the steady-state per-frame path allocates nothing.
 //!
 //! # Graceful drain
 //!
-//! [`NetServer::shutdown`] stops accepting, closes the pipeline intake
+//! [`NetServer::shutdown`] stops accepting (waking the blocked accept
+//! with one loopback connect of its own), closes the pipeline intake
 //! (late frames are answered with `ERROR`), lets every handler drain
 //! the frames already buffered on its socket and joins it, and only
 //! then lets the delivery thread finish: it exits once no handler is
@@ -49,7 +67,7 @@
 
 use std::collections::HashMap;
 use std::io::{BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -71,14 +89,14 @@ use crate::proto::{
 
 /// How often blocked reads and waits re-check the shutdown flag.
 const POLL_TICK: Duration = Duration::from_millis(50);
-/// Accept-loop sleep between polls of the non-blocking listener.
-const ACCEPT_TICK: Duration = Duration::from_millis(5);
 /// Cap on pooled buffer pairs per channel — enough to cover the whole
 /// submission budget without letting a burst pin memory forever.
 const POOL_CAP: usize = 64;
 /// Per-connection read buffer: one `read` call takes in several
 /// pipelined frames (a WiMAX-256 demodulate frame is about 5 KiB).
 const READ_BUF: usize = 32 * 1024;
+/// The `ERROR` text for frames a backend panic left unanswerable.
+const POISONED: &str = "pipeline poisoned by a backend panic";
 
 /// Configures and launches a [`NetServer`]. Obtained from
 /// [`NetServer::builder`].
@@ -181,7 +199,6 @@ impl NetServerBuilder {
         let pipeline = builder.build().map_err(std::io::Error::other)?;
 
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
 
         let hello = proto::encode_hello(&infos);
@@ -193,7 +210,7 @@ impl NetServerBuilder {
             hello,
             shutdown: AtomicBool::new(false),
             handlers_joined: AtomicBool::new(false),
-            handlers: Mutex::new(Vec::new()),
+            handlers: Arc::new(Mutex::new(Vec::new())),
             retry_after_ms: self.retry_after_ms,
             max_conn_outstanding: self.max_conn_outstanding,
             connections_live: AtomicU64::new(0),
@@ -263,9 +280,15 @@ impl NetServer {
     /// pipeline's final stats. Connections close once their last
     /// response is written.
     pub fn shutdown(self) -> StreamStats {
-        let NetServer { shared, accept, delivery, .. } = self;
+        let NetServer { shared, accept, delivery, local_addr } = self;
         shared.shutdown.store(true, Ordering::SeqCst);
-        let _ = accept.join();
+        // The accept thread is blocked in `accept`: a connect of our own
+        // wakes it to see the flag. Should even that connect fail (the
+        // process out of descriptors, say), the thread is left to exit on
+        // the next connection rather than hang the drain.
+        if TcpStream::connect(loopback(local_addr)).is_ok() {
+            let _ = accept.join();
+        }
         // No new connections. Close the intake so frames still arriving
         // get a definitive ERROR instead of an accept they can't have.
         shared.pipeline.close();
@@ -299,9 +322,9 @@ struct ServerShared {
     /// Set by [`NetServer::shutdown`] once every handler is joined: no
     /// submission can happen after it, so a drained pipeline is final.
     handlers_joined: AtomicBool,
-    /// Handler threads of open connections; the accept loop reaps the
-    /// finished ones.
-    handlers: Mutex<Vec<JoinHandle<()>>>,
+    /// Handler threads of open connections; each handler removes its
+    /// own handle as it exits.
+    handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
     retry_after_ms: u32,
     max_conn_outstanding: u64,
     /// Connections open right now.
@@ -414,39 +437,56 @@ fn poll_read_exact(
     Ok(ReadStatus::Done)
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        reap_finished(&shared.handlers);
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                shared.connections_accepted.fetch_add(1, Ordering::SeqCst);
-                shared.connections_live.fetch_add(1, Ordering::SeqCst);
-                let conn_shared = Arc::clone(shared);
-                let handle = std::thread::spawn(move || {
-                    let _ = handle_conn(&conn_shared, stream);
-                    conn_shared.connections_live.fetch_sub(1, Ordering::SeqCst);
-                });
-                shared.handlers.lock().expect("handler list poisoned").push(handle);
-            }
-            // Non-blocking listener: no pending connection (or a
-            // transient accept error) — sleep a tick and re-poll.
-            Err(_) => std::thread::sleep(ACCEPT_TICK),
-        }
+/// Where a connect reaches a listener bound to `addr`: the address
+/// itself, with an unspecified bind (`0.0.0.0`, `[::]`) mapped to
+/// loopback.
+fn loopback(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        let ip: IpAddr =
+            if addr.is_ipv4() { Ipv4Addr::LOCALHOST.into() } else { Ipv6Addr::LOCALHOST.into() };
+        addr.set_ip(ip);
     }
+    addr
 }
 
-/// Joins the handler threads whose connections have closed, so the
-/// handle list tracks open connections rather than every connection
-/// the server has ever served.
-fn reap_finished(handlers: &Mutex<Vec<JoinHandle<()>>>) {
-    let mut handlers = handlers.lock().expect("handler list poisoned");
-    let mut i = 0;
-    while i < handlers.len() {
-        if handlers[i].is_finished() {
-            let _ = handlers.swap_remove(i).join();
-        } else {
-            i += 1;
+/// Blocks in `accept` and gives each connection a handler thread, until
+/// [`NetServer::shutdown`] raises the flag and wakes the accept with a
+/// connect of its own, which is recognised by the flag and neither
+/// served nor counted.
+fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
+    loop {
+        let accepted = listener.accept();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return;
         }
+        let Ok((stream, _peer)) = accepted else {
+            // A transient failure (out of descriptors, say): back off a
+            // tick instead of spinning on it.
+            std::thread::sleep(POLL_TICK);
+            continue;
+        };
+        shared.connections_accepted.fetch_add(1, Ordering::SeqCst);
+        shared.connections_live.fetch_add(1, Ordering::SeqCst);
+        // Spawn and push under the list lock, so a handler that exits at
+        // once still finds its handle to remove.
+        let mut handlers = shared.handlers.lock().expect("handler list poisoned");
+        let conn_shared = Arc::clone(shared);
+        let list = Arc::clone(&shared.handlers);
+        handlers.push(std::thread::spawn(move || {
+            let _ = handle_conn(&conn_shared, stream);
+            conn_shared.connections_live.fetch_sub(1, Ordering::SeqCst);
+            // Let go of the server first: once its handle is off the
+            // list, shutdown no longer joins this thread, so it must not
+            // be what keeps the server alive.
+            drop(conn_shared);
+            let me = std::thread::current().id();
+            let mut handlers = list.lock().expect("handler list poisoned");
+            if let Some(at) = handlers.iter().position(|h| h.thread().id() == me) {
+                // Dropping the handle detaches this thread, which is
+                // exiting anyway.
+                handlers.swap_remove(at);
+            }
+        }));
     }
 }
 
@@ -458,7 +498,8 @@ fn handle_conn(shared: &Arc<ServerShared>, stream: TcpStream) -> std::io::Result
     stream.set_read_timeout(Some(POLL_TICK))?;
     // Backstop against a peer that stops reading entirely: a stalled
     // response write marks the connection dead rather than wedging the
-    // delivery thread, which answers every connection. (The
+    // delivery thread, which answers every connection's pooled frames,
+    // or this handler, which answers the ones it runs itself. (The
     // outstanding-frames cap sheds slow readers long before this
     // fires.)
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
@@ -474,6 +515,7 @@ fn handle_conn(shared: &Arc<ServerShared>, stream: TcpStream) -> std::io::Result
     let mut reader = BufReader::with_capacity(READ_BUF, stream);
     let mut hdr_bytes = [0u8; HEADER_LEN];
     let mut payload: Vec<u8> = Vec::new();
+    let mut reply: Vec<u8> = Vec::new();
     loop {
         if writer.dead.load(Ordering::SeqCst) {
             return Ok(());
@@ -510,9 +552,10 @@ fn handle_conn(shared: &Arc<ServerShared>, stream: TcpStream) -> std::io::Result
         shared.frames_in.fetch_add(1, Ordering::SeqCst);
         match header.op {
             OP_SUBMIT => {
-                if handle_submit(shared, &writer, &header, &payload).is_err() {
-                    return Ok(());
-                }
+                // Nothing buffered behind this frame: the client is
+                // waiting on it rather than pipelining.
+                let lone = reader.buffer().is_empty();
+                handle_submit(shared, &writer, &header, &payload, lone, &mut reply);
             }
             OP_STATS => {
                 let doc = admin_stats_json(shared);
@@ -526,19 +569,24 @@ fn handle_conn(shared: &Arc<ServerShared>, stream: TcpStream) -> std::io::Result
     }
 }
 
-/// A submit frame: validate, draw pooled buffers, and run the
-/// lock-bracketed `try_submit`. `Err(())` means the connection should
-/// be dropped (the pipeline is dead).
+/// A submit frame: validate and draw pooled buffers, then either run
+/// the symbol on this thread and write the reply from `reply` — when
+/// the frame is `lone` on its socket, none of the connection's frames
+/// are in the pool, and its channel is idle — or hand it to the pool
+/// with the lock-bracketed `try_submit`, for the delivery thread to
+/// answer.
 fn handle_submit(
     shared: &Arc<ServerShared>,
     writer: &Arc<ConnWriter>,
     header: &Header,
     payload: &[u8],
-) -> Result<(), ()> {
+    lone: bool,
+    reply: &mut Vec<u8>,
+) {
     let idx = header.channel as usize;
     let Some(info) = shared.infos.get(idx) else {
         writer.send_error(header.channel, header.seq, &format!("unknown channel {idx}"));
-        return Ok(());
+        return;
     };
     let expected = info.input_len as usize * BYTES_PER_SAMPLE;
     if payload.len() != expected {
@@ -549,11 +597,14 @@ fn handle_submit(
             header.seq,
             &format!("channel {idx} takes {expected}-byte payloads, got {}", payload.len()),
         );
-        return Ok(());
+        return;
     }
-    if writer.outstanding.load(Ordering::SeqCst) >= shared.max_conn_outstanding {
+    // Only this handler raises the count, so a zero here stays zero
+    // until it submits.
+    let outstanding = writer.outstanding.load(Ordering::SeqCst);
+    if outstanding >= shared.max_conn_outstanding {
         shed(shared, writer, header);
-        return Ok(());
+        return;
     }
 
     let st = &shared.chan[idx];
@@ -564,59 +615,87 @@ fn handle_submit(
         .pop()
         .unwrap_or_else(|| (Vec::new(), vec![Complex::zero(); info.output_len as usize]));
     proto::take_samples(payload, &mut input).expect("length validated above");
+    let channel = shared.channels[idx];
+
+    let (input, output) = if lone && outstanding == 0 {
+        match shared.pipeline.try_run(channel, input, output) {
+            Ok(done) => {
+                reply.clear();
+                put_reply(reply, header.channel, header.seq, &done);
+                writer.send_frames(reply);
+                recycle(st, done.input, done.output);
+                return;
+            }
+            // Another connection's symbols are outstanding on the
+            // channel: queue behind them.
+            Err(SubmitError::Busy { input, output }) => (input, output),
+            Err(refused) => return refuse(shared, writer, header, st, refused),
+        }
+    } else {
+        (input, output)
+    };
 
     // The pending insert happens under the same lock that brackets
     // try_submit: the delivery thread removes under this lock, so a
     // completion cannot be routed before its origin is recorded.
     let mut pending = st.pending.lock().expect("pending map poisoned");
-    match shared.pipeline.try_submit(shared.channels[idx], input, output) {
+    match shared.pipeline.try_submit(channel, input, output) {
         Ok(seq) => {
             pending.insert(seq, Pending { writer: Arc::clone(writer), client_seq: header.seq });
             writer.outstanding.fetch_add(1, Ordering::SeqCst);
-            Ok(())
         }
-        Err(e) => {
+        Err(refused) => {
             drop(pending);
-            let verdict = match &e {
-                SubmitError::QueueFull { .. } => Verdict::Shed,
-                SubmitError::Closed { .. } => Verdict::Refuse("server is shutting down"),
-                SubmitError::Poisoned { .. } => {
-                    Verdict::Dead("pipeline poisoned by a worker panic")
-                }
-                SubmitError::Shape { .. } => Verdict::Refuse("internal shape mismatch"),
-            };
-            // Every refusal hands the buffers back; recycle them.
-            let (input, output) = e.into_buffers();
-            recycle(st, input, output);
-            match verdict {
-                Verdict::Shed => {
-                    shed(shared, writer, header);
-                    Ok(())
-                }
-                Verdict::Refuse(why) => {
-                    writer.send_error(header.channel, header.seq, why);
-                    Ok(())
-                }
-                Verdict::Dead(why) => {
-                    writer.send_error(header.channel, header.seq, why);
-                    Err(())
-                }
-            }
+            refuse(shared, writer, header, st, refused);
         }
     }
 }
 
-/// How a refused submission is answered.
-enum Verdict {
-    Shed,
-    Refuse(&'static str),
-    Dead(&'static str),
+/// Answers a refused symbol — a full pipeline with `RETRY_AFTER`,
+/// anything else with an `ERROR` naming why — and recycles the buffers
+/// every refusal hands back.
+fn refuse(
+    shared: &ServerShared,
+    writer: &ConnWriter,
+    header: &Header,
+    st: &ChanState,
+    refused: SubmitError,
+) {
+    let why = match &refused {
+        SubmitError::QueueFull { .. } => None,
+        SubmitError::Closed { .. } => Some("server is shutting down"),
+        SubmitError::Poisoned { .. } => Some(POISONED),
+        SubmitError::Shape { .. } => Some("internal shape mismatch"),
+        SubmitError::Busy { .. } => Some("channel busy"),
+    };
+    let (input, output) = refused.into_buffers();
+    recycle(st, input, output);
+    match why {
+        None => shed(shared, writer, header),
+        Some(why) => writer.send_error(header.channel, header.seq, why),
+    }
 }
 
 /// Answers a load-shed with `RETRY_AFTER` and counts it.
 fn shed(shared: &ServerShared, writer: &ConnWriter, header: &Header) {
     shared.shed.fetch_add(1, Ordering::SeqCst);
     writer.send(OP_RETRY_AFTER, header.channel, header.seq, &shared.retry_after_ms.to_le_bytes());
+}
+
+/// Encodes the answer to one completion onto `bytes`: a `RESULT`
+/// carrying the output samples, or an `ERROR` with the backend's
+/// verdict.
+fn put_reply(bytes: &mut Vec<u8>, wire: u16, client_seq: u64, done: &Completion) {
+    match &done.error {
+        Some(err) => {
+            proto::put_frame(bytes, OP_ERROR, wire, client_seq, err.to_string().as_bytes());
+        }
+        None => {
+            let payload_len = done.output.len() * BYTES_PER_SAMPLE;
+            proto::put_header(bytes, OP_RESULT, wire, client_seq, payload_len);
+            proto::put_samples(bytes, &done.output);
+        }
+    }
 }
 
 /// Returns a buffer pair to the channel's pool (bounded; overflow is
@@ -705,16 +784,7 @@ impl Replies {
         };
         let (_, bytes, frames) = &mut self.conns[at];
         *frames += 1;
-        match &done.error {
-            Some(err) => {
-                proto::put_frame(bytes, OP_ERROR, wire, p.client_seq, err.to_string().as_bytes());
-            }
-            None => {
-                let payload_len = done.output.len() * BYTES_PER_SAMPLE;
-                proto::put_header(bytes, OP_RESULT, wire, p.client_seq, payload_len);
-                proto::put_samples(bytes, &done.output);
-            }
-        }
+        put_reply(bytes, wire, p.client_seq, done);
     }
 
     /// Writes every group with one `write_all` per connection. The
@@ -736,7 +806,7 @@ fn fail_pending(shared: &ServerShared) {
     for (idx, st) in shared.chan.iter().enumerate() {
         for (_seq, p) in st.pending.lock().expect("pending map poisoned").drain() {
             p.writer.outstanding.fetch_sub(1, Ordering::SeqCst);
-            p.writer.send_error(idx as u16, p.client_seq, "pipeline poisoned by a worker panic");
+            p.writer.send_error(idx as u16, p.client_seq, POISONED);
         }
     }
 }
@@ -779,11 +849,11 @@ mod tests {
             drop(raw);
             most_held = most_held.max(held());
         }
-        // Each handler exits on EOF; the accept loop reaps it a tick later.
+        // Each handler exits on EOF and removes its own handle.
         let began = Instant::now();
         while held() > 0 || shared.connections_live.load(Ordering::SeqCst) > 0 {
             assert!(began.elapsed() < Duration::from_secs(10), "{} handles still held", held());
-            std::thread::sleep(ACCEPT_TICK);
+            std::thread::sleep(Duration::from_millis(5));
         }
         assert!(most_held < 100, "{most_held} handles held at once over 200 connect/close cycles");
         assert_eq!(shared.connections_accepted.load(Ordering::SeqCst), 200);

@@ -8,10 +8,10 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use afft_core::engine::EngineRegistry;
-use afft_core::Direction;
+use afft_core::engine::{Cost, EngineRegistry, EngineSpec, FftEngine};
+use afft_core::{Direction, FftError};
 use afft_net::proto::{self, HEADER_LEN, MAGIC, OP_SUBMIT, VERSION};
 use afft_net::{NetClient, NetEvent, NetServer, NetServerBuilder, ProtoError};
 use afft_num::{Complex, C64};
@@ -306,4 +306,88 @@ fn shutdown_with_frames_in_flight_loses_no_accepted_work() {
         "accepted work must all be delivered (shed {retries}, refused {errors})"
     );
     assert_eq!(stats.delivered, stats.submitted);
+}
+
+/// A backend that panics on any non-zero symbol: the build-time warmup
+/// on a zero symbol passes, then real traffic detonates it.
+struct FragileEngine {
+    n: usize,
+}
+
+impl FftEngine for FragileEngine {
+    fn name(&self) -> &str {
+        "fragile"
+    }
+
+    fn len(&self) -> usize {
+        self.n
+    }
+
+    fn execute_into(
+        &mut self,
+        input: &[C64],
+        output: &mut [C64],
+        _dir: Direction,
+    ) -> Result<(), FftError> {
+        assert!(input.iter().all(|c| c.re == 0.0 && c.im == 0.0), "fragile engine exploded");
+        output.fill(Complex::zero());
+        Ok(())
+    }
+
+    fn traffic(&self) -> Option<afft_core::cached::MemTraffic> {
+        None
+    }
+}
+
+fn fragile_registry(n: usize) -> Result<EngineRegistry, FftError> {
+    Ok(EngineRegistry::new(n).with(EngineSpec {
+        name: "fragile",
+        supports: |_| true,
+        build: |n| Ok(Box::new(FragileEngine { n })),
+        cost: |_| Cost::Host(0.0, None),
+    }))
+}
+
+#[test]
+fn a_backend_panic_on_the_reading_thread_poisons_the_server_but_answers_every_frame() {
+    let mut builder = NetServer::builder(fragile_registry).workers(1);
+    builder.channel(ChannelSpec::transform(64, "fragile", Direction::Forward));
+    let server = builder.serve("127.0.0.1:0").expect("bind");
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    client.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+
+    // A zero symbol passes.
+    client.submit(0, 1, &vec![Complex::zero(); 64]).expect("submit");
+    match client.recv_event().expect("recv") {
+        NetEvent::Result { seq, samples, .. } => assert_eq!((seq, samples.len()), (1, 64)),
+        other => panic!("expected a Result, got {other:?}"),
+    }
+    // The detonating frame is alone on its connection, so it runs on
+    // the handler thread. The handler survives to answer it, and every
+    // frame after it, with ERROR.
+    for seq in [2, 3, 4] {
+        client.submit(0, seq, &impulse(64, 1.0)).expect("submit");
+        match client.recv_event().expect("recv") {
+            NetEvent::ServerError { seq: got, message, .. } => {
+                assert_eq!(got, seq);
+                assert!(message.contains("poisoned"), "{message}");
+            }
+            other => panic!("frame {seq}: expected an ERROR, got {other:?}"),
+        }
+    }
+    client.request_stats(5).expect("stats");
+    match client.recv_event().expect("recv") {
+        NetEvent::Stats { json } => assert!(json.contains("\"poisoned\":true"), "{json}"),
+        other => panic!("expected Stats, got {other:?}"),
+    }
+
+    // Hanging up frees the connection; the server still drains.
+    drop(client);
+    let began = Instant::now();
+    while !server.stats_json().contains("\"connections_live\":0") {
+        assert!(began.elapsed() < Duration::from_secs(10), "{}", server.stats_json());
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let stats = server.shutdown();
+    assert_eq!((stats.submitted, stats.completed, stats.caller_transforms), (2, 1, 1));
 }

@@ -180,6 +180,42 @@ fn pipelined_frames_round_robin_over_the_modems_are_each_answered_once() {
     assert_eq!((stats.submitted, stats.delivered), (frames, frames));
 }
 
+#[test]
+fn window_one_frames_run_on_the_handler_thread_and_never_reach_the_pool() {
+    let (server, chans) = modem_server(32);
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    client.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+    let infos = client.channels().to_vec();
+
+    // One frame in flight at a time, round-robin over the four modem
+    // channels, each checked against the in-process reference.
+    let mut rng = StdRng::seed_from_u64(1);
+    let frames = 64u64;
+    for seq in 0..frames {
+        let ch = chans[seq as usize % 4];
+        let info = &infos[ch as usize];
+        let engine = take_engine(EngineRegistry::standard, info.n as usize, &info.engine)
+            .expect("reference engine");
+        let mut modem = Ofdm::with_engine(engine, info.cp as usize).expect("modem");
+        let input: Vec<C64> = (0..info.input_len)
+            .map(|_| Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+            .collect();
+        let want = match info.kind {
+            OpKind::Modulate => modem.modulate(&input).expect("modulate"),
+            OpKind::Demodulate => modem.demodulate(&input).expect("demodulate"),
+            other => panic!("not a modem channel: {other:?}"),
+        };
+        client.submit(ch, seq, &input).expect("submit");
+        assert_eq!(expect_result(&mut client, ch, seq), want, "frame {seq}");
+    }
+
+    drop(client);
+    let stats = server.shutdown();
+    assert_eq!((stats.submitted, stats.delivered), (frames, frames));
+    assert!(stats.worker_transforms.iter().all(|&t| t == 0), "a pool worker ran a frame: {stats}");
+    assert_eq!(stats.caller_transforms, frames);
+}
+
 /// Parses the first `"key":<integer>` occurrence out of the flat admin
 /// JSON — enough structure-awareness for a zero-dependency test.
 fn json_u64(doc: &str, key: &str) -> u64 {

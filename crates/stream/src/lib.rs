@@ -10,7 +10,8 @@
 //! from a [`RegistryFactory`](afft_planner::RegistryFactory) and a set
 //! of [`ChannelSpec`]s (typically the winners of wisdom-ranked plans),
 //! spawns `N` long-lived workers that each own a private engine and
-//! pre-warmed scratch per channel, and feeds them from **one bounded
+//! pre-warmed scratch per channel (plus one more per channel for
+//! callers that run a symbol themselves), and feeds them from **one bounded
 //! FIFO queue under one lock**: the next free worker takes the oldest
 //! queued symbol, whatever its channel, so one flooded channel cannot
 //! idle the pool. Backpressure is the queue's bound of
@@ -32,6 +33,12 @@
 //!   [`StreamPipeline::recv_ready`]: one pass under the lock moves
 //!   whatever every channel has ready, and it never waits to fill a
 //!   batch;
+//! * [`StreamPipeline::try_run`] runs a symbol on the calling thread
+//!   when its channel has nothing outstanding, and refuses with
+//!   [`SubmitError::Busy`] otherwise: the same admission, sequence
+//!   number, counters and stage histograms as a submitted symbol,
+//!   without the handoffs to and from a worker — the shape for a
+//!   caller with one symbol in hand that wants its answer now;
 //! * [`StreamPipeline::shutdown`] drains every in-flight symbol before
 //!   joining the pool, returning the final [`StreamStats`] and any
 //!   undelivered completions — accepted work is never lost.

@@ -25,13 +25,32 @@
 //! [`submit`](StreamPipeline::submit) blocks until workers have drained
 //! it to half capacity.
 //!
-//! Engines are **never** shared: each worker constructs its own
-//! backend per channel from the registry factory (the same idiom as
+//! # Caller runs
+//!
+//! [`try_run`](StreamPipeline::try_run) runs a symbol on the calling
+//! thread instead of a worker, and only when its channel has nothing
+//! outstanding; otherwise it refuses with [`SubmitError::Busy`]. The
+//! symbol is then its channel's head, so it takes the channel's next
+//! sequence number and goes through the same admission, transform and
+//! completion code as a pooled symbol without reordering anything: it
+//! is parked and handed back in one critical section. A caller with one
+//! symbol in hand, such as a connection handler answering a lone frame,
+//! skips two thread handoffs this way.
+//!
+//! Engines are **never** shared between threads at once: each worker
+//! constructs its own backend per channel from the registry factory
+//! (the same idiom as
 //! [`BatchExecutor::execute_threaded_into`](afft_planner::BatchExecutor::execute_threaded_into)),
-//! then warms its scratch once, so steady-state traffic does zero heap
-//! work per symbol.
+//! and the pipeline keeps one more per channel, the *caller front*,
+//! behind a mutex for caller runs. Only one caller run per channel can
+//! be admitted at a time, so that mutex never contends; it exists
+//! because the engine moves between the threads that call `try_run`
+//! (hence [`FftEngine`](afft_core::engine::FftEngine)`: Send`). Every
+//! front warms its scratch once at build, so steady-state traffic does
+//! zero heap work per symbol.
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -195,12 +214,24 @@ pub enum SubmitError {
         /// The refused output buffer, returned to the caller.
         output: Vec<C64>,
     },
-    /// A worker panicked and poisoned the pipeline; it will never accept
-    /// or finish work again. Only the checked forms
+    /// A backend panicked and poisoned the pipeline; it will never
+    /// accept or finish work again. Only the checked forms
     /// ([`StreamPipeline::try_submit`] /
-    /// [`StreamPipeline::submit_checked`]) return this — the panicking
+    /// [`StreamPipeline::submit_checked`] /
+    /// [`StreamPipeline::try_run`]) return this — the panicking
     /// [`StreamPipeline::submit`] wrapper re-raises it as a panic.
     Poisoned {
+        /// The refused input buffer, returned to the caller.
+        input: Vec<C64>,
+        /// The refused output buffer, returned to the caller.
+        output: Vec<C64>,
+    },
+    /// The channel has symbols outstanding (queued, in flight, or
+    /// parked undelivered), so the symbol cannot run on the calling
+    /// thread without overtaking them. Only
+    /// [`StreamPipeline::try_run`] returns this; submit the symbol
+    /// instead.
+    Busy {
         /// The refused input buffer, returned to the caller.
         input: Vec<C64>,
         /// The refused output buffer, returned to the caller.
@@ -215,7 +246,8 @@ impl SubmitError {
             SubmitError::QueueFull { input, output }
             | SubmitError::Closed { input, output }
             | SubmitError::Shape { input, output, .. }
-            | SubmitError::Poisoned { input, output } => (input, output),
+            | SubmitError::Poisoned { input, output }
+            | SubmitError::Busy { input, output } => (input, output),
         }
     }
 }
@@ -227,8 +259,9 @@ impl core::fmt::Display for SubmitError {
             SubmitError::Closed { .. } => write!(f, "pipeline is closed to new submissions"),
             SubmitError::Shape { error, .. } => write!(f, "payload rejected: {error}"),
             SubmitError::Poisoned { .. } => {
-                write!(f, "a stream worker panicked; the pipeline is poisoned")
+                write!(f, "a stream backend panicked; the pipeline is poisoned")
             }
+            SubmitError::Busy { .. } => write!(f, "the channel has symbols outstanding"),
         }
     }
 }
@@ -245,10 +278,10 @@ pub enum RecvError {
     /// not lost — it stays queued/in flight and a later receive can
     /// still collect it.
     Timeout,
-    /// A worker panicked and poisoned the pipeline. Symbols the worker
-    /// had claimed are lost; waiting for them would hang forever.
-    /// Completions that were already parked are still delivered before
-    /// this is returned.
+    /// A backend panicked and poisoned the pipeline. The symbol it was
+    /// running is lost; waiting for it would hang forever. Completions
+    /// that were already parked are still delivered before this is
+    /// returned.
     Poisoned,
 }
 
@@ -257,7 +290,7 @@ impl core::fmt::Display for RecvError {
         match self {
             RecvError::Timeout => write!(f, "timed out waiting for a completion"),
             RecvError::Poisoned => {
-                write!(f, "a stream worker panicked; the pipeline is poisoned")
+                write!(f, "a stream backend panicked; the pipeline is poisoned")
             }
         }
     }
@@ -351,25 +384,29 @@ impl StreamBuilder {
 
     /// Validates every channel (engine present in the factory's
     /// registry, supported size, cyclic prefix shorter than the symbol)
-    /// and spawns the worker pool. Each worker builds its private
-    /// engines and warms their scratch before serving traffic.
+    /// by building and warming its caller front, then spawns the worker
+    /// pool. Each worker builds its private engines and warms their
+    /// scratch before serving traffic.
     ///
     /// # Errors
     ///
     /// Returns [`FftError::InvalidDecomposition`] for a pipeline with no
     /// channels, [`FftError::Backend`] for an engine name the registry
-    /// does not offer, and any construction error the backends report.
+    /// does not offer, and any construction or warmup error the
+    /// backends report.
     pub fn build(self) -> Result<StreamPipeline, FftError> {
         if self.specs.is_empty() {
             return Err(FftError::InvalidDecomposition {
                 reason: "a stream pipeline needs at least one channel".into(),
             });
         }
-        // Fail on the builder thread, not inside a worker: construct
-        // (and drop) one front-end per channel now.
-        for spec in &self.specs {
-            Front::build(spec, self.factory)?;
-        }
+        // Fail on the builder thread, not inside a worker: the caller
+        // fronts are built and warmed here.
+        let fronts = self
+            .specs
+            .iter()
+            .map(|spec| Front::warmed(spec, self.factory).map(Mutex::new))
+            .collect::<Result<Vec<_>, _>>()?;
 
         let workers = resolve_workers(self.workers);
 
@@ -398,6 +435,7 @@ impl StreamBuilder {
                 high_water: 0,
                 rejected: 0,
                 worker_transforms: vec![0; workers],
+                caller_transforms: 0,
                 idle_workers: 0,
                 space_waiters: 0,
                 recv_waiters: 0,
@@ -420,7 +458,14 @@ impl StreamBuilder {
             handles.push(std::thread::spawn(move || worker_loop(idx, &shared, &specs, factory)));
         }
 
-        Ok(StreamPipeline { shared, specs, handles, stamp: self.stamp, started: Instant::now() })
+        Ok(StreamPipeline {
+            shared,
+            specs,
+            fronts,
+            handles,
+            stamp: self.stamp,
+            started: Instant::now(),
+        })
     }
 }
 
@@ -430,6 +475,8 @@ impl StreamBuilder {
 pub struct StreamPipeline {
     shared: Arc<Shared>,
     specs: Arc<Vec<ChannelSpec>>,
+    /// One caller front per channel, for [`StreamPipeline::try_run`].
+    fronts: Vec<Mutex<Front>>,
     handles: Vec<std::thread::JoinHandle<()>>,
     stamp: u64,
     started: Instant,
@@ -513,7 +560,7 @@ impl StreamPipeline {
         input: Vec<C64>,
         output: Vec<C64>,
     ) -> Result<u64, SubmitError> {
-        self.enqueue(channel, input, output, false)
+        self.enqueue(channel, input, output, Admit::Try)
     }
 
     /// Blocking submission: waits for queue space instead of refusing.
@@ -539,7 +586,7 @@ impl StreamPipeline {
     ) -> Result<u64, SubmitError> {
         match self.submit_checked(channel, input, output) {
             Err(SubmitError::Poisoned { .. }) => {
-                panic!("a stream worker panicked; the pipeline is dead")
+                panic!("a stream backend panicked; the pipeline is dead")
             }
             other => other,
         }
@@ -547,7 +594,7 @@ impl StreamPipeline {
 
     /// Blocking submission that reports a dead pipeline as an error
     /// instead of panicking: waits for queue space, and returns
-    /// [`SubmitError::Poisoned`] (with the payload buffers) if a worker
+    /// [`SubmitError::Poisoned`] (with the payload buffers) if a backend
     /// panic poisons the pipeline before the symbol is accepted. The
     /// form for callers — like a connection handler — that must degrade
     /// gracefully rather than unwind.
@@ -567,27 +614,50 @@ impl StreamPipeline {
         input: Vec<C64>,
         output: Vec<C64>,
     ) -> Result<u64, SubmitError> {
-        self.enqueue(channel, input, output, true)
+        self.enqueue(channel, input, output, Admit::Block)
     }
 
-    /// The one submission path: validates the payload, then — under the
-    /// state lock — waits for queue space (or refuses, when `block` is
-    /// false), assigns the channel's next sequence number and queues
-    /// the job, so queue order always matches seq order.
+    /// Queues an admitted symbol for the pool, so queue order always
+    /// matches seq order.
     fn enqueue(
         &self,
         channel: ChannelId,
         input: Vec<C64>,
         output: Vec<C64>,
-        block: bool,
+        mode: Admit,
     ) -> Result<u64, SubmitError> {
+        let (mut st, job) = self.admit(channel, input, output, mode)?;
+        let seq = job.seq;
+        st.queue.push_back(job);
+        st.high_water = st.high_water.max(st.queue.len());
+        let wake_worker = st.idle_workers > 0;
+        drop(st);
+        if wake_worker {
+            self.shared.work.notify_one();
+        }
+        Ok(seq)
+    }
+
+    /// The one admission path behind every submission form: validates
+    /// the payload, then — under the state lock — refuses a poisoned or
+    /// closed pipeline, applies `mode`'s rule (queue space for the pool,
+    /// an idle channel for a caller run), and assigns the channel's next
+    /// sequence number and sampling stamp. Returns the lock still held,
+    /// so the caller places the job before anyone else is admitted.
+    fn admit(
+        &self,
+        channel: ChannelId,
+        input: Vec<C64>,
+        output: Vec<C64>,
+        mode: Admit,
+    ) -> Result<(MutexGuard<'_, State>, Job), SubmitError> {
         if let Err(error) = self.validate(channel, &input, &output) {
             return Err(SubmitError::Shape { error, input, output });
         }
         let shared = &*self.shared;
         let mut st = shared.lock();
         loop {
-            // Poisoning is checked before closed: a worker panic also
+            // Poisoning is checked before closed: a backend panic also
             // closes the intake, and "the pipeline is dead" is the truer
             // refusal.
             if st.poisoned {
@@ -596,30 +666,89 @@ impl StreamPipeline {
             if st.closed {
                 return Err(SubmitError::Closed { input, output });
             }
-            if st.queue.len() < shared.depth {
-                break;
+            match mode {
+                Admit::Run if st.rings[channel.index].drained() => break,
+                Admit::Run => return Err(SubmitError::Busy { input, output }),
+                _ if st.queue.len() < shared.depth => break,
+                Admit::Try => {
+                    st.rejected += 1;
+                    return Err(SubmitError::QueueFull { input, output });
+                }
+                Admit::Block => {
+                    st.space_waiters += 1;
+                    st = shared.space.wait(st).expect(STATE_POISONED);
+                    st.space_waiters -= 1;
+                }
             }
-            if !block {
-                st.rejected += 1;
-                return Err(SubmitError::QueueFull { input, output });
-            }
-            st.space_waiters += 1;
-            st = shared.space.wait(st).expect(STATE_POISONED);
-            st.space_waiters -= 1;
         }
         let ring = &mut st.rings[channel.index];
         let seq = ring.submitted;
         ring.submitted += 1;
         let sampled = shared.obs.as_ref().is_some_and(|o| seq.is_multiple_of(o.sample_every));
         let submitted_at = if sampled { Instant::now() } else { shared.epoch };
-        st.queue.push_back(Job { channel, seq, input, output, submitted_at, sampled });
-        st.high_water = st.high_water.max(st.queue.len());
-        let wake_worker = st.idle_workers > 0;
+        Ok((st, Job { channel, seq, input, output, submitted_at, sampled }))
+    }
+
+    /// Runs the symbol on the calling thread, if its channel has nothing
+    /// outstanding, and returns its completion: the pool's admission,
+    /// transform and completion path, minus the two thread handoffs to
+    /// and from a worker. The symbol takes the channel's next sequence
+    /// number and shows in [`stats`](StreamPipeline::stats) and the stage
+    /// histograms like any other, counted under
+    /// [`StreamStats::caller_transforms`].
+    ///
+    /// Only one caller run per channel is admitted at a time, and a
+    /// backend error comes back in [`Completion::error`] as from the
+    /// pool. A backend *panic* is caught here: it poisons the pipeline
+    /// as a worker panic does, and the call returns
+    /// [`SubmitError::Poisoned`] with the buffers instead of unwinding.
+    ///
+    /// # Errors
+    ///
+    /// [`SubmitError::Busy`] when the channel has symbols queued, in
+    /// flight or parked undelivered (submit instead);
+    /// [`SubmitError::Closed`], [`SubmitError::Shape`], or
+    /// [`SubmitError::Poisoned`] — all returning the payload buffers.
+    /// Never [`SubmitError::QueueFull`]: the symbol never enters the
+    /// queue.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channel` did not come from this pipeline's builder.
+    pub fn try_run(
+        &self,
+        channel: ChannelId,
+        input: Vec<C64>,
+        output: Vec<C64>,
+    ) -> Result<Completion, SubmitError> {
+        let (mut st, mut job) = self.admit(channel, input, output, Admit::Run)?;
+        st.in_flight += 1;
         drop(st);
-        if wake_worker {
-            shared.work.notify_one();
+        let shared = &*self.shared;
+        let shard = shared.obs.as_ref().map_or(0, |o| o.caller_shard);
+        let mut front = self.fronts[channel.index].lock().expect("caller front poisoned");
+        let ran = catch_unwind(AssertUnwindSafe(|| front.run_job(&mut job, shared, shard)));
+        drop(front);
+        let Ok(parked) = ran else {
+            shared.close(true);
+            return Err(SubmitError::Poisoned { input: job.input, output: job.output });
+        };
+        let mut st = shared.lock();
+        st.complete(None, parked);
+        let done =
+            shared.deliver(&mut st, channel.index).expect("a caller run is its channel's head");
+        // Parking and delivering in one step robs receivers of nothing
+        // they could take, but it can unblock two kinds: one waiting for
+        // a pooled symbol parked behind this one, and one waiting for
+        // the channel (or, once closed, the pipeline) to drain.
+        let ring = &st.rings[channel.index];
+        let wake = st.recv_waiters > 0
+            && (ring.head_ready() || ring.drained() && (ring.waiters > 0 || st.closed));
+        drop(st);
+        if wake {
+            shared.done.notify_all();
         }
-        Ok(seq)
+        Ok(done)
     }
 
     /// Non-blocking delivery: the channel's next in-order completion,
@@ -650,17 +779,16 @@ impl StreamPipeline {
     pub fn recv(&self, channel: ChannelId) -> Option<Completion> {
         match self.recv_checked(channel) {
             Ok(got) => got,
-            Err(_) => panic!(
-                "a stream worker panicked; its claimed symbols are lost and the pipeline \
-                 is dead"
-            ),
+            Err(_) => {
+                panic!("a stream backend panicked; its symbol is lost and the pipeline is dead")
+            }
         }
     }
 
     /// Blocking delivery that reports a dead pipeline as an error
     /// instead of panicking: `Ok(Some)` is the channel's next in-order
     /// completion, `Ok(None)` means the channel is drained, and
-    /// [`RecvError::Poisoned`] means a worker panic killed the pipeline
+    /// [`RecvError::Poisoned`] means a backend panic killed the pipeline
     /// (parked completions are still delivered first). Never returns
     /// [`RecvError::Timeout`].
     ///
@@ -674,7 +802,7 @@ impl StreamPipeline {
     /// Panics if `channel` did not come from this pipeline's builder.
     pub fn recv_checked(&self, channel: ChannelId) -> Result<Option<Completion>, RecvError> {
         let idx = self.chan(channel);
-        self.receive(None, |st| self.shared.deliver(st, idx), |st| st.rings[idx].drained())
+        self.receive(None, Some(idx), |st| self.shared.deliver(st, idx))
     }
 
     /// Deadline-bounded delivery: like
@@ -705,7 +833,7 @@ impl StreamPipeline {
         let idx = self.chan(channel);
         // A deadline too far to represent means "wait forever".
         let deadline = Instant::now().checked_add(timeout);
-        self.receive(deadline, |st| self.shared.deliver(st, idx), |st| st.rings[idx].drained())
+        self.receive(deadline, Some(idx), |st| self.shared.deliver(st, idx))
     }
 
     /// Batched delivery across every channel: waits at most `timeout`
@@ -736,31 +864,30 @@ impl StreamPipeline {
         timeout: Duration,
     ) -> Result<usize, RecvError> {
         let deadline = Instant::now().checked_add(timeout);
-        let moved = self.receive(
-            deadline,
-            |st| {
-                let before = out.len();
-                self.shared.deliver_ready(st, out);
-                (out.len() > before).then(|| out.len() - before)
-            },
-            |st| st.closed && st.rings.iter().all(ChanRing::drained),
-        )?;
+        let moved = self.receive(deadline, None, |st| {
+            let before = out.len();
+            self.shared.deliver_ready(st, out);
+            (out.len() > before).then(|| out.len() - before)
+        })?;
         Ok(moved.unwrap_or(0))
     }
 
     /// The one receive loop behind `recv`/`recv_checked`/`recv_timeout`
-    /// and `recv_ready`, all under one hold of the state lock (released
-    /// only while parked on `done`): `take` pops what the caller wants,
-    /// else a poisoned pipeline is an error, else `drained` (nothing
-    /// left that could become deliverable) is `Ok(None)`, else the
-    /// caller parks until a worker parks a deliverable completion or
-    /// the deadline passes. After the deadline the loop runs `take` one
-    /// last time before conceding [`RecvError::Timeout`].
+    /// (`channel` is the one channel they wait on) and `recv_ready`
+    /// (`None`: every channel), all under one hold of the state lock
+    /// (released only while parked on `done`): `take` pops what the
+    /// caller wants, else a poisoned pipeline is an error, else a
+    /// drained wait (nothing left that could become deliverable: the
+    /// channel has delivered all it accepted, or, for every channel,
+    /// the pipeline is also closed) is `Ok(None)`, else the caller parks
+    /// until a completion becomes deliverable or the deadline passes.
+    /// After the deadline the loop runs `take` one last time before
+    /// conceding [`RecvError::Timeout`].
     fn receive<T>(
         &self,
         deadline: Option<Instant>,
+        channel: Option<usize>,
         mut take: impl FnMut(&mut State) -> Option<T>,
-        drained: impl Fn(&State) -> bool,
     ) -> Result<Option<T>, RecvError> {
         let shared = &*self.shared;
         let mut st = shared.lock();
@@ -771,7 +898,11 @@ impl StreamPipeline {
             if st.poisoned {
                 return Err(RecvError::Poisoned);
             }
-            if drained(&st) {
+            let drained = match channel {
+                Some(idx) => st.rings[idx].drained(),
+                None => st.closed && st.rings.iter().all(ChanRing::drained),
+            };
+            if drained {
                 return Ok(None);
             }
             let left = match deadline {
@@ -782,11 +913,17 @@ impl StreamPipeline {
                 },
             };
             st.recv_waiters += 1;
+            if let Some(idx) = channel {
+                st.rings[idx].waiters += 1;
+            }
             st = match left {
                 None => shared.done.wait(st).expect(STATE_POISONED),
                 Some(left) => shared.done.wait_timeout(st, left).expect(STATE_POISONED).0,
             };
             st.recv_waiters -= 1;
+            if let Some(idx) = channel {
+                st.rings[idx].waiters -= 1;
+            }
         }
     }
 
@@ -815,13 +952,14 @@ impl StreamPipeline {
         self.shared.lock().closed
     }
 
-    /// Whether a worker panic has poisoned the pipeline. A poisoned
-    /// pipeline is also closed; the checked calls
-    /// ([`StreamPipeline::submit_checked`] /
-    /// [`StreamPipeline::recv_checked`] /
+    /// Whether a backend panic, on a worker or in a caller run, has
+    /// poisoned the pipeline. A poisoned pipeline is also closed; the
+    /// checked calls ([`StreamPipeline::submit_checked`] /
+    /// [`StreamPipeline::try_run`] / [`StreamPipeline::recv_checked`] /
     /// [`StreamPipeline::recv_timeout`]) report it as an error, the
     /// legacy forms panic, and [`StreamPipeline::shutdown`] would panic
-    /// on join — a graceful owner checks here and drops instead.
+    /// on a dead worker's join — a graceful owner checks here and drops
+    /// instead.
     pub fn is_poisoned(&self) -> bool {
         self.shared.lock().poisoned
     }
@@ -857,6 +995,7 @@ impl StreamPipeline {
             queue_capacity: self.shared.depth,
             queue_high_water: st.high_water,
             worker_transforms: st.worker_transforms.clone(),
+            caller_transforms: st.caller_transforms,
             per_channel,
             obs: None,
             elapsed: self.started.elapsed(),
@@ -1023,6 +1162,8 @@ pub(crate) struct State {
     pub(crate) rejected: u64,
     /// Symbols each worker has parked, in spawn order.
     pub(crate) worker_transforms: Vec<u64>,
+    /// Symbols caller runs ([`StreamPipeline::try_run`]) have parked.
+    pub(crate) caller_transforms: u64,
     /// Workers parked on [`Shared::work`]; submitters notify only when
     /// this is non-zero.
     pub(crate) idle_workers: usize,
@@ -1030,21 +1171,26 @@ pub(crate) struct State {
     pub(crate) space_waiters: usize,
     /// Receivers parked on [`Shared::done`].
     pub(crate) recv_waiters: usize,
-    /// Intake closed ([`StreamPipeline::close`] or a worker panic).
+    /// Intake closed ([`StreamPipeline::close`] or a backend panic).
     pub(crate) closed: bool,
-    /// Set by a worker's unwind guard: jobs it had claimed are gone,
+    /// Set when a backend panics (a worker's unwind guard, or a caller
+    /// run that caught the unwind): the symbol it was running is gone,
     /// so blocking callers must fail loudly instead of waiting forever.
     pub(crate) poisoned: bool,
 }
 
 impl State {
-    /// Parks a symbol `worker` finished and returns whether a parked
-    /// receiver should be woken: only when the symbol's channel now
-    /// has its next in-order completion ready. A completion parked
-    /// behind a gap (a later seq that finished first) wakes nobody.
-    pub(crate) fn complete(&mut self, worker: usize, parked: Parked) -> bool {
+    /// Parks a finished symbol — `worker`'s, or a caller run's when
+    /// `None` — and returns whether a parked receiver should be woken:
+    /// only when the symbol's channel now has its next in-order
+    /// completion ready. A completion parked behind a gap (a later seq
+    /// that finished first) wakes nobody.
+    pub(crate) fn complete(&mut self, worker: Option<usize>, parked: Parked) -> bool {
         self.in_flight -= 1;
-        self.worker_transforms[worker] += 1;
+        match worker {
+            Some(idx) => self.worker_transforms[idx] += 1,
+            None => self.caller_transforms += 1,
+        }
         let ring = &mut self.rings[parked.done.channel.index];
         ring.completed += 1;
         ring.park(parked);
@@ -1061,9 +1207,11 @@ pub(crate) struct ChanRing {
     /// Next sequence number to deliver; everything below has been
     /// handed to the caller.
     pub(crate) delivered: u64,
-    /// Symbols workers have finished (delivered or parked awaiting
-    /// their turn).
+    /// Symbols workers and caller runs have finished (delivered or
+    /// parked awaiting their turn).
     pub(crate) completed: u64,
+    /// Single-channel receivers parked on this channel.
+    pub(crate) waiters: usize,
     /// Reorder ring: slot `i` holds the completion for sequence number
     /// `delivered + i`, or `None` while that symbol is still queued or
     /// in flight. A ring (rather than a map) keeps its capacity across
@@ -1105,7 +1253,20 @@ impl ChanRing {
     }
 }
 
-/// One queued symbol, waiting in [`State::queue`] for a worker.
+/// What admission requires before it assigns a sequence number.
+#[derive(Clone, Copy)]
+enum Admit {
+    /// Queue space; wait for it.
+    Block,
+    /// Queue space; refuse with [`SubmitError::QueueFull`] without it.
+    Try,
+    /// An idle channel (nothing outstanding), for a caller run; refuse
+    /// with [`SubmitError::Busy`] otherwise.
+    Run,
+}
+
+/// One admitted symbol: waiting in [`State::queue`] for a worker, or
+/// running on the thread that called [`StreamPipeline::try_run`].
 pub(crate) struct Job {
     pub(crate) channel: ChannelId,
     pub(crate) seq: u64,
@@ -1133,8 +1294,9 @@ pub(crate) struct Parked {
 /// stages.
 pub(crate) struct PipelineObs {
     pub(crate) recorder: Recorder,
-    /// The shard delivery-side records go to (they are recorded under
-    /// the state lock, so one shard serves every delivering thread).
+    /// The shard every non-worker thread records to: delivery-side
+    /// stages, and the queue-wait and transform stages of caller runs.
+    /// Recording is atomic, so one shard serves them all.
     pub(crate) caller_shard: usize,
     /// Stage-timing sample rate: symbols whose per-channel sequence
     /// number is a multiple of this get clock stamps; the rest skip
@@ -1372,6 +1534,41 @@ mod tests {
     }
 
     #[test]
+    fn a_backend_panic_in_a_caller_run_poisons_the_pipeline_without_unwinding() {
+        let mut builder = StreamPipeline::builder(fragile_registry).workers(1).queue_depth(4);
+        let ch = builder.channel(ChannelSpec::transform(64, "fragile", Direction::Forward));
+        let pipeline = builder.build().unwrap();
+
+        // The zero symbol passes on the caller front.
+        let zeros = || vec![Complex::zero(); 64];
+        assert!(pipeline.try_run(ch, zeros(), zeros()).unwrap().error.is_none());
+
+        // A non-zero symbol detonates the backend. The unwind stops in
+        // try_run, which poisons the pipeline and hands the buffers back.
+        let ones = vec![Complex::new(1.0, 0.0); 64];
+        let (input, output) = match pipeline.try_run(ch, ones.clone(), zeros()) {
+            Err(e @ SubmitError::Poisoned { .. }) => e.into_buffers(),
+            other => panic!("expected Poisoned, got {other:?}"),
+        };
+        assert_eq!((input, output.len()), (ones, 64));
+        assert!(pipeline.is_poisoned());
+        assert!(pipeline.is_closed(), "a backend panic also closes the intake");
+
+        // Every later call refuses, and the lost symbol is reported, not
+        // awaited.
+        let refused = pipeline.try_run(ch, zeros(), zeros());
+        assert!(matches!(refused, Err(SubmitError::Poisoned { .. })), "{refused:?}");
+        let refused = pipeline.submit_checked(ch, zeros(), zeros());
+        assert!(matches!(refused, Err(SubmitError::Poisoned { .. })), "{refused:?}");
+        assert_eq!(pipeline.recv_checked(ch).unwrap_err(), RecvError::Poisoned);
+        let stats = pipeline.stats();
+        assert_eq!((stats.submitted, stats.completed, stats.in_flight), (2, 1, 1));
+        assert_eq!(stats.caller_transforms, 1);
+        // Drop (not shutdown): the channel can never drain.
+        drop(pipeline);
+    }
+
+    #[test]
     #[should_panic(expected = "different StreamPipeline")]
     fn foreign_channel_ids_are_rejected_even_with_in_range_indices() {
         let mut builder = StreamPipeline::builder(EngineRegistry::standard).workers(1);
@@ -1510,7 +1707,10 @@ mod tests {
             st.rings[0].submitted = 2;
             st.in_flight = 2;
             st.recv_waiters = 1;
-            assert!(!st.complete(0, parked(1)), "seq 1 behind a missing seq 0 woke receivers");
+            assert!(
+                !st.complete(Some(0), parked(1)),
+                "seq 1 behind a missing seq 0 woke receivers"
+            );
             st.recv_waiters = 0;
         }
         assert!(pipeline.try_recv(ch).is_none());
@@ -1525,7 +1725,7 @@ mod tests {
         {
             let mut st = shared.lock();
             st.recv_waiters = 1;
-            assert!(st.complete(0, parked(0)), "a ready head must wake receivers");
+            assert!(st.complete(Some(0), parked(0)), "a ready head must wake receivers");
             st.recv_waiters = 0;
         }
         assert_eq!(pipeline.recv_ready(&mut out, Duration::ZERO).unwrap(), 2);

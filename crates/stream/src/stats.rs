@@ -13,7 +13,8 @@ use afft_obs::{fmt_ns, histogram_json, Histogram, Snapshot};
 pub struct ChannelStats {
     /// Symbols accepted onto the channel.
     pub submitted: u64,
-    /// Symbols workers have finished (delivered or awaiting delivery).
+    /// Symbols workers and caller runs have finished (delivered or
+    /// awaiting delivery).
     pub completed: u64,
     /// Symbols handed to the caller, in order.
     pub delivered: u64,
@@ -131,7 +132,8 @@ impl core::fmt::Display for StreamObs {
 pub struct StreamStats {
     /// Total symbols accepted across all channels.
     pub submitted: u64,
-    /// Total symbols workers have finished.
+    /// Total symbols finished, by workers and caller runs:
+    /// `worker_transforms` plus `caller_transforms`.
     pub completed: u64,
     /// Total symbols delivered to the caller.
     pub delivered: u64,
@@ -152,6 +154,9 @@ pub struct StreamStats {
     /// Transforms finished per worker, in spawn order — the pool's
     /// load balance.
     pub worker_transforms: Vec<u64>,
+    /// Transforms finished on the calling thread by
+    /// [`StreamPipeline::try_run`](crate::StreamPipeline::try_run).
+    pub caller_transforms: u64,
     /// Per-channel counters, in channel registration order.
     pub per_channel: Vec<ChannelStats>,
     /// Per-channel latency histograms, when the pipeline was built with
@@ -186,8 +191,8 @@ impl StreamStats {
     /// Renders the snapshot as one JSON object carrying the same
     /// figures as the [`Display`](core::fmt::Display) line — global
     /// counters, queue pressure, and the scheduler block (per-worker
-    /// transforms) — plus per-channel counters and, when metrics are
-    /// on, the stage histograms of [`StreamObs::to_json`].
+    /// and caller-run transforms) — plus per-channel counters and, when
+    /// metrics are on, the stage histograms of [`StreamObs::to_json`].
     pub fn to_json(&self) -> String {
         use afft_obs::json;
         let mut obj = json::Obj::new()
@@ -206,6 +211,7 @@ impl StreamStats {
                         "worker_transforms",
                         json::arr(self.worker_transforms.iter().map(|v| json::num(*v as f64))),
                     )
+                    .num("caller_transforms", self.caller_transforms as f64)
                     .finish(),
             )
             .raw(
@@ -231,7 +237,7 @@ impl core::fmt::Display for StreamStats {
         write!(
             f,
             "submitted {} | completed {} ({:.0}/s) | delivered {} | rejected {} | \
-             queue {}/{} (hwm {}) | workers [",
+             queue {}/{} (hwm {}) | caller runs {} | workers [",
             self.submitted,
             self.completed,
             self.throughput(),
@@ -240,6 +246,7 @@ impl core::fmt::Display for StreamStats {
             self.in_queue,
             self.queue_capacity,
             self.queue_high_water,
+            self.caller_transforms,
         )?;
         // Guard the share computation against an idle pipeline: with no
         // finished transforms every share is 0%, never NaN%.
@@ -270,6 +277,7 @@ mod tests {
             queue_capacity: 4,
             queue_high_water: 4,
             worker_transforms: vec![5, 3],
+            caller_transforms: 0,
             per_channel: vec![ChannelStats { submitted: 10, completed: 8, delivered: 6 }],
             obs: None,
             elapsed: Duration::from_secs(2),
@@ -290,6 +298,7 @@ mod tests {
         assert!(line.contains("submitted 10"));
         assert!(line.contains("rejected 2"));
         assert!(line.contains("queue 1/4 (hwm 4)"));
+        assert!(line.contains("caller runs 0"), "{line}");
         assert!(line.ends_with("workers [5 (62%), 3 (38%)]"), "{line}");
     }
 
@@ -302,12 +311,16 @@ mod tests {
         let doc = stats.to_json();
         assert!(doc.contains("\"submitted\":10"), "{doc}");
         assert!(doc.contains("\"queue_high_water\":4"), "{doc}");
-        assert!(doc.contains("\"scheduler\":{\"worker_transforms\":[5,3]}"), "{doc}");
+        assert!(
+            doc.contains("\"scheduler\":{\"worker_transforms\":[5,3],\"caller_transforms\":0}"),
+            "{doc}"
+        );
         assert!(doc.contains("\"per_channel\":[{\"channel\":0"), "{doc}");
         assert!(!doc.contains("\"channels\""), "obs off leaves no histogram block: {doc}");
         let line = stats.to_string();
         assert!(line.contains("(hwm 4)") && doc.contains("\"queue_high_water\":4"));
         assert!(line.contains("[5 (62%), 3 (38%)]") && doc.contains("[5,3]"));
+        assert!(line.contains("caller runs 0") && doc.contains("\"caller_transforms\":0"));
     }
 
     #[test]

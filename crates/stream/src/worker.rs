@@ -1,7 +1,8 @@
 //! The worker side of the scheduler: take the oldest queued job,
 //! transform it with the worker's private engines outside the lock,
 //! then park the completion and take the next job in one critical
-//! section.
+//! section. [`Front::run_job`] is the transform-and-stamp step, shared
+//! with caller runs.
 
 use afft_core::engine::FftEngine;
 use afft_core::ofdm::Ofdm;
@@ -12,19 +13,29 @@ use afft_planner::planner::take_engine;
 use afft_planner::RegistryFactory;
 use std::time::Instant;
 
-use crate::pipeline::{ChannelOp, ChannelSpec, Completion, Parked, Shared, STATE_POISONED};
+use crate::pipeline::{ChannelOp, ChannelSpec, Completion, Job, Parked, Shared, STATE_POISONED};
 
-/// A worker's private per-channel execution front: the raw engine, or
-/// an [`Ofdm`] modem wrapping it.
+/// A private per-channel execution front: the raw engine, or an
+/// [`Ofdm`] modem wrapping it. Each worker owns one per channel, and the
+/// pipeline keeps one more per channel for caller runs.
 pub(crate) enum Front {
     Raw { engine: Box<dyn FftEngine>, dir: Direction },
     Modem { ofdm: Ofdm, modulate: bool },
 }
 
+impl core::fmt::Debug for Front {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("Front").finish_non_exhaustive()
+    }
+}
+
 impl Front {
-    pub(crate) fn build(spec: &ChannelSpec, factory: RegistryFactory) -> Result<Front, FftError> {
+    /// Builds the channel's front and warms its scratch on a zero
+    /// symbol, so the first real symbol already runs the
+    /// allocation-free path.
+    pub(crate) fn warmed(spec: &ChannelSpec, factory: RegistryFactory) -> Result<Front, FftError> {
         let engine = take_engine(factory, spec.n, &spec.engine)?;
-        Ok(match spec.op {
+        let mut front = match spec.op {
             ChannelOp::Transform(dir) => Front::Raw { engine, dir },
             ChannelOp::Modulate { cp } => {
                 Front::Modem { ofdm: Ofdm::with_engine(engine, cp)?, modulate: true }
@@ -32,7 +43,11 @@ impl Front {
             ChannelOp::Demodulate { cp } => {
                 Front::Modem { ofdm: Ofdm::with_engine(engine, cp)?, modulate: false }
             }
-        })
+        };
+        let input = vec![Complex::zero(); spec.input_len()];
+        let mut output = vec![Complex::zero(); spec.output_len()];
+        front.run(&input, &mut output)?;
+        Ok(front)
     }
 
     fn run(&mut self, input: &[C64], output: &mut [C64]) -> Result<(), FftError> {
@@ -47,6 +62,41 @@ impl Front {
         match self {
             Front::Raw { engine, .. } => engine.cycles(),
             Front::Modem { ofdm, .. } => ofdm.engine().cycles(),
+        }
+    }
+
+    /// Transforms `job` and returns it parked: the one
+    /// transform-and-stamp step, shared by pool workers and caller
+    /// runs. Only sampled jobs read the clock, two stamps bracketing the
+    /// transform, recorded to `shard`. The buffers leave `job` only
+    /// after the backend returns, so a caller that catches a panicking
+    /// backend still holds them.
+    pub(crate) fn run_job(&mut self, job: &mut Job, shared: &Shared, shard: usize) -> Parked {
+        let begin = if job.sampled { Instant::now() } else { shared.epoch };
+        let error = self.run(&job.input, &mut job.output).err();
+        let finished_at = match &shared.obs {
+            Some(obs) if job.sampled => {
+                let end = Instant::now();
+                let series = |stage: Stage| job.channel.index * Stage::COUNT + stage.index();
+                let rec = &obs.recorder;
+                rec.record(shard, series(Stage::QueueWait), ns_between(job.submitted_at, begin));
+                rec.record(shard, series(Stage::Transform), ns_between(begin, end));
+                end
+            }
+            _ => shared.epoch,
+        };
+        Parked {
+            done: Completion {
+                channel: job.channel,
+                seq: job.seq,
+                input: std::mem::take(&mut job.input),
+                output: std::mem::take(&mut job.output),
+                cycles: self.cycles(),
+                error,
+            },
+            submitted_at: job.submitted_at,
+            finished_at,
+            sampled: job.sampled,
         }
     }
 }
@@ -71,27 +121,19 @@ pub(crate) fn worker_loop(
     factory: RegistryFactory,
 ) {
     let _guard = PanicGuard(shared);
-    // This worker's metrics shard — recording is two relaxed atomic
-    // adds, never a lock.
-    let obs = shared.obs.as_ref().map(|o| o.recorder.handle(idx));
-    // Private engines + scratch, warmed on a zero symbol per channel so
-    // the first real symbol already runs the allocation-free path.
+    // Private engines + scratch, warmed like the caller fronts.
     let mut fronts: Vec<Front> = specs
         .iter()
         .map(|spec| {
-            let mut front = Front::build(spec, factory)
-                .expect("channel validated at build time but not constructible in worker");
-            let input = vec![Complex::zero(); spec.input_len()];
-            let mut output = vec![Complex::zero(); spec.output_len()];
-            front.run(&input, &mut output).expect("warmup transform failed");
-            front
+            Front::warmed(spec, factory)
+                .expect("channel validated at build time but not constructible in worker")
         })
         .collect();
 
     let mut finished: Option<Parked> = None;
     loop {
         let mut st = shared.lock();
-        let mut wake_receivers = finished.take().is_some_and(|done| st.complete(idx, done));
+        let mut wake_receivers = finished.take().is_some_and(|done| st.complete(Some(idx), done));
         while st.queue.is_empty() && !st.closed {
             if wake_receivers {
                 // Deliver the wake before parking: it must not wait for
@@ -124,34 +166,6 @@ pub(crate) fn worker_loop(
             shared.space.notify_all();
         }
         let Some(mut job) = job else { return };
-
-        // Only sampled jobs read the clock: two stamps bracketing the
-        // transform.
-        let front = &mut fronts[job.channel.index];
-        let begin = if job.sampled { Instant::now() } else { shared.epoch };
-        let error = front.run(&job.input, &mut job.output).err();
-        let finished_at = match &obs {
-            Some(rec) if job.sampled => {
-                let end = Instant::now();
-                let base = job.channel.index * Stage::COUNT;
-                rec.record(base + Stage::QueueWait.index(), ns_between(job.submitted_at, begin));
-                rec.record(base + Stage::Transform.index(), ns_between(begin, end));
-                end
-            }
-            _ => shared.epoch,
-        };
-        finished = Some(Parked {
-            done: Completion {
-                channel: job.channel,
-                seq: job.seq,
-                input: job.input,
-                output: job.output,
-                cycles: front.cycles(),
-                error,
-            },
-            submitted_at: job.submitted_at,
-            finished_at,
-            sampled: job.sampled,
-        });
+        finished = Some(fronts[job.channel.index].run_job(&mut job, shared, idx));
     }
 }

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use afft_core::engine::{Cost, EngineRegistry, EngineSpec, FftEngine};
 use afft_core::{Direction, FftError};
 use afft_num::{Complex, C64};
-use afft_stream::{ChannelSpec, RecvError, StreamPipeline, SubmitError};
+use afft_stream::{ChannelId, ChannelSpec, RecvError, StreamPipeline, SubmitError};
 
 /// A backend whose latency the *payload* controls: each symbol sleeps
 /// for `input[0].re` milliseconds before completing, and a negative
@@ -116,6 +116,63 @@ fn recv_timeout_returns_none_immediately_on_a_drained_channel() {
     let began = Instant::now();
     assert!(pipeline.recv_timeout(ch, Duration::from_secs(10)).unwrap().is_none());
     assert!(began.elapsed() < Duration::from_secs(5));
+}
+
+/// Runs a ~300 ms symbol through `try_run` on another thread, which
+/// takes its completion back itself, and once the run is admitted times
+/// `receive` on this thread.
+fn behind_a_caller_run<T>(
+    pipeline: &StreamPipeline,
+    ch: ChannelId,
+    receive: impl FnOnce() -> T,
+) -> (T, Duration) {
+    std::thread::scope(|s| {
+        let runner = s.spawn(|| {
+            pipeline.try_run(ch, paced_symbol(16, 300.0), vec![Complex::zero(); 16]).unwrap()
+        });
+        let began = Instant::now();
+        while pipeline.outstanding(ch) == 0 && !runner.is_finished() {
+            assert!(began.elapsed() < Duration::from_secs(10), "the caller run never started");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let began = Instant::now();
+        let got = receive();
+        let took = began.elapsed();
+        assert!(runner.join().unwrap().error.is_none());
+        (got, took)
+    })
+}
+
+#[test]
+fn receives_parked_behind_a_caller_run_wake_when_it_hands_its_symbol_back() {
+    let mut builder = StreamPipeline::builder(paced_registry).workers(1).queue_depth(4);
+    let ch = builder.channel(ChannelSpec::transform(16, "paced", Direction::Forward));
+    let pipeline = builder.build().unwrap();
+    let deadline = Duration::from_secs(10);
+
+    // A pooled symbol finished behind the run becomes the channel's
+    // deliverable head once the run hands its own symbol back.
+    let (got, took) = behind_a_caller_run(&pipeline, ch, || {
+        pipeline.submit(ch, paced_symbol(16, 0.0), vec![Complex::zero(); 16]).unwrap();
+        pipeline.recv_timeout(ch, deadline)
+    });
+    assert_eq!(got.unwrap().expect("the pooled symbol").seq, 1);
+    assert!(took < Duration::from_secs(5), "woke on the new head, not the deadline");
+
+    // With nothing behind it, handing the run's symbol back drains the
+    // channel.
+    let (got, took) = behind_a_caller_run(&pipeline, ch, || pipeline.recv_timeout(ch, deadline));
+    assert!(got.unwrap().is_none());
+    assert!(took < Duration::from_secs(5), "woke on the drain, not the deadline");
+
+    // On a closed pipeline that drains every channel, which ends a wait
+    // on all of them.
+    let (got, took) = behind_a_caller_run(&pipeline, ch, || {
+        pipeline.close();
+        pipeline.recv_ready(&mut Vec::new(), deadline)
+    });
+    assert_eq!(got.unwrap(), 0);
+    assert!(took < Duration::from_secs(5), "woke on the drain, not the deadline");
 }
 
 #[test]

@@ -47,7 +47,7 @@ def check_histogram(path, where, hist):
         fail(path, f"{where}: non-empty histogram with null p50_ns")
 
 
-def check_worker_transforms(path, where, sched, workers):
+def check_scheduler(path, where, sched, workers):
     expect(path, sched, "worker_transforms", list)
     if len(sched["worker_transforms"]) != workers:
         fail(
@@ -55,6 +55,8 @@ def check_worker_transforms(path, where, sched, workers):
             f"{where}.worker_transforms has {len(sched['worker_transforms'])} entries "
             f"for {workers} workers",
         )
+    # Symbols run on the calling thread (StreamPipeline::try_run).
+    expect(path, sched, "caller_transforms", (int, float))
 
 
 def check_stream(path, doc):
@@ -77,14 +79,14 @@ def check_stream(path, doc):
     expect(path, doc, "queue", dict)
     expect(path, doc["queue"], "capacity", (int, float))
     expect(path, doc["queue"], "high_water", (int, float))
-    # The per-worker counters from the multi-worker contention arm.
+    # The transform counters from the multi-worker contention arm.
     # Shallow like everything else, except the one invariant that is
     # load-bearing: one transform count per pool worker.
     expect(path, doc, "scheduler", dict)
     sched = doc["scheduler"]
     for key in ("workers", "channels"):
         expect(path, sched, key, (int, float))
-    check_worker_transforms(path, "scheduler", sched, sched["workers"])
+    check_scheduler(path, "scheduler", sched, sched["workers"])
     expect(path, doc, "channels", list)
     if not doc["channels"]:
         fail(path, "channels array is empty")
@@ -152,7 +154,7 @@ def check_net(path, doc):
     for key in ("submitted", "completed", "delivered", "rejected", "queue_capacity"):
         expect(path, pipe, key, (int, float))
     expect(path, pipe, "scheduler", dict)
-    check_worker_transforms(path, "admin.pipeline.scheduler", pipe["scheduler"], doc["workers"])
+    check_scheduler(path, "admin.pipeline.scheduler", pipe["scheduler"], doc["workers"])
     expect(path, pipe, "per_channel", list)
     if not pipe["per_channel"]:
         fail(path, "admin.pipeline.per_channel is empty")
