@@ -123,7 +123,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         StreamPipeline::builder(EngineRegistry::standard).workers(workers).queue_depth(64);
     let direct_ch = builder.channel(ChannelSpec {
         n: N,
-        engine: "split_radix".to_string(),
+        engine: "radix4_dit".to_string(),
         op: ChannelOp::Modulate { cp: CP },
     });
     let direct = builder.build()?;
@@ -139,7 +139,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut builder = NetServer::builder(EngineRegistry::standard).workers(workers).queue_depth(64);
     let tcp_ch = builder.channel(ChannelSpec {
         n: N,
-        engine: "split_radix".to_string(),
+        engine: "radix4_dit".to_string(),
         op: ChannelOp::Modulate { cp: CP },
     });
     let server = builder.serve("127.0.0.1:0")?;

@@ -237,7 +237,6 @@ mod tests {
                 "radix2_dif",
                 "radix4_dit",
                 "radix4_simd",
-                "split_radix",
                 "mcfft",
                 "mixed_radix",
                 "bluestein",
@@ -248,7 +247,6 @@ mod tests {
                 "radix2_dit",
                 "radix2_dif",
                 "radix4_dit",
-                "split_radix",
                 "mcfft",
                 "mixed_radix",
                 "bluestein",

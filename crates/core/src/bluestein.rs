@@ -1,6 +1,6 @@
 //! Bluestein's chirp-Z FFT: **any** transform size `n >= 2` as one
 //! cyclic convolution at the next power of two `>= 2n - 1`, computed by
-//! the workspace's own split-radix kernel.
+//! the workspace's own SIMD radix-4 kernel at the host's dispatch level.
 //!
 //! The identity `km = (k² + m² - (k-m)²) / 2` rewrites the DFT as
 //!
@@ -13,10 +13,11 @@
 //! chirp multiply. Because `b` is only ever evaluated at lags
 //! `-(n-1)..=n-1`, the linear convolution embeds exactly in a cyclic
 //! convolution of any length `M >= 2n - 1`; choosing the next power of
-//! two lets the plan run it as three `M`-point split-radix FFTs — two
-//! at execute time (the kernel spectrum is fixed at plan time), always
-//! power-of-two, so the recursion trivially terminates regardless of
-//! how adversarial `n`'s factorisation is.
+//! two lets the plan run it as three `M`-point
+//! [`Radix4SimdEngine`] FFTs — two at execute time (the kernel spectrum
+//! is fixed at plan time), always power-of-two, so the recursion
+//! trivially terminates regardless of how adversarial `n`'s
+//! factorisation is.
 //!
 //! Plan-time state: the length-`n` chirp table (exact-angle twiddles:
 //! `w[j]` is computed as `W_{2n}^{j² mod 2n}`, never by accumulating
@@ -27,9 +28,10 @@
 //! the same `execute_into` contract every other kernel in the crate
 //! honours.
 
+use crate::engine::FftEngine;
 use crate::error::FftError;
 use crate::reference::Direction;
-use crate::splitradix::{split_radix_into, SplitRadixPlan};
+use crate::simd::Radix4SimdEngine;
 use afft_num::{twiddle, Complex, C64};
 
 /// Plan-time state of the chirp-Z kernel: chirp table, kernel spectra
@@ -47,7 +49,7 @@ pub struct BluesteinPlan {
     /// convolution, per direction.
     kernel_fwd: Vec<C64>,
     kernel_inv: Vec<C64>,
-    inner: SplitRadixPlan,
+    inner: Radix4SimdEngine,
     buf_a: Vec<C64>,
     buf_b: Vec<C64>,
 }
@@ -70,7 +72,7 @@ impl BluesteinPlan {
             return Err(FftError::InvalidSize { n, reason: "must be at least 2", factor: None });
         }
         let m = (2 * n - 1).next_power_of_two();
-        let mut inner = SplitRadixPlan::new(m)?;
+        let mut inner = Radix4SimdEngine::new(m)?;
         let chirp: Vec<C64> = (0..n).map(|j| chirp_at(n, j)).collect();
 
         // The convolution kernel, wrapped cyclically: b[j] = conj(w[j])
@@ -85,14 +87,14 @@ impl BluesteinPlan {
                 buf_a[m - j] = w.conj();
             }
         }
-        split_radix_into(&mut inner, &buf_a, &mut kernel_fwd, Direction::Forward)?;
+        inner.execute_into(&buf_a, &mut kernel_fwd, Direction::Forward)?;
         // The inverse DFT is the same convolution under the conjugated
         // chirp; its kernel spectrum is precomputed too, so direction
         // switches cost nothing at execute time.
         for slot in buf_a.iter_mut() {
             *slot = slot.conj();
         }
-        split_radix_into(&mut inner, &buf_a, &mut kernel_inv, Direction::Forward)?;
+        inner.execute_into(&buf_a, &mut kernel_inv, Direction::Forward)?;
         Ok(BluesteinPlan { n, m, chirp, kernel_fwd, kernel_inv, inner, buf_a, buf_b })
     }
 
@@ -147,14 +149,14 @@ pub fn bluestein_into(
     }
 
     // Cyclic convolution by the convolution theorem: two power-of-two
-    // split-radix runs around one pointwise multiply. The inner inverse
+    // radix-4 runs around one pointwise multiply. The inner inverse
     // is unnormalised (returns M times the convolution); the 1/M fold
     // rides the final chirp multiply below.
-    split_radix_into(&mut plan.inner, &plan.buf_a, &mut plan.buf_b, Direction::Forward)?;
+    plan.inner.execute_into(&plan.buf_a, &mut plan.buf_b, Direction::Forward)?;
     for (slot, &k) in plan.buf_b.iter_mut().zip(kernel) {
         *slot = *slot * k;
     }
-    split_radix_into(&mut plan.inner, &plan.buf_b, &mut plan.buf_a, Direction::Inverse)?;
+    plan.inner.execute_into(&plan.buf_b, &mut plan.buf_a, Direction::Inverse)?;
 
     let scale = 1.0 / plan.m as f64;
     for (k, (slot, &w)) in output.iter_mut().zip(&plan.chirp).enumerate() {

@@ -81,7 +81,6 @@ use crate::reference::{
     bit_reverse_permute, dft_naive_into, fft_radix2_dif_f64, fft_radix2_dit_f64, Direction,
 };
 use crate::simd::{self, Radix4SimdEngine};
-use crate::splitradix::{split_radix_into, SplitRadixPlan};
 use afft_num::{Complex, C64};
 
 /// A uniform interface over every FFT backend in the workspace.
@@ -342,47 +341,6 @@ impl FftEngine for Radix4DitEngine {
 
     fn traffic(&self) -> Option<MemTraffic> {
         radix4_dit_cost(self.plan.len()).traffic()
-    }
-}
-
-/// The split-radix FFT as an engine (power-of-two sizes; the lowest
-/// known operation count, plan-time twiddle table).
-#[derive(Debug, Clone)]
-pub struct SplitRadixEngine {
-    plan: SplitRadixPlan,
-}
-
-impl SplitRadixEngine {
-    /// Plans a split-radix FFT of size `n` (a power of two, `>= 2`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::InvalidSize`] otherwise.
-    pub fn new(n: usize) -> Result<Self, FftError> {
-        Ok(SplitRadixEngine { plan: SplitRadixPlan::new(n)? })
-    }
-}
-
-impl FftEngine for SplitRadixEngine {
-    fn name(&self) -> &str {
-        "split_radix"
-    }
-
-    fn len(&self) -> usize {
-        self.plan.len()
-    }
-
-    fn execute_into(
-        &mut self,
-        input: &[C64],
-        output: &mut [C64],
-        dir: Direction,
-    ) -> Result<(), FftError> {
-        split_radix_into(&mut self.plan, input, output, dir)
-    }
-
-    fn traffic(&self) -> Option<MemTraffic> {
-        split_radix_cost(self.plan.len()).traffic()
     }
 }
 
@@ -746,7 +704,6 @@ pub static CATALOG: &[EngineSpec] = &[
     row!("radix2_dif", usize::is_power_of_two, Radix2DifEngine, |n| radix2_cost(1.1, n)),
     row!("radix4_dit", is_power_of_four, Radix4DitEngine, radix4_dit_cost),
     row!("radix4_simd", simd_tier, Radix4SimdEngine, radix4_simd_cost),
-    row!("split_radix", usize::is_power_of_two, SplitRadixEngine, split_radix_cost),
     row!("mcfft", usize::is_power_of_two, McfftEngine, mcfft_cost),
     row!("mixed_radix", |n| factorize(n).is_some(), MixedRadixEngine, mixed_radix_cost),
     row!("rader", |n| is_prime(n) && n >= 3, RaderEngine, rader_cost),
@@ -767,7 +724,7 @@ fn each_way(points: usize) -> Option<MemTraffic> {
 }
 
 fn simd_tier(n: usize) -> bool {
-    is_power_of_four(n) && n >= 16 && simd::active_level().is_simd()
+    n.is_power_of_two() && n >= 16 && simd::active_level().is_simd()
 }
 
 fn array_size(n: usize) -> bool {
@@ -796,17 +753,19 @@ fn radix4_dit_cost(n: usize) -> Cost {
     Cost::Host(n_log2n(0.75, n), each_way(n * (n.ilog2() / 2) as usize))
 }
 
-/// The scalar radix-4 op count retired ~`lanes × 0.75` per issue; the
-/// layout passes add traffic, since vectors do not widen the memory bus.
+/// Vector issue over the radix-4 op count; see `radix4_simd_model`.
 pub(crate) fn radix4_simd_cost(n: usize) -> Cost {
-    let issue_width = (simd::active_level().lanes() as f64 * 0.75).max(1.0);
-    Cost::Host(n_log2n(0.75, n) / issue_width, each_way(n * (n.ilog2() / 2 + 2) as usize))
+    let (ops, points) = radix4_simd_model(n);
+    Cost::Host(ops, each_way(points))
 }
 
-/// The lowest known power-of-two op count; the L-shaped recursion
-/// touches ~3/4 of the points per radix-2 stage equivalent.
-fn split_radix_cost(n: usize) -> Cost {
-    Cost::Host(n_log2n(0.67, n), each_way(3 * n * n.ilog2() as usize / 4))
+/// `radix4_simd`'s ops and one-way traffic in points: the scalar radix-4
+/// op count retired ~`lanes × 0.75` per issue, one pass per radix-4
+/// stage plus the radix-2 pass at odd `log2 n`, and two layout passes,
+/// since vectors do not widen the memory bus.
+fn radix4_simd_model(n: usize) -> (f64, usize) {
+    let issue_width = (simd::active_level().lanes() as f64 * 0.75).max(1.0);
+    (n_log2n(0.75, n) / issue_width, n * (n.ilog2().div_ceil(2) + 2) as usize)
 }
 
 /// Per-point ops of one mixed-radix stage, by radix: radix-4 has only
@@ -820,20 +779,21 @@ fn mixed_radix_cost(n: usize) -> Cost {
     Cost::Host(ops, each_way(n * radices.len()))
 }
 
-/// Two `m = next_pow2(2n - 1)`-point split-radix passes around the
-/// pointwise multiply, plus the `O(n + m)` chirp and fold passes.
+/// Two inner convolution passes; see `bluestein_model`.
 fn bluestein_cost(n: usize) -> Cost {
-    let m = (2 * n - 1).next_power_of_two();
-    let inner = 2 * (3 * m * m.ilog2() as usize / 4);
-    Cost::Host(bluestein_ops(n), each_way(inner + m + 2 * n))
+    let (ops, points) = bluestein_model(n);
+    Cost::Host(ops, each_way(points))
 }
 
-/// 4–8x a direct kernel at the same size, so Bluestein only ranks first
-/// where nothing structured exists.
-fn bluestein_ops(n: usize) -> f64 {
+/// Bluestein's ops and one-way traffic in points: two
+/// `m = next_pow2(2n - 1)`-point `radix4_simd` passes around the
+/// pointwise multiply, plus the `O(n + m)` chirp and fold passes — a
+/// multiple of a direct kernel at the same size, so Bluestein only
+/// ranks first where nothing structured exists.
+fn bluestein_model(n: usize) -> (f64, usize) {
     let m = (2 * n - 1).next_power_of_two();
-    let mf = m as f64;
-    2.0 * 0.67 * mf * m.ilog2() as f64 + mf + 2.0 * n as f64
+    let (ops, points) = radix4_simd_model(m);
+    (2.0 * ops + (m + 2 * n) as f64, 2 * points + m + 2 * n)
 }
 
 /// Two `(p-1)`-point inner passes priced by the family the engine picks
@@ -842,12 +802,10 @@ fn bluestein_ops(n: usize) -> f64 {
 fn rader_cost(p: usize) -> Cost {
     let m = p - 1;
     let mf = m as f64;
-    let inner = if m.is_power_of_two() {
-        n_log2n(0.67, m)
-    } else if let Some(radices) = factorize(m) {
+    let inner = if let Some(radices) = factorize(m) {
         mf * radices.iter().map(|&r| STAGE_OPS[r]).sum::<f64>()
     } else {
-        bluestein_ops(m)
+        bluestein_model(m).0
     };
     let stages = (m.ilog2() + 1) as usize;
     Cost::Host(2.0 * inner + 4.0 * mf + p as f64, each_way(2 * m * stages + 3 * m))
@@ -1021,90 +979,24 @@ mod tests {
 
     #[test]
     fn standard_registry_size_gates() {
-        // Powers of two below/above the radix-4 and array thresholds,
-        // without and with the SIMD tier, which joins on powers of 4
-        // from n >= 16 exactly when the host detects a vector unit.
+        // Powers of two below/above the radix-4 and array thresholds.
+        // radix4_dit joins on powers of 4; the SIMD tier joins on every
+        // power of two from n >= 16 exactly when the host detects a
+        // vector unit.
         let simd = simd::active_level().is_simd();
-        let expect = |n: usize, scalar: &[&str], vector: &[&str]| {
-            let want = if simd { vector } else { scalar };
+        for n in (3..=11).map(|k| 1usize << k) {
+            let mut want = vec!["dft_naive", "radix2_dit", "radix2_dif"];
+            if is_power_of_four(n) {
+                want.push("radix4_dit");
+            }
+            if simd && n >= 16 {
+                want.push("radix4_simd");
+            }
+            want.extend(["mcfft", "mixed_radix", "bluestein"]);
+            if n >= 64 {
+                want.extend(["array_fft", "cached_fft"]);
+            }
             assert_eq!(EngineRegistry::standard(n).unwrap().names(), want, "n={n}");
-        };
-        let small = [
-            "dft_naive",
-            "radix2_dit",
-            "radix2_dif",
-            "split_radix",
-            "mcfft",
-            "mixed_radix",
-            "bluestein",
-        ];
-        expect(8, &small, &small);
-        expect(32, &small, &small);
-        expect(
-            16,
-            &[
-                "dft_naive",
-                "radix2_dit",
-                "radix2_dif",
-                "radix4_dit",
-                "split_radix",
-                "mcfft",
-                "mixed_radix",
-                "bluestein",
-            ],
-            &[
-                "dft_naive",
-                "radix2_dit",
-                "radix2_dif",
-                "radix4_dit",
-                "radix4_simd",
-                "split_radix",
-                "mcfft",
-                "mixed_radix",
-                "bluestein",
-            ],
-        );
-        let array = [
-            "dft_naive",
-            "radix2_dit",
-            "radix2_dif",
-            "split_radix",
-            "mcfft",
-            "mixed_radix",
-            "bluestein",
-            "array_fft",
-            "cached_fft",
-        ];
-        expect(128, &array, &array);
-        for n in [64usize, 256, 1024] {
-            expect(
-                n,
-                &[
-                    "dft_naive",
-                    "radix2_dit",
-                    "radix2_dif",
-                    "radix4_dit",
-                    "split_radix",
-                    "mcfft",
-                    "mixed_radix",
-                    "bluestein",
-                    "array_fft",
-                    "cached_fft",
-                ],
-                &[
-                    "dft_naive",
-                    "radix2_dit",
-                    "radix2_dif",
-                    "radix4_dit",
-                    "radix4_simd",
-                    "split_radix",
-                    "mcfft",
-                    "mixed_radix",
-                    "bluestein",
-                    "array_fft",
-                    "cached_fft",
-                ],
-            );
         }
         // Composite 5-smooth sizes: the naive reference, mixed_radix
         // and the chirp-Z fallback.
@@ -1129,10 +1021,13 @@ mod tests {
     #[test]
     fn simd_tier_registers_exactly_when_detected() {
         let has = |n: usize| EngineRegistry::standard(n).unwrap().names().contains(&"radix4_simd");
-        assert_eq!(has(1024), simd::active_level().is_simd());
-        // Not a power of 4, or below the tier minimum: never.
-        assert!(!has(32));
-        assert!(!has(4));
+        for n in [16usize, 32, 128, 512, 1024, 2048] {
+            assert_eq!(has(n), simd::active_level().is_simd(), "n={n}");
+        }
+        // Below the tier minimum, or not a power of two: never.
+        for n in [4usize, 8, 48, 1000] {
+            assert!(!has(n), "n={n}");
+        }
     }
 
     #[test]

@@ -20,16 +20,17 @@
 //! * [`reference`](mod@reference), [`cached`], [`mcfft`] — the naive DFT, radix-2 FFTs,
 //!   Baas's cached FFT and the variable-epoch MCFFT, used as golden
 //!   references and comparison baselines;
-//! * [`radix4`], [`splitradix`], [`mixed`] — the mixed-radix kernel
-//!   family: radix-4 DIT (power-of-4), split-radix (power-of-two,
-//!   lowest known op count) and the general {2, 3, 4, 5} mixed-radix
-//!   engine that serves composite OFDM sizes (60, 1200, 1536, ...);
+//! * [`radix4`], [`mixed`] — the scalar mixed-radix kernel family:
+//!   radix-4 DIT (power-of-4, the reference the SIMD kernel is tested
+//!   against) and the general {2, 3, 4, 5} mixed-radix engine that
+//!   serves composite OFDM sizes (60, 1200, 1536, ...);
 //! * [`bluestein`], [`rader`] — the convolution-based engines that
 //!   close the size domain: chirp-Z for **any** `n >= 2` and the
 //!   prime-length generator-permutation FFT, so 5G NR DFT-s-OFDM sizes
 //!   and arbitrary user requests plan instead of erroring;
-//! * [`simd`] — the vectorized kernel tier: an AVX2/NEON radix-4
-//!   butterfly over split real/imag planes, behind runtime feature
+//! * [`simd`] — the vectorized kernel tier: one AVX2/NEON radix-4
+//!   kernel over split real/imag planes for every power of two (one
+//!   portable radix-2 pass closes odd `log₂ N`), behind runtime feature
 //!   dispatch (`AFFT_NO_SIMD=1` to suppress);
 //! * [`engine`] — the [`FftEngine`] trait, the engine catalog and
 //!   [`EngineRegistry`]: every backend above behind one polymorphic
@@ -79,7 +80,6 @@ pub mod reference;
 pub mod rom;
 pub mod simd;
 pub mod snr;
-pub mod splitradix;
 pub mod stage;
 pub mod window;
 

@@ -12,13 +12,12 @@
 //!
 //! a cyclic convolution of `a_r = x[g^r]` with the fixed sequence
 //! `b_s = W_p^{g^{-s}}`, both of length `p - 1` (`X[0]` is the plain
-//! input sum). The convolution runs through the same engine family the
-//! registry ranks for size `p - 1`, chosen at plan time in the
-//! registry's own preference order: `split_radix` when `p - 1` is a
-//! power of two, the 5-smooth `mixed_radix` when it applies, and
-//! Bluestein's chirp-Z otherwise. That last arm is what makes the
-//! recursion safe for *every* prime: [`BluesteinPlan`] only ever
-//! recurses into power-of-two kernels, so the inner-transform chain is
+//! input sum). The convolution runs through one of two engine families,
+//! chosen at plan time: the 5-smooth `mixed_radix` when `p - 1` factors
+//! over {2, 3, 5} (every power of two included), and Bluestein's
+//! chirp-Z otherwise. That last arm is what makes the recursion safe
+//! for *every* prime: [`BluesteinPlan`] only ever recurses into the
+//! power-of-two `radix4_simd` kernel, so the inner-transform chain is
 //! at most two levels deep — no registry re-entry at execute time, no
 //! unbounded recursion, no per-transform allocation.
 //!
@@ -31,7 +30,6 @@ use crate::bluestein::{bluestein_into, BluesteinPlan};
 use crate::error::FftError;
 use crate::mixed::{factorize, mixed_radix_into, MixedRadixPlan};
 use crate::reference::Direction;
-use crate::splitradix::{split_radix_into, SplitRadixPlan};
 use afft_num::{twiddle, Complex, C64};
 
 /// Deterministic primality check by trial division — plan-time only,
@@ -98,23 +96,19 @@ fn primitive_root(p: usize) -> usize {
         .expect("every prime has a primitive root")
 }
 
-/// The inner `(p-1)`-point transform: the registry's engine family in
-/// its own preference order, resolved once at plan time.
+/// The inner `(p-1)`-point transform, resolved once at plan time.
 #[derive(Debug, Clone)]
 enum Inner {
-    SplitRadix(SplitRadixPlan),
     MixedRadix(MixedRadixPlan),
-    Bluestein(BluesteinPlan),
+    Bluestein(Box<BluesteinPlan>),
 }
 
 impl Inner {
     fn plan(m: usize) -> Result<Self, FftError> {
-        if m.is_power_of_two() {
-            Ok(Inner::SplitRadix(SplitRadixPlan::new(m)?))
-        } else if factorize(m).is_some() {
+        if factorize(m).is_some() {
             Ok(Inner::MixedRadix(MixedRadixPlan::new(m)?))
         } else {
-            Ok(Inner::Bluestein(BluesteinPlan::new(m)?))
+            Ok(Inner::Bluestein(Box::new(BluesteinPlan::new(m)?)))
         }
     }
 
@@ -125,7 +119,6 @@ impl Inner {
         dir: Direction,
     ) -> Result<(), FftError> {
         match self {
-            Inner::SplitRadix(plan) => split_radix_into(plan, input, output, dir),
             Inner::MixedRadix(plan) => mixed_radix_into(plan, input, output, dir),
             Inner::Bluestein(plan) => bluestein_into(plan, input, output, dir),
         }
@@ -133,7 +126,6 @@ impl Inner {
 
     fn name(&self) -> &'static str {
         match self {
-            Inner::SplitRadix(_) => "split_radix",
             Inner::MixedRadix(_) => "mixed_radix",
             Inner::Bluestein(_) => "bluestein",
         }
@@ -212,8 +204,8 @@ impl RaderPlan {
         self.p == 0
     }
 
-    /// The engine family serving the `(p-1)`-point inner convolution —
-    /// the registry's preference order applied to `p - 1`.
+    /// The engine family serving the `(p-1)`-point inner convolution:
+    /// `mixed_radix` when `p - 1` is 5-smooth, else `bluestein`.
     pub fn inner_engine(&self) -> &'static str {
         self.inner.name()
     }
@@ -312,14 +304,14 @@ mod tests {
 
     #[test]
     fn matches_naive_for_every_inner_engine_arm() {
-        // p - 1 routes each arm: 17 -> 16 (split_radix), 7 -> 6 and
-        // 251 -> 250 (mixed_radix), 1009 -> 1008 = 2^4·3^2·7
-        // (bluestein). 3 and 5 are the degenerate tiny primes.
+        // p - 1 routes each arm: 5-smooth lengths, powers of two
+        // included (3 -> 2, 5 -> 4, 17 -> 16, 7 -> 6, 251 -> 250), to
+        // mixed_radix; 1009 -> 1008 = 2^4·3^2·7 to bluestein.
         for (p, inner) in [
-            (3usize, "split_radix"),
-            (5, "split_radix"),
+            (3usize, "mixed_radix"),
+            (5, "mixed_radix"),
             (7, "mixed_radix"),
-            (17, "split_radix"),
+            (17, "mixed_radix"),
             (97, "mixed_radix"),
             (251, "mixed_radix"),
             (1009, "bluestein"),

@@ -1,6 +1,7 @@
-//! The portable split-plane kernels: the interleaving layout pass,
-//! twiddle tables in structure-of-arrays form, and the scalar
-//! reference implementation of the vectorized radix-4 butterfly.
+//! The portable split-plane kernels: the interleaving layout pass (and
+//! its fused odd-size radix-2 variant), twiddle tables in
+//! structure-of-arrays form, and the scalar reference implementation
+//! of the vectorized radix-4 butterfly.
 //!
 //! Everything here is safe code over `f64` planes. The architecture
 //! back-ends (`x86`/`neon`) mirror these loops lane-parallel; the
@@ -14,6 +15,26 @@ pub(crate) fn interleave(re: &[f64], im: &[f64], dst: &mut [C64]) {
     for ((c, r), i) in dst.iter_mut().zip(re.iter()).zip(im.iter()) {
         c.re = *r;
         c.im = *i;
+    }
+}
+
+/// The closing radix-2 pass of an odd-`log₂` transform, fused with the
+/// interleave: the first half of `re`/`im` holds the even samples'
+/// spectrum `E`, the second half the odd samples' `O`, and
+/// `dst[j] = E[j] + w·O[j]`, `dst[j + n/2] = E[j] - w·O[j]` with
+/// `w = tw[j] = W_n^j`. `sign` is `+1.0` forward, `-1.0` inverse
+/// (conjugated twiddles).
+pub(crate) fn radix2_interleave(re: &[f64], im: &[f64], tw: &[C64], sign: f64, dst: &mut [C64]) {
+    let half = tw.len();
+    let (ere, ore) = re.split_at(half);
+    let (eim, oim) = im.split_at(half);
+    let (lo, hi) = dst.split_at_mut(half);
+    for j in 0..half {
+        let (wre, wim) = (tw[j].re, sign * tw[j].im);
+        let tre = ore[j] * wre - oim[j] * wim;
+        let tim = ore[j] * wim + oim[j] * wre;
+        lo[j] = C64::new(ere[j] + tre, eim[j] + tim);
+        hi[j] = C64::new(ere[j] - tre, eim[j] - tim);
     }
 }
 

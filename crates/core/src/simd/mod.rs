@@ -6,7 +6,11 @@
 //! ([`Radix4SimdEngine`]), the FFTW codelet idiom the planner is built
 //! on: the registry offers scalar and SIMD side by side,
 //! `Strategy::Measure` ranks them honestly per host, and wisdom
-//! remembers the winner.
+//! remembers the winner. The engine serves every power of two: at odd
+//! `log₂ n` its radix-4 stages transform the even and the odd samples
+//! as two halves of the planes, and one portable radix-2 pass joins
+//! them (see [`radix4`]). Bluestein's chirp-Z convolution runs through
+//! the same engine.
 //!
 //! # Runtime dispatch
 //!
@@ -20,8 +24,8 @@
 //! * anywhere else, or when the **`AFFT_NO_SIMD`** environment
 //!   variable is set non-empty (and not `"0"`) — [`SimdLevel::Scalar`].
 //!
-//! The catalog's `radix4_simd` row supports a size only when
-//! `active_level().is_simd()` holds, so `AFFT_NO_SIMD=1` removes it
+//! The catalog's `radix4_simd` row supports a power of two `>= 16` only
+//! when `active_level().is_simd()` holds, so `AFFT_NO_SIMD=1` removes it
 //! from every registry (and with it from plans, wisdom keys and
 //! benches) — the escape hatch for A/B measurement and for exercising
 //! the scalar fallback path in CI. The engine itself clamps its level
@@ -48,7 +52,8 @@
 //! `deny(unsafe_code)` + `deny(unsafe_op_in_unsafe_fn)` gates; the
 //! portable scalar kernels (the private `kernels` submodule) are the
 //! safe reference the vector paths are tested against (see
-//! `tests/simd_equivalence.rs`).
+//! `tests/simd_equivalence.rs`), and the odd-size radix-2 pass every
+//! level shares.
 
 pub(crate) mod kernels;
 #[cfg(target_arch = "aarch64")]

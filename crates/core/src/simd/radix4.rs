@@ -9,36 +9,49 @@
 //! gather; every later stage runs 4 (AVX2) or 2 (NEON) butterflies per
 //! iteration, falling back to the scalar split-plane kernel when no
 //! vector unit is active.
+//!
+//! Every power of two is served by the same stages. At odd `log₂ n`
+//! the gather puts the even samples in the first half of the planes
+//! and the odd samples in the second half, each half in its own
+//! base-4 digit-reversed order; the radix-4 stages then run over both
+//! halves unchanged, and one portable radix-2 pass with `W_n^j`
+//! twiddles, fused into the interleave, finishes the transform.
 
 use crate::cached::MemTraffic;
 use crate::engine::{check_io, FftEngine};
 use crate::error::FftError;
-use crate::radix4::{digit_reverse_base4, is_power_of_four};
+use crate::radix4::digit_reverse_base4;
 use crate::reference::Direction;
 use crate::simd::kernels::{self, R4Twiddles};
 use crate::simd::SimdLevel;
-use afft_num::C64;
+use afft_num::{twiddle, C64};
 
 /// Radix-4 DIT FFT over split-plane scratch with vectorized stages
-/// (power-of-4 sizes `>= 16`). Registered as `radix4_simd` when the
-/// host exposes a vector unit; see the [module docs](crate::simd) for
-/// the dispatch and layout story.
+/// (every power of two `>= 4`). Registered as `radix4_simd` on powers
+/// of two `>= 16` when the host exposes a vector unit; see the
+/// [module docs](crate::simd) for the dispatch and layout story.
 #[derive(Debug, Clone)]
 pub struct Radix4SimdEngine {
     n: usize,
     level: SimdLevel,
-    /// `rev[i]` = base-4 digit reversal of `i`: the gather order.
+    /// The gather order: slot `h·q + i` of the planes takes sample
+    /// `s·rev4(i) + h`, where `q` is the radix-4 length (`n`, or `n/2`
+    /// at odd `log₂ n`), `s = n / q` and `rev4` is base-4 digit
+    /// reversal.
     rev: Vec<usize>,
-    /// Per stage (size 16, 64, ..., n) split twiddle tables; the
+    /// Per stage (size 16, 64, ..., q) split twiddle tables; the
     /// `len = 4` stage is twiddle-free and fused into the gather.
     stages: Vec<R4Twiddles>,
+    /// `W_n^j` for `j in 0..n/2` at odd `log₂ n` (the closing radix-2
+    /// pass); empty at powers of four.
+    radix2: Vec<C64>,
     /// Engine-owned split scratch planes (the FFTW plan idiom).
     re: Vec<f64>,
     im: Vec<f64>,
 }
 
 impl Radix4SimdEngine {
-    /// Plans a SIMD radix-4 FFT of size `n` (a power of 4, `>= 16`) at
+    /// Plans a SIMD radix-4 FFT of size `n` (a power of two, `>= 4`) at
     /// the host's [`active_level`](crate::simd::active_level).
     ///
     /// # Errors
@@ -56,29 +69,33 @@ impl Radix4SimdEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`FftError::InvalidSize`] unless `n` is a power of 4
-    /// `>= 16`.
+    /// Returns [`FftError::InvalidSize`] unless `n` is a power of two
+    /// `>= 4`.
     pub fn with_level(n: usize, level: SimdLevel) -> Result<Self, FftError> {
-        if !is_power_of_four(n) || n < 16 {
+        if !n.is_power_of_two() || n < 4 {
             return Err(FftError::InvalidSize {
                 n,
-                reason: "not a power of four >= 16",
+                reason: "not a power of two >= 4",
                 factor: None,
             });
         }
-        let digits = n.trailing_zeros() / 2;
-        let rev = (0..n).map(|i| digit_reverse_base4(i, digits)).collect();
+        let odd = n.trailing_zeros() % 2 == 1;
+        let q = if odd { n / 2 } else { n };
+        let digits = q.trailing_zeros() / 2;
+        let rev = (0..n).map(|i| n / q * digit_reverse_base4(i % q, digits) + i / q).collect();
         let mut stages = Vec::new();
         let mut len = 16usize;
-        while len <= n {
+        while len <= q {
             stages.push(R4Twiddles::for_stage(len));
             len *= 4;
         }
+        let radix2 = if odd { (0..n / 2).map(|j| twiddle(n, j)).collect() } else { Vec::new() };
         Ok(Radix4SimdEngine {
             n,
             level: level.clamp_to_host(),
             rev,
             stages,
+            radix2,
             re: vec![0.0; n],
             im: vec![0.0; n],
         })
@@ -164,7 +181,11 @@ impl FftEngine for Radix4SimdEngine {
             }
             len *= 4;
         }
-        kernels::interleave(&self.re, &self.im, output);
+        if self.radix2.is_empty() {
+            kernels::interleave(&self.re, &self.im, output);
+        } else {
+            kernels::radix2_interleave(&self.re, &self.im, &self.radix2, sign, output);
+        }
         Ok(())
     }
 
@@ -188,15 +209,16 @@ mod tests {
 
     #[test]
     fn matches_naive_at_every_level_and_direction() {
-        for n in [16usize, 64, 256, 1024] {
+        // Every power of two the plan takes, odd log2 n included.
+        for n in (2..=12).map(|k| 1usize << k) {
             let x = random_signal(n, 31 + n as u64);
-            for level in [SimdLevel::Scalar, crate::simd::detect_host()] {
-                let mut engine = Radix4SimdEngine::with_level(n, level).unwrap();
-                let mut got = vec![Complex::zero(); n];
-                for dir in [Direction::Forward, Direction::Inverse] {
-                    let want = dft_naive(&x, dir).unwrap();
+            let mut got = vec![Complex::zero(); n];
+            for dir in [Direction::Forward, Direction::Inverse] {
+                let want = dft_naive(&x, dir).unwrap();
+                let peak = want.iter().map(|c| c.abs()).fold(0.0, f64::max);
+                for level in [SimdLevel::Scalar, crate::simd::detect_host()] {
+                    let mut engine = Radix4SimdEngine::with_level(n, level).unwrap();
                     engine.execute_into(&x, &mut got, dir).unwrap();
-                    let peak = want.iter().map(|c| c.abs()).fold(0.0, f64::max);
                     assert!(max_error(&got, &want) / peak < 1e-12, "n={n} level={level:?} {dir:?}");
                 }
             }
@@ -218,7 +240,8 @@ mod tests {
 
     #[test]
     fn rejects_unsupported_sizes() {
-        for n in [0usize, 2, 4, 8, 32, 128, 512] {
+        // Below the 4-point gather, and anything not a power of two.
+        for n in [0usize, 1, 2, 3, 6, 12, 48, 96, 1000] {
             assert!(matches!(Radix4SimdEngine::new(n), Err(FftError::InvalidSize { .. })), "{n}");
         }
     }

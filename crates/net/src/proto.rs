@@ -437,7 +437,7 @@ mod tests {
                 output_len: 128,
                 kind: OpKind::Demodulate,
                 cp: 32,
-                engine: "split_radix".to_string(),
+                engine: "mixed_radix".to_string(),
             },
         ];
         let payload = encode_hello(&table);

@@ -106,7 +106,6 @@ pub struct NetServerBuilder {
     specs: Vec<ChannelSpec>,
     workers: usize,
     queue_depth: usize,
-    observability: Option<bool>,
     retry_after_ms: u32,
     max_conn_outstanding: u64,
 }
@@ -126,14 +125,6 @@ impl NetServerBuilder {
     #[must_use]
     pub fn queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = depth.max(1);
-        self
-    }
-
-    /// Explicitly enables or disables pipeline metrics (surfaced on the
-    /// admin stats endpoint); the default follows `AFFT_OBS`.
-    #[must_use]
-    pub fn observability(mut self, on: bool) -> Self {
-        self.observability = Some(on);
         self
     }
 
@@ -173,9 +164,6 @@ impl NetServerBuilder {
         let mut builder = StreamPipeline::builder(self.factory)
             .workers(self.workers)
             .queue_depth(self.queue_depth);
-        if let Some(on) = self.observability {
-            builder = builder.observability(on);
-        }
         let mut channels = Vec::with_capacity(self.specs.len());
         let mut infos = Vec::with_capacity(self.specs.len());
         for (i, spec) in self.specs.iter().enumerate() {
@@ -253,7 +241,6 @@ impl NetServer {
             specs: Vec::new(),
             workers: 4,
             queue_depth: 64,
-            observability: None,
             retry_after_ms: 10,
             max_conn_outstanding: 64,
         }
@@ -836,7 +823,7 @@ mod tests {
     #[test]
     fn connect_close_churn_leaves_the_handle_list_bounded() {
         let mut builder = NetServer::builder(EngineRegistry::standard).workers(1);
-        builder.channel(ChannelSpec::transform(64, "split_radix", Direction::Forward));
+        builder.channel(ChannelSpec::transform(64, "radix4_dit", Direction::Forward));
         let server = builder.serve("127.0.0.1:0").expect("bind");
         let shared = &server.shared;
         let held = || shared.handlers.lock().expect("handler list poisoned").len();

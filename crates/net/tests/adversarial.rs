@@ -20,7 +20,7 @@ use afft_stream::ChannelSpec;
 /// A one-channel server over a fast 64-point forward transform.
 fn transform_server() -> NetServerBuilder {
     let mut builder = NetServer::builder(EngineRegistry::standard).workers(2).queue_depth(32);
-    builder.channel(ChannelSpec::transform(64, "split_radix", Direction::Forward));
+    builder.channel(ChannelSpec::transform(64, "radix4_dit", Direction::Forward));
     builder
 }
 
@@ -223,7 +223,7 @@ fn submits_racing_shutdown_on_an_idle_channel_are_all_answered() {
     // pipeline accepted, however late, must still come back.
     for round in 0..50u64 {
         let mut builder = NetServer::builder(EngineRegistry::standard).workers(1);
-        builder.channel(ChannelSpec::transform(64, "split_radix", Direction::Forward));
+        builder.channel(ChannelSpec::transform(64, "radix4_dit", Direction::Forward));
         let server = builder.serve("127.0.0.1:0").expect("bind");
         let client = NetClient::connect(server.local_addr()).expect("connect");
         client.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");

@@ -28,22 +28,22 @@ fn modem_server(queue_depth: usize) -> (NetServer, [u16; 4]) {
     let chans = [
         builder.channel(ChannelSpec {
             n: 256,
-            engine: "split_radix".to_string(),
+            engine: "radix4_dit".to_string(),
             op: ChannelOp::Modulate { cp: 64 },
         }),
         builder.channel(ChannelSpec {
             n: 256,
-            engine: "split_radix".to_string(),
+            engine: "radix4_dit".to_string(),
             op: ChannelOp::Demodulate { cp: 64 },
         }),
         builder.channel(ChannelSpec {
             n: 128,
-            engine: "split_radix".to_string(),
+            engine: "mixed_radix".to_string(),
             op: ChannelOp::Modulate { cp: 32 },
         }),
         builder.channel(ChannelSpec {
             n: 128,
-            engine: "split_radix".to_string(),
+            engine: "mixed_radix".to_string(),
             op: ChannelOp::Demodulate { cp: 32 },
         }),
     ];

@@ -1,9 +1,9 @@
 //! **afft-obs** — the workspace's zero-dependency observability layer:
-//! log-bucketed latency histograms, sharded lock-free recorders, stage
-//! timers, named counters, and table/JSON exporters. In the spirit of
-//! HdrHistogram and `tracing`, rebuilt std-only so the runtime stack
-//! (stream pipeline, planner, batch executor, benches) can measure
-//! itself without pulling a dependency into the hot path.
+//! log-bucketed latency histograms, sharded lock-free recorders, the
+//! stage decomposition, named counters, and table/JSON exporters. In the
+//! spirit of HdrHistogram and `tracing`, rebuilt std-only so the
+//! runtime stack (stream pipeline, planner, batch executor, benches) can
+//! measure itself without pulling a dependency into the hot path.
 //!
 //! Four pieces:
 //!
@@ -11,11 +11,12 @@
 //!   histogram with `record`/`merge`/`percentile` and saturation
 //!   accounting, 9 KiB fixed footprint;
 //! * [`Recorder`] / [`AtomicHistogram`] — per-shard concurrent
-//!   recording: the hot path is two relaxed atomic adds and an array
-//!   index, aggregation happens at [`Recorder::snapshot`];
-//! * [`Stage`] / [`StageTimer`] — the queue-wait / transform /
+//!   recording: [`Recorder::record`] names its shard, the hot path is
+//!   two relaxed atomic adds and an array index, aggregation happens
+//!   at [`Recorder::snapshot`];
+//! * [`Stage`] / [`ns_between`] — the queue-wait / transform /
 //!   reorder-park / deliver decomposition of a streamed symbol's
-//!   latency, and the lap timer that carves it;
+//!   latency, and the saturating span between two stamps;
 //! * exporters — [`Snapshot`] `Display` tables, [`histogram_json`],
 //!   and the dependency-free [`json`] writer (shared with the bench
 //!   artifacts — `afft_bench::json` re-exports it).
@@ -42,8 +43,8 @@
 //!
 //! // Sharded concurrent recording, merged on snapshot:
 //! let recorder = Recorder::new(2, vec!["latency".into()]);
-//! recorder.handle(0).record(0, 1_000);
-//! recorder.handle(1).record(0, 2_000);
+//! recorder.record(0, 0, 1_000); // shard 0, series 0
+//! recorder.record(1, 0, 2_000); // shard 1, series 0
 //! let snapshot = recorder.snapshot();
 //! assert_eq!(snapshot.series()[0].1.count(), 2);
 //! println!("{snapshot}"); // fixed-width percentile table
@@ -62,8 +63,8 @@ pub mod stage;
 pub use counter::{counter, counters_snapshot, Counter};
 pub use export::{fmt_ns, histogram_json, Snapshot};
 pub use hist::Histogram;
-pub use recorder::{AtomicHistogram, Recorder, RecorderHandle};
-pub use stage::{ns_between, Stage, StageTimer};
+pub use recorder::{AtomicHistogram, Recorder};
+pub use stage::{ns_between, Stage};
 
 /// Whether instrumentation is enabled for this process: the `AFFT_OBS`
 /// environment variable, default **on**. `0`, `false`, `off` (any

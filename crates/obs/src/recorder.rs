@@ -116,13 +116,6 @@ impl Recorder {
         self.inner.table[shard][series].record(value);
     }
 
-    /// A writer handle pinned to one shard, for loops that record the
-    /// same shard many times (workers). Cheap to clone.
-    pub fn handle(&self, shard: usize) -> RecorderHandle {
-        assert!(shard < self.shards(), "recorder shard {shard} out of range");
-        RecorderHandle { recorder: self.clone(), shard }
-    }
-
     /// Merges every shard per series into plain histograms, returned
     /// as a named [`Snapshot`].
     pub fn snapshot(&self) -> Snapshot {
@@ -152,27 +145,6 @@ impl Recorder {
     }
 }
 
-/// A [`Recorder`] writer pinned to one shard. See
-/// [`Recorder::handle`].
-#[derive(Debug, Clone)]
-pub struct RecorderHandle {
-    recorder: Recorder,
-    shard: usize,
-}
-
-impl RecorderHandle {
-    /// Records into `series` on this handle's shard.
-    #[inline]
-    pub fn record(&self, series: usize, value: u64) {
-        self.recorder.record(self.shard, series, value);
-    }
-
-    /// The shard this handle writes to.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,9 +170,9 @@ mod tests {
     #[test]
     fn recorder_merges_shards_per_series() {
         let rec = Recorder::new(3, vec!["a".into(), "b".into()]);
-        rec.handle(0).record(0, 10);
-        rec.handle(1).record(0, 20);
-        rec.handle(2).record(1, 30);
+        rec.record(0, 0, 10);
+        rec.record(1, 0, 20);
+        rec.record(2, 1, 30);
         rec.record(0, 1, 40);
         let snap = rec.snapshot();
         assert_eq!(snap.series().len(), 2);
@@ -215,10 +187,10 @@ mod tests {
         let rec = Recorder::new(4, vec!["lat".into()]);
         std::thread::scope(|scope| {
             for shard in 0..4 {
-                let handle = rec.handle(shard);
+                let rec = &rec;
                 scope.spawn(move || {
                     for v in 0..1000u64 {
-                        handle.record(0, v);
+                        rec.record(shard, 0, v);
                     }
                 });
             }
@@ -229,9 +201,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
+    #[should_panic(expected = "out of bounds")]
     fn out_of_range_shard_panics() {
         let rec = Recorder::new(1, vec!["x".into()]);
-        let _ = rec.handle(5);
+        rec.record(5, 0, 1);
     }
 }

@@ -1,6 +1,6 @@
 //! Stage decomposition: the named segments of a symbol's life inside
-//! an execution pipeline, and the tiny timer that carves wall time
-//! into them.
+//! an execution pipeline, and the saturating span between two stamps
+//! that measures them.
 
 use std::time::Instant;
 
@@ -73,46 +73,6 @@ pub fn ns_between(earlier: Instant, later: Instant) -> u64 {
     u64::try_from(later.saturating_duration_since(earlier).as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// A lap timer for stage spans: `lap()` returns the nanoseconds since
-/// the previous lap (or construction) and restarts the span, so
-/// consecutive laps tile a timeline with one clock read each.
-#[derive(Debug, Clone, Copy)]
-pub struct StageTimer {
-    mark: Instant,
-}
-
-impl StageTimer {
-    /// Starts the first span now.
-    pub fn start() -> Self {
-        StageTimer { mark: Instant::now() }
-    }
-
-    /// Starts the first span at a caller-chosen instant (e.g. a stamp
-    /// carried in from another thread).
-    pub fn from_mark(mark: Instant) -> Self {
-        StageTimer { mark }
-    }
-
-    /// Ends the current span: returns its length in nanoseconds and
-    /// starts the next one.
-    pub fn lap(&mut self) -> u64 {
-        let now = Instant::now();
-        let ns = ns_between(self.mark, now);
-        self.mark = now;
-        ns
-    }
-
-    /// The instant the current span started.
-    pub fn mark(&self) -> Instant {
-        self.mark
-    }
-
-    /// Nanoseconds elapsed in the current span, without ending it.
-    pub fn elapsed_ns(&self) -> u64 {
-        ns_between(self.mark, Instant::now())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,18 +86,6 @@ mod tests {
         assert_eq!(Stage::QueueWait.as_str(), "queue_wait");
         assert_eq!(Stage::Deliver.to_string(), "deliver");
         assert_eq!(Stage::COUNT, 4);
-    }
-
-    #[test]
-    fn laps_tile_a_timeline() {
-        let start = Instant::now();
-        let mut timer = StageTimer::from_mark(start);
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        let a = timer.lap();
-        let b = timer.lap();
-        assert!(a >= 1_000_000, "first lap covers the sleep, got {a}ns");
-        let total = ns_between(start, Instant::now());
-        assert!(a + b <= total + 1_000, "laps must not overlap: {a} + {b} > {total}");
     }
 
     #[test]

@@ -74,15 +74,13 @@ fn merge_of_disjoint_shards_equals_whole_recording() {
     // histogram a single recorder would have built.
     let recorder = Recorder::new(2, vec!["latency".into()]);
     let mut whole = Histogram::new();
-    let low = recorder.handle(0);
-    let high = recorder.handle(1);
     for v in 0..500u64 {
-        low.record(0, v);
+        recorder.record(0, 0, v);
         whole.record(v);
     }
     for k in 0..64u64 {
         let v = 1_000_000 + k * 10_000;
-        high.record(0, v);
+        recorder.record(1, 0, v);
         whole.record(v);
     }
     let merged = recorder.series_histogram(0);

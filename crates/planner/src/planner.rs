@@ -439,6 +439,19 @@ mod tests {
         }
     }
 
+    #[test]
+    fn estimate_picks_the_simd_kernel_at_every_ofdm_power_of_two_when_detected() {
+        if !afft_core::simd::active_level().is_simd() {
+            return;
+        }
+        // Odd log2 n (UWB-128, WiMAX-512/2048) as well as powers of 4.
+        let mut planner = Planner::new();
+        for n in [64usize, 128, 256, 512, 1024, 2048] {
+            let plan = planner.plan(n, Strategy::Estimate).unwrap();
+            assert_eq!(plan.best().name, "radix4_simd", "n={n}");
+        }
+    }
+
     /// The standard rows plus one whose constructor panics: any path
     /// that builds an engine it was not asked for trips it.
     fn trapped_registry(n: usize) -> Result<EngineRegistry, FftError> {
@@ -467,11 +480,11 @@ mod tests {
         assert!(planner.plan(256, Strategy::Estimate).unwrap().from_wisdom);
         let backends = backend_set_hash(&trapped_registry(256).unwrap().names());
         let key = WisdomKey::new(256, Direction::Forward, Strategy::Measure, backends);
-        let measured = vec![("split_radix".to_string(), 900.0), ("trap".to_string(), 1e6)];
+        let measured = vec![("radix4_dit".to_string(), 900.0), ("trap".to_string(), 1e6)];
         planner.wisdom_mut().insert(key, WisdomEntry { stamp: 1, ranking: measured });
         let replay = planner.plan(256, Strategy::Measure).unwrap();
         assert!(replay.from_wisdom);
-        assert_eq!(replay.best().name, "split_radix");
+        assert_eq!(replay.best().name, "radix4_dit");
     }
 
     #[test]

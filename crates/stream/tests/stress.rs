@@ -40,14 +40,14 @@ fn symbol(n: usize, channel: usize, seq: u64) -> Vec<C64> {
 }
 
 /// The channel mix both tests run: one composite LTE-control-style
-/// size that only `mixed_radix` serves, two power-of-two sizes on the
-/// new plan-time-twiddle kernels, and one deliberately slow O(N^2)
+/// size and one odd-log2 power of two on `mixed_radix`, a power of
+/// four on `radix4_dit`, and one deliberately slow O(N^2)
 /// naive channel (fewer symbols) that clogs the worker pool so the
 /// storm reliably hits the queue bound.
 const CHANNELS: [(usize, &str, u64); 4] = [
     (60, "mixed_radix", 48),
     (64, "radix4_dit", 48),
-    (128, "split_radix", 48),
+    (128, "mixed_radix", 48),
     (256, "dft_naive", 8),
 ];
 

@@ -20,9 +20,9 @@ fn zeros(n: usize) -> Vec<C64> {
 #[test]
 fn caller_runs_and_submissions_share_one_channel_sequence() {
     let mut builder = StreamPipeline::builder(EngineRegistry::standard).workers(2);
-    let ch = builder.channel(ChannelSpec::transform(64, "split_radix", Direction::Forward));
+    let ch = builder.channel(ChannelSpec::transform(64, "radix4_dit", Direction::Forward));
     let pipeline = builder.build().unwrap();
-    let mut engine = take_engine(EngineRegistry::standard, 64, "split_radix").unwrap();
+    let mut engine = take_engine(EngineRegistry::standard, 64, "radix4_dit").unwrap();
     let mut direct = |x: &[C64]| {
         let mut out = zeros(64);
         engine.execute_into(x, &mut out, Direction::Forward).unwrap();
@@ -66,7 +66,7 @@ fn caller_runs_and_submissions_share_one_channel_sequence() {
 #[test]
 fn caller_runs_refuse_misshaped_payloads_and_a_closed_pipeline() {
     let mut builder = StreamPipeline::builder(EngineRegistry::standard).workers(1);
-    let ch = builder.channel(ChannelSpec::transform(64, "split_radix", Direction::Inverse));
+    let ch = builder.channel(ChannelSpec::transform(64, "radix4_dit", Direction::Inverse));
     let pipeline = builder.build().unwrap();
 
     match pipeline.try_run(ch, zeros(32), zeros(64)) {
@@ -94,7 +94,7 @@ fn a_sampled_caller_run_lands_once_in_every_stage_histogram() {
         .workers(1)
         .observability(true)
         .sample_every(1);
-    let ch = builder.channel(ChannelSpec::transform(64, "split_radix", Direction::Forward));
+    let ch = builder.channel(ChannelSpec::transform(64, "radix4_dit", Direction::Forward));
     let pipeline = builder.build().unwrap();
     pipeline.try_run(ch, tagged(64, 1.0), zeros(64)).unwrap();
 

@@ -13,7 +13,7 @@
 //!
 //! * the **direct engines** (`dft_naive` is the reference itself;
 //!   `rader`'s smooth inner path, `bluestein`) route through at most
-//!   three split-radix passes of `M ≤ 4096` points plus O(1) chirp or
+//!   three inner FFT passes of `M ≤ 4096` points plus O(1) chirp or
 //!   permutation multiplies per point, so the expected relative RMS
 //!   error sits near `10⁻¹⁵`;
 //! * `rader` at 1009 recurses into Bluestein for its rough 1008-point

@@ -34,6 +34,9 @@ fn afft_no_simd_suppresses_the_tier_and_changes_the_backend_hash() {
         host_has_simd,
         "unsuppressed registry must carry the SIMD tier iff the host detects one"
     );
+    // Odd log2 n too: the tier serves every power of two from 16.
+    let baseline_128 = registry_names(128);
+    assert_eq!(baseline_128.contains(&"radix4_simd"), host_has_simd, "n=128: {baseline_128:?}");
 
     // Suppressed: the tier disappears and planning falls back cleanly.
     std::env::set_var("AFFT_NO_SIMD", "1");
@@ -45,6 +48,8 @@ fn afft_no_simd_suppresses_the_tier_and_changes_the_backend_hash() {
         !suppressed.iter().any(|n| n.ends_with("_simd")),
         "AFFT_NO_SIMD=1 must remove every SIMD engine, got {suppressed:?}"
     );
+    let suppressed_128 = registry_names(128);
+    assert!(!suppressed_128.contains(&"radix4_simd"), "n=128: {suppressed_128:?}");
     if host_has_simd {
         // The wisdom key must see a different backend set, so stale
         // SIMD-era rankings cannot be replayed against this registry.
@@ -54,6 +59,8 @@ fn afft_no_simd_suppresses_the_tier_and_changes_the_backend_hash() {
             baseline.len(),
             "exactly radix4_simd should disappear at n=1024"
         );
+        assert_eq!(suppressed_128.len() + 1, baseline_128.len(), "n=128");
+        assert_ne!(backend_set_hash(&baseline_128), backend_set_hash(&suppressed_128));
     } else {
         assert_eq!(baseline_hash, suppressed_hash);
     }
