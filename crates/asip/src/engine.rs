@@ -1,18 +1,24 @@
 //! [`FftEngine`] adapter over the cycle-accurate ASIP ISS: the
 //! simulated hardware as just another backend in the registry.
 //!
+//! An [`AsipEngine`] is planned once, like the software engines: it owns
+//! one [`ArrayFftRunner`] for its size, which holds the generated
+//! program of each direction (generated on first use), one machine whose
+//! data memory is the layout's footprint
+//! ([`Layout::mem_bytes`](crate::Layout)), the pre-rotation table and
+//! the output permutation, plus the engine's own Q15 staging buffers.
 //! [`AsipEngine::execute_into`](afft_core::FftEngine::execute_into)
 //! quantises the `f64` input into the Q15 wire format (auto-scaled to
-//! 50% of full scale at the input peak) in an engine-owned staging
-//! buffer — reused across runs, so the adapter adds no per-transform
-//! heap work of its own — runs the generated Algorithm-1 program on
-//! the simulator, and rescales the output back to the
-//! unnormalised-DFT contract of the trait. Execution statistics of the
-//! most recent run (cycles, instruction classes, cache counters) are
-//! retained and exposed through [`AsipEngine::last_stats`];
-//! [`AsipEngine::traffic`] reports the measured `LDIN`/`STOUT` point
-//! traffic once a run has happened and the closed-form prediction
-//! (`2N` points each way) before.
+//! 50% of full scale at the input peak), restarts the machine and runs
+//! the Algorithm-1 program on it, and rescales the output back to the
+//! unnormalised-DFT contract of the trait. Once each direction has run,
+//! a call does no heap work, and its output and statistics are those
+//! of a fresh machine ([`run_array_fft`](crate::run_array_fft)).
+//! Execution statistics of the most recent run (cycles, instruction
+//! classes, cache counters) are retained and exposed through
+//! [`AsipEngine::last_stats`]; [`AsipEngine::traffic`] reports the
+//! measured `LDIN`/`STOUT` point traffic once a run has happened and
+//! the closed-form prediction (`2N` points each way) before.
 //!
 //! # Examples
 //!
@@ -29,7 +35,7 @@
 //! # Ok::<(), afft_core::FftError>(())
 //! ```
 
-use crate::runner::{run_array_fft, AsipConfig, AsipError};
+use crate::runner::{ArrayFftRunner, AsipConfig, AsipError};
 use afft_core::cached::MemTraffic;
 use afft_core::engine::{check_io, Cost, EngineRegistry, EngineSpec, FftEngine};
 use afft_core::{Direction, FftError, Split};
@@ -44,10 +50,11 @@ const QUANT_AMPLITUDE: f64 = 0.5;
 /// The cycle-accurate ASIP ISS behind the [`FftEngine`] interface.
 pub struct AsipEngine {
     n: usize,
-    cfg: AsipConfig,
+    runner: ArrayFftRunner,
     last_stats: Option<Stats>,
-    // Reusable Q15 quantisation staging for the wire-format input.
-    quant_scratch: Vec<Complex<Q15>>,
+    // Q15 staging for the wire-format input and the natural-order output.
+    quant_in: Vec<Complex<Q15>>,
+    quant_out: Vec<Complex<Q15>>,
     /// Modeled cycle counts of every run — always recorded (the
     /// simulator's own cost dwarfs two histogram adds), so per-run
     /// variation (e.g. across cache configurations) is inspectable
@@ -72,12 +79,12 @@ impl AsipEngine {
     ///
     /// Returns [`FftError::InvalidSize`] for unsupported sizes.
     pub fn with_config(n: usize, cfg: AsipConfig) -> Result<Self, FftError> {
-        Split::for_size(n)?;
         Ok(AsipEngine {
             n,
-            cfg,
+            runner: ArrayFftRunner::new(n, cfg)?,
             last_stats: None,
-            quant_scratch: Vec::new(),
+            quant_in: vec![Complex::zero(); n],
+            quant_out: vec![Complex::zero(); n],
             cycle_hist: afft_obs::Histogram::new(),
         })
     }
@@ -129,22 +136,23 @@ impl FftEngine for AsipEngine {
         // so arbitrary-magnitude inputs survive quantisation.
         let peak = input.iter().map(|c| c.re.abs().max(c.im.abs())).fold(0.0, f64::max);
         let scale = if peak > 0.0 { QUANT_AMPLITUDE / peak } else { 1.0 };
-        self.quant_scratch.resize(self.n, Complex::zero());
-        for (slot, &c) in self.quant_scratch.iter_mut().zip(input) {
+        for (slot, &c) in self.quant_in.iter_mut().zip(input) {
             *slot = Complex::from_c64(c * scale);
         }
 
-        let run = run_array_fft(&self.quant_scratch, dir, &self.cfg).map_err(|e| match e {
-            AsipError::Fft(e) => e,
-            other => FftError::Backend { engine: "asip_iss".into(), reason: other.to_string() },
-        })?;
-        self.last_stats = Some(run.stats);
-        self.cycle_hist.record(run.stats.cycles);
+        let stats = self.runner.run_into(&self.quant_in, &mut self.quant_out, dir).map_err(
+            |e| match e {
+                AsipError::Fft(e) => e,
+                other => FftError::Backend { engine: "asip_iss".into(), reason: other.to_string() },
+            },
+        )?;
+        self.last_stats = Some(stats);
+        self.cycle_hist.record(stats.cycles);
 
         // The datapath scales by 1/N; undo that and the input scaling
         // to meet the unnormalised-DFT contract.
         let restore = self.n as f64 / scale;
-        for (slot, q) in output.iter_mut().zip(&run.output) {
+        for (slot, q) in output.iter_mut().zip(&self.quant_out) {
             *slot = q.to_c64() * restore;
         }
         Ok(())

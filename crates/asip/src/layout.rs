@@ -9,6 +9,10 @@
 //! float_base     : 2 * N f32 words for the soft-float baseline's data
 //! ftw_base       : N/2 complex f32 twiddles for the baseline
 //! ```
+//!
+//! Memory ends at [`Layout::mem_bytes`]: the array-FFT runner's machine
+//! has exactly that much data memory, so an access outside these
+//! regions traps instead of landing in padding.
 
 /// Byte addresses of every region a generated program touches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,7 +33,8 @@ pub struct Layout {
     pub ftw_base: u32,
     /// Initial stack pointer for generated code that needs a stack.
     pub stack_top: u32,
-    /// Total data-memory size this layout requires.
+    /// Total data-memory size this layout requires (the regions above,
+    /// each 64-byte aligned).
     pub mem_bytes: usize,
 }
 

@@ -7,10 +7,14 @@
 //!   the base ISA (the dominant cost of the paper's Imple 1 baseline);
 //! * [`swfft`] — the standard software radix-2 FFT compiled against the
 //!   soft-float library (Imple 1 itself);
-//! * [`runner`] — stage-inputs/run/collect drivers used by examples,
-//!   integration tests and the benchmark harness;
+//! * [`runner`] — [`ArrayFftRunner`], planned once per size: it keeps
+//!   the generated programs, one machine sized to the [`Layout`], the
+//!   pre-rotation table and the output permutation, and reuses them on
+//!   every run; [`run_array_fft`] is its one-shot wrapper, used by
+//!   examples, integration tests and the experiment binaries;
 //! * [`engine`] — the [`afft_core::engine::FftEngine`] adapter that
-//!   registers the cycle-accurate ISS alongside the software backends.
+//!   registers the cycle-accurate ISS alongside the software backends,
+//!   planned once like them: it owns one runner.
 //!
 //! # Examples
 //!
@@ -40,4 +44,6 @@ pub mod swfft_fixed;
 
 pub use engine::{registry_with_asip, AsipEngine, ASIP_ISS};
 pub use layout::Layout;
-pub use runner::{golden_array_fft, quantize_input, run_array_fft, AsipConfig, AsipError, AsipRun};
+pub use runner::{
+    golden_array_fft, quantize_input, run_array_fft, ArrayFftRunner, AsipConfig, AsipError, AsipRun,
+};

@@ -1,11 +1,18 @@
 //! High-level drivers: stage inputs, run a generated program on the
 //! ISS, collect outputs and statistics.
+//!
+//! [`ArrayFftRunner`] is the planned driver: built once for a size and
+//! configuration, it keeps the program of each direction, one machine
+//! sized to the layout's footprint, the pre-rotation table and the
+//! output permutation, so a run costs only its simulation.
+//! [`run_array_fft`] and [`run_array_fft_with_machine_config`] are
+//! one-shot wrappers: they plan a runner, run it once and drop it.
 
 use crate::layout::Layout;
 use crate::program::{generate_array_fft, ProgramOptions};
 use afft_core::address::transposed_to_natural_bin;
 use afft_core::{ArrayFft, Direction, FftError, Scaling, Split};
-use afft_isa::AsmError;
+use afft_isa::{AsmError, Program};
 use afft_num::{twiddle_q15, Complex, C64, Q15};
 use afft_sim::{Machine, MachineConfig, SimError, Stats, Timing};
 use core::fmt;
@@ -56,8 +63,6 @@ pub struct AsipRun {
     /// The spectrum in natural bin order (scaled by `1/N` by the
     /// per-stage datapath scaling).
     pub output: Vec<Complex<Q15>>,
-    /// The raw hardware-order output as it sits in memory.
-    pub output_transposed: Vec<Complex<Q15>>,
     /// Execution statistics (cycles, instruction classes, cache).
     pub stats: Stats,
 }
@@ -89,10 +94,158 @@ pub fn quantize_input(input: &[C64], amplitude: f64) -> Vec<Complex<Q15>> {
     input.iter().map(|&c| Complex::from_c64(c * amplitude)).collect()
 }
 
-/// Runs the array-FFT ASIP program for `input` (already quantised).
+/// One planned array-FFT size on the ISS.
 ///
-/// Stages the input vector and the compressed pre-rotation table, runs
-/// the generated Algorithm-1 program to `HALT`, and gathers the output.
+/// Built once per size and configuration, a runner holds the split and
+/// the layout, the generated program of each direction (generated on
+/// first use), one [`Machine`] whose data memory is exactly the layout's
+/// footprint ([`Layout::mem_bytes`]; an access outside the regions the
+/// layout lists traps), the pre-rotation table words and the permutation
+/// from hardware output order to natural order.
+///
+/// Each [`run_into`](Self::run_into) restarts the machine
+/// ([`Machine::restart`]), stages the input and the table, runs to
+/// `HALT` and reads the spectrum straight into the caller's slice. Once
+/// each direction has run, a run does no heap work, and its output and
+/// [`Stats`] equal those of a fresh machine.
+///
+/// # Examples
+///
+/// ```
+/// use afft_asip::runner::{quantize_input, ArrayFftRunner, AsipConfig};
+/// use afft_core::Direction;
+/// use afft_num::Complex;
+///
+/// let mut runner = ArrayFftRunner::new(64, AsipConfig::default())?;
+/// let input = quantize_input(&vec![Complex::new(1.0, 0.0); 64], 0.5);
+/// let mut spectrum = vec![Complex::zero(); 64];
+/// let first = runner.run_into(&input, &mut spectrum, Direction::Forward)?;
+/// let again = runner.run_into(&input, &mut spectrum, Direction::Forward)?;
+/// assert_eq!(first, again);
+/// assert!((spectrum[0].re.to_f64() - 0.5).abs() < 0.01);
+/// # Ok::<(), afft_asip::runner::AsipError>(())
+/// ```
+#[derive(Debug)]
+pub struct ArrayFftRunner {
+    split: Split,
+    layout: Layout,
+    cfg: AsipConfig,
+    machine: Machine,
+    // The direction whose program the machine holds.
+    loaded: Option<Direction>,
+    // Generated programs not in the machine, indexed by `dir_index`.
+    programs: [Option<Program>; 2],
+    // The `N/8 + 1` compressed pre-rotation coefficients.
+    table: Vec<Complex<Q15>>,
+    // `natural[addr]` is the natural bin of hardware-order output `addr`.
+    natural: Vec<usize>,
+}
+
+impl ArrayFftRunner {
+    /// Plans `n`-point runs (power of two, `>= 64`) on the default
+    /// machine.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FftError::InvalidSize`] for unsupported sizes.
+    pub fn new(n: usize, cfg: AsipConfig) -> Result<Self, FftError> {
+        Self::with_machine_config(n, cfg, &MachineConfig::default())
+    }
+
+    /// [`ArrayFftRunner::new`] with explicit machine parameters (cache
+    /// geometry, streaming-port ablation flag, ...). The data memory
+    /// (`mem_bytes`) and the CRF capacity come from the transform size
+    /// and the timing from `cfg`, whatever `machine_cfg` says.
+    ///
+    /// # Errors
+    ///
+    /// As for [`ArrayFftRunner::new`].
+    pub fn with_machine_config(
+        n: usize,
+        cfg: AsipConfig,
+        machine_cfg: &MachineConfig,
+    ) -> Result<Self, FftError> {
+        let split = Split::for_size(n)?;
+        let layout = Layout::for_size(n);
+        let machine = Machine::new(MachineConfig {
+            mem_bytes: layout.mem_bytes,
+            timing: cfg.timing,
+            crf_capacity: split.p_size,
+            ..*machine_cfg
+        });
+        Ok(ArrayFftRunner {
+            table: (0..=n / 8).map(|k| twiddle_q15(n, k)).collect(),
+            natural: (0..n).map(|addr| transposed_to_natural_bin(&split, addr)).collect(),
+            split,
+            layout,
+            cfg,
+            machine,
+            loaded: None,
+            programs: [None, None],
+        })
+    }
+
+    /// Runs one transform of `input` (already quantised) and writes the
+    /// spectrum, in natural bin order and scaled by `1/N` by the
+    /// datapath, into `output`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AsipError`] for slices of the wrong length, generation
+    /// failures or simulator traps. A run after a trap starts from a
+    /// restarted machine like any other.
+    pub fn run_into(
+        &mut self,
+        input: &[Complex<Q15>],
+        output: &mut [Complex<Q15>],
+        dir: Direction,
+    ) -> Result<Stats, AsipError> {
+        let n = self.split.n;
+        for got in [input.len(), output.len()] {
+            if got != n {
+                return Err(FftError::LengthMismatch { expected: n, got }.into());
+            }
+        }
+        self.load(dir)?;
+        self.machine.restart();
+        let mem = self.machine.mem_mut();
+        mem.write_complex_slice(self.layout.in_base, input)?;
+        mem.write_complex_slice(self.layout.table_base, &self.table)?;
+        let stats = self.machine.run(self.cfg.max_cycles)?;
+        let mem = self.machine.mem();
+        for (addr, &bin) in self.natural.iter().enumerate() {
+            output[bin] = mem.read_complex(self.layout.out_base + 4 * addr as u32)?;
+        }
+        Ok(stats)
+    }
+
+    /// Puts `dir`'s program in the machine, generating it on first use.
+    fn load(&mut self, dir: Direction) -> Result<(), AsipError> {
+        if self.loaded == Some(dir) {
+            return Ok(());
+        }
+        let program = match self.programs[dir_index(dir)].take() {
+            Some(program) => program,
+            None => {
+                let inverse = matches!(dir, Direction::Inverse);
+                let options = ProgramOptions { inverse, ..self.cfg.options };
+                generate_array_fft(&self.split, &self.layout, options)?
+            }
+        };
+        let replaced = self.machine.load_program(program);
+        if let Some(prev) = self.loaded.replace(dir) {
+            self.programs[dir_index(prev)] = Some(replaced);
+        }
+        Ok(())
+    }
+}
+
+fn dir_index(dir: Direction) -> usize {
+    usize::from(matches!(dir, Direction::Inverse))
+}
+
+/// Runs the array-FFT ASIP program for `input` (already quantised) once,
+/// on a freshly planned [`ArrayFftRunner`].
 ///
 /// # Errors
 ///
@@ -106,9 +259,9 @@ pub fn run_array_fft(
     run_array_fft_with_machine_config(input, dir, cfg, &MachineConfig::default())
 }
 
-/// [`run_array_fft`] with explicit machine parameters (cache geometry,
-/// streaming-port ablation flag, ...). Memory size and CRF capacity are
-/// still derived from the transform size.
+/// [`run_array_fft`] with explicit machine parameters, as for
+/// [`ArrayFftRunner::with_machine_config`]: `machine_cfg.mem_bytes` and
+/// its CRF capacity do not apply.
 ///
 /// # Errors
 ///
@@ -119,42 +272,10 @@ pub fn run_array_fft_with_machine_config(
     cfg: &AsipConfig,
     machine_cfg: &MachineConfig,
 ) -> Result<AsipRun, AsipError> {
-    let n = input.len();
-    let split = Split::for_size(n)?;
-    let layout = Layout::for_size(n);
-    let mut options = cfg.options;
-    options.inverse = matches!(dir, Direction::Inverse);
-    let program = generate_array_fft(&split, &layout, options)?;
-
-    let mut machine = Machine::new(MachineConfig {
-        mem_bytes: layout.mem_bytes.max(machine_cfg.mem_bytes),
-        timing: cfg.timing,
-        crf_capacity: split.p_size,
-        ..*machine_cfg
-    });
-    machine.mem_mut().write_complex_slice(layout.in_base, input)?;
-    stage_prerot_table(&mut machine, &layout)?;
-    machine.load_program(program);
-    machine.reset_stats();
-    let stats = machine.run(cfg.max_cycles)?;
-
-    let transposed = machine.mem().read_complex_slice(layout.out_base, n)?;
-    let mut output = vec![Complex::zero(); n];
-    for (addr, &v) in transposed.iter().enumerate() {
-        output[transposed_to_natural_bin(&split, addr)] = v;
-    }
-    Ok(AsipRun { output, output_transposed: transposed, stats })
-}
-
-/// Writes the `N/8 + 1` compressed pre-rotation coefficients to the
-/// table region, exactly as the host runtime of the real system would.
-fn stage_prerot_table(machine: &mut Machine, layout: &Layout) -> Result<(), SimError> {
-    for k in 0..=layout.n / 8 {
-        machine
-            .mem_mut()
-            .write_complex(layout.table_base + 4 * k as u32, twiddle_q15(layout.n, k))?;
-    }
-    Ok(())
+    let mut runner = ArrayFftRunner::with_machine_config(input.len(), *cfg, machine_cfg)?;
+    let mut output = vec![Complex::zero(); input.len()];
+    let stats = runner.run_into(input, &mut output, dir)?;
+    Ok(AsipRun { output, stats })
 }
 
 /// The golden prediction for [`run_array_fft`]: the `afft-core`
@@ -232,6 +353,38 @@ mod tests {
         // Table-II-style counts: loads ~ N, stores ~ N.
         assert_eq!(run.stats.table_loads(), 1024);
         assert_eq!(run.stats.table_stores(), 1024);
+    }
+
+    #[test]
+    fn ablation_configurations_stay_inside_the_layout() {
+        // The machine's memory ends where the layout does, so a stray
+        // access in any of these programs would trap.
+        use crate::program::UnrollStyle;
+        for n in [64, 1024] {
+            let input = random_input(n, 6);
+            let golden = golden_array_fft(&input, Direction::Forward).unwrap();
+            let looped = AsipConfig {
+                options: ProgramOptions { unroll: UnrollStyle::GroupLoop, ..Default::default() },
+                ..Default::default()
+            };
+            let run = run_array_fft(&input, Direction::Forward, &looped).unwrap();
+            assert_eq!(run.output, golden, "n={n}: group loop");
+            let cached = MachineConfig { custom_ops_cached: true, ..MachineConfig::default() };
+            let run = run_array_fft_with_machine_config(
+                &input,
+                Direction::Forward,
+                &AsipConfig::default(),
+                &cached,
+            )
+            .unwrap();
+            assert_eq!(run.output, golden, "n={n}: LDIN/STOUT through the cache");
+            let unrotated = AsipConfig {
+                options: ProgramOptions { skip_prerot: true, ..Default::default() },
+                ..Default::default()
+            };
+            let run = run_array_fft(&input, Direction::Forward, &unrotated).unwrap();
+            assert_eq!(run.stats.coef_fetches, 0, "n={n}: no pre-rotation");
+        }
     }
 
     #[test]

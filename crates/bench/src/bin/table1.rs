@@ -28,12 +28,14 @@ fn main() {
             &widths
         )
     );
+    let mut throughputs = Vec::new();
     for n in [64usize, 128, 256, 512, 1024, 2048, 4096] {
         let mut engine = AsipEngine::new(n).expect("plan");
         engine.execute(&random_signal(n, n as u64), Direction::Forward).expect("ASIP run failed");
         let stats = engine.last_stats().expect("cycle-accurate run retains stats");
         let cycles = stats.cycles;
         let mbps = stats.throughput_mbps(n, 300.0);
+        throughputs.push(mbps);
         let paper = TABLE1.iter().find(|r| r.n == n);
         let (pc, pm, ratio) = match paper {
             Some(p) => (
@@ -53,4 +55,8 @@ fn main() {
     }
     println!();
     println!("shape check: throughput must decrease monotonically with N (paper Section IV)");
+    assert!(
+        throughputs.windows(2).all(|w| w[1] < w[0]),
+        "shape check failed: Mbps by N = {throughputs:.1?}"
+    );
 }

@@ -48,7 +48,13 @@ pub struct FftUnit {
     crf: Vec<Complex<Q15>>,
     rom: CoefRom<Q15>,
     scaling: Scaling,
-    // Configuration registers (MTFFT targets).
+    regs: Regs,
+}
+
+/// Every register `MTFFT` can set.
+#[derive(Debug, Clone, Copy)]
+struct Regs {
+    // Configuration registers.
     gsize_log2: u32,
     n_log2: u32,
     group: u32,
@@ -61,6 +67,21 @@ pub struct FftUnit {
     stptr: usize,
 }
 
+impl Regs {
+    /// The power-on values.
+    const RESET: Regs = Regs {
+        gsize_log2: 3,
+        n_log2: 6,
+        group: 0,
+        prerot_enable: false,
+        prerot_base: 0,
+        inverse: false,
+        load_stride: 1,
+        ldptr: 0,
+        stptr: 0,
+    };
+}
+
 impl FftUnit {
     /// Builds a unit with a CRF (and ROM) sized for groups up to
     /// `max_p` points.
@@ -70,25 +91,30 @@ impl FftUnit {
     /// Panics unless `max_p` is a power of two `>= 8`.
     pub fn new(max_p: usize, scaling: Scaling) -> Self {
         assert!(max_p.is_power_of_two() && max_p >= 8, "FftUnit: invalid CRF size {max_p}");
-        FftUnit {
+        let mut unit = FftUnit {
             crf: vec![Complex::zero(); max_p],
             rom: CoefRom::new(max_p).expect("validated size"),
             scaling,
-            gsize_log2: 3,
-            n_log2: 6,
-            group: 0,
-            prerot_enable: false,
-            prerot_base: 0,
-            inverse: false,
-            load_stride: 1,
-            ldptr: 0,
-            stptr: 0,
-        }
+            regs: Regs::RESET,
+        };
+        unit.restart();
+        unit
+    }
+
+    /// Returns the unit to its power-on state: every CRF point zero and
+    /// every register `MTFFT` can set at its reset value. The CRF
+    /// capacity, the ROM and the datapath scaling are kept.
+    pub(crate) fn restart(&mut self) {
+        // Exhaustive on purpose: a field added to `FftUnit` has to be
+        // placed here, as kept configuration or as reset state.
+        let FftUnit { crf, rom: _, scaling: _, regs } = self;
+        crf.fill(Complex::zero());
+        *regs = Regs::RESET;
     }
 
     /// Current `LDIN` gather stride in points.
     pub fn load_stride(&self) -> u32 {
-        self.load_stride
+        self.regs.load_stride
     }
 
     /// CRF capacity in points.
@@ -98,7 +124,7 @@ impl FftUnit {
 
     /// Current group size (`2^gsize_log2`).
     pub fn group_size(&self) -> usize {
-        1usize << self.gsize_log2
+        1usize << self.regs.gsize_log2
     }
 
     /// Direct CRF inspection (testing / tracing).
@@ -108,7 +134,7 @@ impl FftUnit {
 
     /// Transform direction implied by the `inverse` config bit.
     pub fn direction(&self) -> Direction {
-        if self.inverse {
+        if self.regs.inverse {
             Direction::Inverse
         } else {
             Direction::Forward
@@ -132,42 +158,42 @@ impl FftUnit {
                         self.crf.len()
                     )));
                 }
-                self.gsize_log2 = value;
-                self.ldptr = 0;
-                self.stptr = 0;
+                self.regs.gsize_log2 = value;
+                self.regs.ldptr = 0;
+                self.regs.stptr = 0;
             }
             FftCfg::NLog2 => {
                 if !(3..=26).contains(&value) {
                     return Err(err(format!("n_log2 {value} out of range")));
                 }
-                self.n_log2 = value;
+                self.regs.n_log2 = value;
             }
-            FftCfg::GroupId => self.group = value,
-            FftCfg::PrerotEnable => self.prerot_enable = value != 0,
+            FftCfg::GroupId => self.regs.group = value,
+            FftCfg::PrerotEnable => self.regs.prerot_enable = value != 0,
             FftCfg::PrerotBase => {
                 if !value.is_multiple_of(4) {
                     return Err(err(format!("prerot base {value:#x} must be 4-byte aligned")));
                 }
-                self.prerot_base = value;
+                self.regs.prerot_base = value;
             }
             FftCfg::LoadPtr => {
                 if value as usize >= self.group_size() {
                     return Err(err(format!("load pointer {value} outside group")));
                 }
-                self.ldptr = value as usize;
+                self.regs.ldptr = value as usize;
             }
             FftCfg::StorePtr => {
                 if value as usize >= self.group_size() {
                     return Err(err(format!("store pointer {value} outside group")));
                 }
-                self.stptr = value as usize;
+                self.regs.stptr = value as usize;
             }
-            FftCfg::InverseEnable => self.inverse = value != 0,
+            FftCfg::InverseEnable => self.regs.inverse = value != 0,
             FftCfg::LoadStride => {
                 if value == 0 || value > (1 << 20) {
                     return Err(err(format!("load stride {value} out of range")));
                 }
-                self.load_stride = value;
+                self.regs.load_stride = value;
             }
         }
         Ok(())
@@ -182,7 +208,7 @@ impl FftUnit {
     /// for the configured group size.
     pub fn but4(&mut self, stage: u32, module: u32) -> Result<(), SimError> {
         let g = self.group_size();
-        let p = self.gsize_log2;
+        let p = self.regs.gsize_log2;
         if stage == 0 || stage > p {
             return Err(SimError::FftUnit { reason: format!("BUT4 stage {stage} out of 1..={p}") });
         }
@@ -204,9 +230,9 @@ impl FftUnit {
     /// incrementing load pointer (wrapping at the group size).
     pub fn ldin(&mut self, points: [Complex<Q15>; 2]) {
         let g = self.group_size();
-        self.crf[self.ldptr] = points[0];
-        self.crf[(self.ldptr + 1) % g] = points[1];
-        self.ldptr = (self.ldptr + 2) % g;
+        self.crf[self.regs.ldptr] = points[0];
+        self.crf[(self.regs.ldptr + 1) % g] = points[1];
+        self.regs.ldptr = (self.regs.ldptr + 2) % g;
     }
 
     /// Prepares one `STOUT` beat: reads output bins `s`, `s+1` through
@@ -216,22 +242,25 @@ impl FftUnit {
     /// [`FftUnit::rotate`].
     pub fn stout(&mut self) -> StoutBeat {
         let g = self.group_size();
-        let p = self.gsize_log2;
-        let s0 = self.stptr;
-        let s1 = (self.stptr + 1) % g;
-        self.stptr = (self.stptr + 2) % g;
+        let p = self.regs.gsize_log2;
+        let s0 = self.regs.stptr;
+        let s1 = (self.regs.stptr + 1) % g;
+        self.regs.stptr = (self.regs.stptr + 2) % g;
         let values = [self.crf[bit_reverse(s0, p)], self.crf[bit_reverse(s1, p)]];
-        let n = 1usize << self.n_log2;
+        let n = 1usize << self.regs.n_log2;
         let fetch = |s: usize| -> Option<CoefFetch> {
-            if !self.prerot_enable {
+            if !self.regs.prerot_enable {
                 return None;
             }
-            let e = (s * self.group as usize) % n;
+            let e = (s * self.regs.group as usize) % n;
             if e == 0 {
                 return None; // trivial rotation: W^0 = 1, no fetch
             }
             let r = resolve_prerot(n, e);
-            Some(CoefFetch { table_byte_offset: self.prerot_base + 4 * r.index as u32, op: r.op })
+            Some(CoefFetch {
+                table_byte_offset: self.regs.prerot_base + 4 * r.index as u32,
+                op: r.op,
+            })
         };
         StoutBeat { values, coef: [fetch(s0), fetch(s1)] }
     }
@@ -241,7 +270,7 @@ impl FftUnit {
     /// inverse transform, then the complex multiply.
     pub fn rotate(&self, value: Complex<Q15>, entry: Complex<Q15>, op: OctantOp) -> Complex<Q15> {
         let mut w = op.apply(entry);
-        if self.inverse {
+        if self.regs.inverse {
             w = w.conj();
         }
         value * w

@@ -51,6 +51,13 @@ impl Default for MachineConfig {
 
 /// The simulated machine: core + memory + cache + FFT unit.
 ///
+/// [`Machine::load_program`] decodes the program image once; each step
+/// dispatches on the decoded instruction. A word that does not decode
+/// still traps only when execution reaches it. [`Machine::restart`]
+/// returns the machine to its power-on state but keeps the loaded
+/// program, so one machine can run the same program over many inputs
+/// without rebuilding its memory, cache or FFT unit.
+///
 /// # Examples
 ///
 /// ```
@@ -72,6 +79,9 @@ impl Default for MachineConfig {
 pub struct Machine {
     timing: Timing,
     program: Program,
+    // `program` decoded at load time, one entry per word; `None` marks a
+    // word that does not decode.
+    decoded: Vec<Option<Instr>>,
     regs: [u32; 32],
     pc: usize,
     halted: bool,
@@ -83,11 +93,13 @@ pub struct Machine {
 }
 
 impl Machine {
-    /// Builds a machine with zeroed registers and memory.
+    /// Builds a machine at its power-on state (see [`Machine::restart`])
+    /// with no program loaded.
     pub fn new(cfg: MachineConfig) -> Self {
-        Machine {
+        let mut machine = Machine {
             timing: cfg.timing,
             program: Program::from_words(Vec::new()),
+            decoded: Vec::new(),
             regs: [0; 32],
             pc: 0,
             halted: false,
@@ -96,16 +108,53 @@ impl Machine {
             fft: FftUnit::new(cfg.crf_capacity, cfg.scaling),
             stats: Stats::default(),
             custom_ops_cached: cfg.custom_ops_cached,
-        }
+        };
+        machine.restart();
+        machine
     }
 
-    /// Installs a program and resets pc/halt state (registers, memory,
+    /// Returns the machine to its power-on state, keeping its
+    /// configuration and the loaded program: registers, pc, the halt
+    /// flag and statistics clear; every byte of memory zero; every
+    /// cache line invalid with the LRU clock and counters at zero; the
+    /// FFT unit's CRF zero and every register `MTFFT` can set at its
+    /// reset value. A run after `restart` cannot tell it is not on a
+    /// fresh machine.
+    pub fn restart(&mut self) {
+        // Exhaustive on purpose: a field added to `Machine` has to be
+        // placed here, as kept configuration or as reset state.
+        let Machine {
+            timing: _,
+            program: _,
+            decoded: _,
+            regs,
+            pc,
+            halted,
+            mem,
+            cache,
+            fft,
+            stats,
+            custom_ops_cached: _,
+        } = self;
+        *regs = [0; 32];
+        *pc = 0;
+        *halted = false;
+        mem.clear();
+        cache.flush();
+        fft.restart();
+        *stats = Stats::default();
+    }
+
+    /// Installs a program, decoding its image once, resets pc/halt
+    /// state, and returns the program it replaces. Registers, memory,
     /// cache and statistics are preserved so inputs can be staged
-    /// first; call [`Machine::reset_stats`] for a clean measurement).
-    pub fn load_program(&mut self, program: Program) {
-        self.program = program;
+    /// first; call [`Machine::reset_stats`] for a clean measurement.
+    pub fn load_program(&mut self, program: Program) -> Program {
+        self.decoded.clear();
+        self.decoded.extend(program.words().iter().map(|&word| Instr::decode(word).ok()));
         self.pc = 0;
         self.halted = false;
+        core::mem::replace(&mut self.program, program)
     }
 
     /// Reads a GPR.
@@ -184,10 +233,15 @@ impl Machine {
         if self.halted {
             return Ok(());
         }
-        let instr = self
-            .program
-            .instr_at(self.pc)
-            .map_err(|source| SimError::BadInstruction { pc: self.pc, source })?;
+        let instr = match self.decoded.get(self.pc) {
+            Some(&Some(instr)) => instr,
+            // Off the end of the image, or a word that does not decode:
+            // the image itself names the trap.
+            _ => self
+                .program
+                .instr_at(self.pc)
+                .map_err(|source| SimError::BadInstruction { pc: self.pc, source })?,
+        };
         self.stats.instrs += 1;
         let t = self.timing;
         let mut next = self.pc + 1;
@@ -487,7 +541,7 @@ pub fn stage_input(m: &mut Machine, addr: u32, data: &[Complex<Q15>]) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use afft_isa::Asm;
+    use afft_isa::{Asm, DecodeError};
 
     fn machine() -> Machine {
         Machine::new(MachineConfig::default())
@@ -609,7 +663,84 @@ mod tests {
         let mut m = machine();
         m.load_program(Program::from_instrs(&[Instr::NOP]));
         m.step().unwrap();
-        assert!(matches!(m.step(), Err(SimError::BadInstruction { pc: 1, .. })));
+        assert_eq!(
+            m.step(),
+            Err(SimError::BadInstruction { pc: 1, source: DecodeError { word: 0xffff_ffff } })
+        );
+    }
+
+    #[test]
+    fn undecodable_word_traps_only_when_reached() {
+        let bad = 0xfc00_0000; // opcode 0x3f: no instruction
+        assert!(Instr::decode(bad).is_err());
+        let mut words = Program::from_instrs(&[
+            Instr::Addi { rt: Reg::V0, rs: Reg::ZERO, imm: 1 },
+            // Jumps over the first bad word.
+            Instr::Beq { rs: Reg::ZERO, rt: Reg::ZERO, offset: 1 },
+        ])
+        .words()
+        .to_vec();
+        words.push(bad);
+        words.push(Instr::Addi { rt: Reg::V1, rs: Reg::ZERO, imm: 2 }.encode());
+        words.push(bad);
+        let mut m = machine();
+        m.load_program(Program::from_words(words));
+        assert_eq!(
+            m.run(1_000),
+            Err(SimError::BadInstruction { pc: 4, source: DecodeError { word: bad } })
+        );
+        assert_eq!((m.reg(Reg::V0), m.reg(Reg::V1)), (1, 2), "the valid words all ran");
+    }
+
+    #[test]
+    fn restart_returns_to_power_on_and_keeps_the_program() {
+        use afft_isa::FftCfg;
+        let cfg = MachineConfig { mem_bytes: 4096, crf_capacity: 16, ..MachineConfig::default() };
+        // Leaves state everywhere: registers, memory, a cache line, a
+        // nonzero CRF and every MTFFT register off its reset value.
+        let mut a = Asm::new();
+        a.li(Reg::T0, 0x1234);
+        a.emit(Instr::Sw { rt: Reg::T0, base: Reg::ZERO, offset: 64 });
+        a.emit(Instr::Lw { rt: Reg::V0, base: Reg::ZERO, offset: 64 });
+        for (sel, value) in [
+            (FftCfg::GroupSizeLog2, 4),
+            (FftCfg::NLog2, 10),
+            (FftCfg::GroupId, 5),
+            (FftCfg::PrerotEnable, 1),
+            (FftCfg::PrerotBase, 0x100),
+            (FftCfg::InverseEnable, 1),
+            (FftCfg::LoadStride, 2),
+            (FftCfg::StorePtr, 6),
+        ] {
+            a.li(Reg::T1, value);
+            a.emit(Instr::Mtfft { rs: Reg::T1, sel });
+        }
+        a.emit(Instr::Ldin { base: Reg::ZERO, offset: 64 });
+        a.emit(Instr::Halt);
+        let program = a.assemble().unwrap();
+
+        let mut m = Machine::new(cfg);
+        m.load_program(program.clone());
+        let first = m.run(10_000).unwrap();
+        assert_eq!(first.cache.misses, 1);
+        assert!(m.fft().crf().iter().any(|&c| c != Complex::zero()));
+        m.restart();
+
+        assert_eq!(m.stats(), Stats::default());
+        assert_eq!((m.pc(), m.is_halted()), (0, false));
+        assert!((0..32).all(|r| m.reg(Reg::new(r)) == 0));
+        assert!((0..4096).step_by(4).all(|addr| m.mem().read_u32(addr) == Ok(0)));
+        let unit = FftUnit::new(16, Scaling::HalfPerStage);
+        assert_eq!(format!("{:?}", m.fft()), format!("{unit:?}"), "FFT unit at reset");
+        let mut fresh = Machine::new(cfg);
+        fresh.load_program(program.clone());
+        assert_eq!(format!("{m:?}"), format!("{fresh:?}"), "indistinguishable from new");
+
+        // The program is still loaded, and the rerun is the first run
+        // again: the store misses the cold cache once more.
+        assert_eq!(m.run(10_000), Ok(first));
+        assert_eq!(m.reg(Reg::V0), 0x1234);
+        assert_eq!(m.load_program(Program::from_instrs(&[Instr::Halt])), program);
     }
 
     #[test]

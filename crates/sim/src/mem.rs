@@ -31,6 +31,11 @@ impl Memory {
         Memory { bytes: vec![0; size] }
     }
 
+    /// Zeroes every byte, as at power-on.
+    pub(crate) fn clear(&mut self) {
+        self.bytes.fill(0);
+    }
+
     /// Size in bytes.
     pub fn len(&self) -> usize {
         self.bytes.len()
