@@ -35,7 +35,6 @@
 
 pub mod engine;
 pub mod layout;
-pub mod pipeline;
 pub mod program;
 pub mod runner;
 pub mod softfloat;

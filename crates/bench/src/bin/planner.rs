@@ -101,11 +101,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The calibration distributions Measure kept (one series per
     // `(n, direction, engine)`): the spread behind each wall-ns score.
-    // Empty when metrics are off (AFFT_OBS=0) or every plan replayed
-    // from wisdom without re-measuring.
+    // Empty when every plan replayed from wisdom without re-measuring.
     let calibration = planner.calibration_snapshot();
     if calibration.is_empty() {
-        println!("calibration distributions: none (metrics off or all plans from wisdom)");
+        println!("calibration distributions: none (all plans from wisdom)");
     } else {
         println!("== calibration distributions (Measure reps per engine) ==");
         print!("{calibration}");

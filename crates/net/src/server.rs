@@ -254,8 +254,8 @@ impl NetServer {
 
     /// The admin stats document (the same JSON a `STATS` frame
     /// returns): server-level counters plus the full pipeline
-    /// [`StreamStats::to_json`] snapshot, per-channel histograms
-    /// included when observability is on.
+    /// [`StreamStats::to_json`] snapshot, per-channel stage histograms
+    /// included.
     pub fn stats_json(&self) -> String {
         admin_stats_json(&self.shared)
     }

@@ -1,7 +1,7 @@
 //! The acceptance path over real sockets: the WiMAX-256 and UWB-128
 //! modem pairs round-tripping QPSK through AWGN with zero bit errors,
 //! a window of pipelined frames answered through the batched delivery
-//! path, a flood client observing protocol-level load-shedding without
+//! path on a 2- and a 4-worker pool, a flood client observing protocol-level load-shedding without
 //! losing an accepted frame, and the admin stats document holding up
 //! to structural scrutiny.
 
@@ -20,11 +20,11 @@ use rand::{Rng, SeedableRng};
 const NOISE: f64 = 0.01;
 
 /// The serving binary's channel layout: WiMAX-256 and UWB-128 modem
-/// pairs on one pool with a `queue_depth` submission budget. Returns
-/// (server, [wimax_tx, wimax_rx, uwb_tx, uwb_rx]).
-fn modem_server(queue_depth: usize) -> (NetServer, [u16; 4]) {
+/// pairs on one pool of `workers` with a `queue_depth` submission
+/// budget. Returns (server, [wimax_tx, wimax_rx, uwb_tx, uwb_rx]).
+fn modem_server(workers: usize, queue_depth: usize) -> (NetServer, [u16; 4]) {
     let mut builder =
-        NetServer::builder(EngineRegistry::standard).workers(2).queue_depth(queue_depth);
+        NetServer::builder(EngineRegistry::standard).workers(workers).queue_depth(queue_depth);
     let chans = [
         builder.channel(ChannelSpec {
             n: 256,
@@ -62,7 +62,7 @@ fn expect_result(client: &mut NetClient, want_channel: u16, want_seq: u64) -> Ve
 
 #[test]
 fn wimax_and_uwb_modems_round_trip_qpsk_through_awgn_over_the_wire() {
-    let (server, [wimax_tx, wimax_rx, uwb_tx, uwb_rx]) = modem_server(32);
+    let (server, [wimax_tx, wimax_rx, uwb_tx, uwb_rx]) = modem_server(2, 32);
     let mut client = NetClient::connect(server.local_addr()).expect("connect");
     client.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
 
@@ -120,9 +120,15 @@ fn wimax_and_uwb_modems_round_trip_qpsk_through_awgn_over_the_wire() {
 
 #[test]
 fn pipelined_frames_round_robin_over_the_modems_are_each_answered_once() {
+    for workers in [2, 4] {
+        pipelined_frames(workers);
+    }
+}
+
+fn pipelined_frames(workers: usize) {
     // A budget as deep as the window, so no frame is shed: every one of
     // the 64 must come back as its own RESULT.
-    let (server, chans) = modem_server(64);
+    let (server, chans) = modem_server(workers, 64);
     let client = NetClient::connect(server.local_addr()).expect("connect");
     client.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
     let infos = client.channels().to_vec();
@@ -182,7 +188,7 @@ fn pipelined_frames_round_robin_over_the_modems_are_each_answered_once() {
 
 #[test]
 fn window_one_frames_run_on_the_handler_thread_and_never_reach_the_pool() {
-    let (server, chans) = modem_server(32);
+    let (server, chans) = modem_server(2, 32);
     let mut client = NetClient::connect(server.local_addr()).expect("connect");
     client.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
     let infos = client.channels().to_vec();
@@ -291,7 +297,7 @@ fn flood_client_sees_retry_after_and_loses_no_accepted_frame() {
 
 #[test]
 fn admin_stats_document_is_structurally_valid_json() {
-    let (server, [wimax_tx, ..]) = modem_server(32);
+    let (server, [wimax_tx, ..]) = modem_server(2, 32);
     let mut client = NetClient::connect(server.local_addr()).expect("connect");
     client.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
 

@@ -15,10 +15,8 @@
 //! silent.
 //!
 //! `min`/`max` are derived from the occupied bucket edges (exact below
-//! 32, bucket-quantised above) rather than tracked per record — the
-//! price of keeping the concurrent recording path (see
-//! [`AtomicHistogram`](crate::recorder::AtomicHistogram)) at two
-//! atomic adds and an index computation.
+//! 32, bucket-quantised above) rather than tracked per record, so a
+//! record is one index computation and three adds.
 
 /// Number of linear sub-buckets per octave (and the exact-value range:
 /// values `< SUB_BUCKETS` get a bucket each).
@@ -194,9 +192,8 @@ impl Histogram {
         self.percentile(99.0)
     }
 
-    /// Folds another histogram into this one (bucket-wise add), the
-    /// aggregation step behind
-    /// [`Recorder::snapshot`](crate::recorder::Recorder::snapshot).
+    /// Folds another histogram into this one (bucket-wise add): the
+    /// result equals one histogram that recorded both sample sets.
     pub fn merge(&mut self, other: &Histogram) {
         for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
             *mine += theirs;
@@ -204,15 +201,6 @@ impl Histogram {
         self.count += other.count;
         self.sum = self.sum.saturating_add(other.sum);
         self.saturated += other.saturated;
-    }
-
-    /// Rebuilds a histogram from raw bucket counts (the snapshot path
-    /// out of an atomic shard). `saturated` is the clamp tally for the
-    /// top bucket; `sum` the exact recorded sum.
-    pub(crate) fn from_parts(counts: Vec<u64>, sum: u64, saturated: u64) -> Histogram {
-        debug_assert_eq!(counts.len(), BUCKETS);
-        let count = counts.iter().sum();
-        Histogram { counts, count, sum, saturated }
     }
 }
 

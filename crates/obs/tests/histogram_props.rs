@@ -3,7 +3,7 @@
 //! and percentile monotonicity under proptest.
 
 use afft_obs::hist::SATURATION_BITS;
-use afft_obs::{AtomicHistogram, Histogram, Recorder};
+use afft_obs::{Histogram, Snapshot};
 use proptest::prelude::*;
 
 #[test]
@@ -16,11 +16,8 @@ fn empty_snapshot_reports_nothing() {
     assert_eq!(h.max(), None);
     assert_eq!(h.percentile(50.0), None);
     assert_eq!(h.mean(), 0.0);
-    // The concurrent shard agrees, as does an empty recorder snapshot.
-    let atomic = AtomicHistogram::new();
-    assert!(atomic.snapshot().is_empty());
-    let recorder = Recorder::new(4, vec!["a".into(), "b".into()]);
-    let snap = recorder.snapshot();
+    // A snapshot of empty series is empty but keeps its series.
+    let snap = Snapshot::from_series(vec![("a".into(), h.clone()), ("b".into(), h)]);
     assert!(snap.is_empty());
     assert_eq!(snap.series().len(), 2);
 }
@@ -59,40 +56,35 @@ fn saturating_records_clamp_into_the_top_bucket() {
     assert_eq!(h.max(), Some(limit - 1));
     let p100 = h.percentile(100.0).unwrap();
     assert!(h.min().unwrap() <= p100 && p100 < limit, "p100 {p100} escaped the top bucket");
-    // The atomic path applies the same clamp.
-    let atomic = AtomicHistogram::new();
-    atomic.record(u64::MAX);
-    let snap = atomic.snapshot();
-    assert_eq!(snap.saturated(), 1);
-    assert_eq!(snap.count(), 1);
+    // Merging carries the clamp tally along.
+    let mut merged = Histogram::new();
+    merged.merge(&h);
+    assert_eq!((merged.count(), merged.saturated()), (3, 2));
 }
 
 #[test]
 fn merge_of_disjoint_shards_equals_whole_recording() {
     // Two shards covering disjoint value ranges (low latencies on one
-    // worker, tail spikes on another) must merge into exactly the
-    // histogram a single recorder would have built.
-    let recorder = Recorder::new(2, vec!["latency".into()]);
-    let mut whole = Histogram::new();
+    // side, tail spikes on another) must merge into exactly the
+    // histogram a single recording would have built.
+    let (mut low, mut high, mut whole) = (Histogram::new(), Histogram::new(), Histogram::new());
     for v in 0..500u64 {
-        recorder.record(0, 0, v);
+        low.record(v);
         whole.record(v);
     }
     for k in 0..64u64 {
         let v = 1_000_000 + k * 10_000;
-        recorder.record(1, 0, v);
+        high.record(v);
         whole.record(v);
     }
-    let merged = recorder.series_histogram(0);
+    let mut merged = Histogram::new();
+    merged.merge(&low);
+    merged.merge(&high);
     assert_eq!(merged, whole);
-    // merge() itself is also an append: folding the two shard
-    // snapshots manually gives the same histogram.
-    let mut manual = Histogram::new();
-    manual.merge(&whole);
+    // Merging empties is a no-op.
     let mut empty = Histogram::new();
     empty.merge(&Histogram::new());
     assert!(empty.is_empty());
-    assert_eq!(manual, whole);
 }
 
 proptest! {

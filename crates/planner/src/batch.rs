@@ -26,8 +26,8 @@ pub struct ShardTiming {
     pub wall_ns: u64,
 }
 
-/// Wall-clock timing of one batch run, kept on the executor when
-/// observability is on ([`BatchExecutor::last_run`]).
+/// Wall-clock timing of one batch run, kept on the executor
+/// ([`BatchExecutor::last_run`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunTiming {
     /// Engine the run executed on.
@@ -61,8 +61,6 @@ pub struct BatchExecutor {
     factory: RegistryFactory,
     engine: Box<dyn FftEngine>,
     name: String,
-    /// Resolved from `AFFT_OBS` at construction.
-    obs_enabled: bool,
     last_run: Option<RunTiming>,
 }
 
@@ -97,27 +95,11 @@ impl BatchExecutor {
         factory: RegistryFactory,
     ) -> Result<Self, FftError> {
         let engine = crate::planner::take_engine(factory, n, name)?;
-        Ok(BatchExecutor {
-            factory,
-            engine,
-            name: name.to_string(),
-            obs_enabled: afft_obs::enabled(),
-            last_run: None,
-        })
-    }
-
-    /// Explicitly enables or disables run-timing collection (the
-    /// default follows the process-wide `AFFT_OBS` switch,
-    /// [`afft_obs::enabled`]).
-    #[must_use]
-    pub fn with_observability(mut self, on: bool) -> Self {
-        self.obs_enabled = on;
-        self
+        Ok(BatchExecutor { factory, engine, name: name.to_string(), last_run: None })
     }
 
     /// Timing of the most recent `execute*` run: total wall time plus
-    /// per-shard breakdowns. `None` until a run completes, or with
-    /// observability off.
+    /// per-shard breakdowns. `None` until a run completes.
     pub fn last_run(&self) -> Option<&RunTiming> {
         self.last_run.as_ref()
     }
@@ -181,20 +163,18 @@ impl BatchExecutor {
         if out.len() != symbols.len() {
             return Err(FftError::LengthMismatch { expected: symbols.len(), got: out.len() });
         }
-        let start = self.obs_enabled.then(Instant::now);
+        let start = Instant::now();
         for (symbol, slot) in symbols.iter().zip(out.iter_mut()) {
             self.engine.execute_into(symbol, slot, dir)?;
         }
-        if let Some(start) = start {
-            let wall_ns = elapsed_ns(start);
-            self.last_run = Some(RunTiming {
-                engine: self.name.clone(),
-                symbols: symbols.len(),
-                workers: 1,
-                wall_ns,
-                shards: vec![ShardTiming { symbols: symbols.len(), wall_ns }],
-            });
-        }
+        let wall_ns = elapsed_ns(start);
+        self.last_run = Some(RunTiming {
+            engine: self.name.clone(),
+            symbols: symbols.len(),
+            workers: 1,
+            wall_ns,
+            shards: vec![ShardTiming { symbols: symbols.len(), wall_ns }],
+        });
         Ok(())
     }
 
@@ -254,9 +234,8 @@ impl BatchExecutor {
         let n = self.engine.len();
         let factory = self.factory;
         let name = self.name.as_str();
-        let obs = self.obs_enabled;
 
-        let start = obs.then(Instant::now);
+        let start = Instant::now();
         let shards = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(workers);
             for (shard_in, shard_out) in symbols.chunks(chunk).zip(out.chunks_mut(chunk)) {
@@ -268,11 +247,11 @@ impl BatchExecutor {
                     let mut engine = crate::planner::take_engine(factory, n, name)?;
                     // Time the transform loop only — engine
                     // construction is plan-time cost, not batch cost.
-                    let shard_start = obs.then(Instant::now);
+                    let shard_start = Instant::now();
                     for (symbol, slot) in shard_in.iter().zip(shard_out.iter_mut()) {
                         engine.execute_into(symbol, slot, dir)?;
                     }
-                    Ok(shard_start.map_or(0, elapsed_ns))
+                    Ok(elapsed_ns(shard_start))
                 });
                 handles.push((shard_symbols, handle));
             }
@@ -284,15 +263,13 @@ impl BatchExecutor {
                 })
                 .collect::<Result<Vec<ShardTiming>, FftError>>()
         })?;
-        if let Some(start) = start {
-            self.last_run = Some(RunTiming {
-                engine: self.name.clone(),
-                symbols: symbols.len(),
-                workers: shards.len(),
-                wall_ns: elapsed_ns(start),
-                shards,
-            });
-        }
+        self.last_run = Some(RunTiming {
+            engine: self.name.clone(),
+            symbols: symbols.len(),
+            workers: shards.len(),
+            wall_ns: elapsed_ns(start),
+            shards,
+        });
         Ok(())
     }
 }
@@ -352,9 +329,8 @@ mod tests {
 
     #[test]
     fn run_timings_cover_every_shard() {
-        let mut exec = BatchExecutor::with_engine_name(64, "radix2_dit", EngineRegistry::standard)
-            .unwrap()
-            .with_observability(true);
+        let mut exec =
+            BatchExecutor::with_engine_name(64, "radix2_dit", EngineRegistry::standard).unwrap();
         assert!(exec.last_run().is_none(), "no run yet");
         let symbols = batch(64, 10);
         exec.execute(&symbols, Direction::Forward).unwrap();
@@ -370,17 +346,6 @@ mod tests {
         assert!(run.throughput() > 0.0);
         // The end-to-end run covers its longest shard.
         assert!(run.shards.iter().all(|s| s.wall_ns <= run.wall_ns));
-    }
-
-    #[test]
-    fn observability_off_keeps_no_timings() {
-        let mut exec = BatchExecutor::with_engine_name(64, "radix2_dit", EngineRegistry::standard)
-            .unwrap()
-            .with_observability(false);
-        let symbols = batch(64, 6);
-        exec.execute(&symbols, Direction::Forward).unwrap();
-        exec.execute_threaded(&symbols, Direction::Forward, 2).unwrap();
-        assert!(exec.last_run().is_none());
     }
 
     #[test]

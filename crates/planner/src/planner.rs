@@ -110,12 +110,8 @@ pub struct Planner {
     factory: RegistryFactory,
     wisdom: Wisdom,
     reps: usize,
-    /// Whether Measure keeps per-rep calibration distributions
-    /// (resolved from `AFFT_OBS` at construction).
-    obs_enabled: bool,
-    /// Every calibration rep ever timed, keyed `n{n}/{dir}/{engine}` —
-    /// Measure used to keep only the best rep and discard the rest;
-    /// with observability on the whole distribution survives.
+    /// Every calibration rep ever timed, keyed `n{n}/{dir}/{engine}`:
+    /// the whole distribution behind each best-of Measure score.
     calibration: std::collections::BTreeMap<String, Histogram>,
 }
 
@@ -138,18 +134,8 @@ impl Planner {
             factory,
             wisdom: Wisdom::new(),
             reps: 3,
-            obs_enabled: afft_obs::enabled(),
             calibration: std::collections::BTreeMap::new(),
         }
-    }
-
-    /// Explicitly enables or disables calibration-distribution
-    /// recording (the default follows the process-wide `AFFT_OBS`
-    /// switch, [`afft_obs::enabled`]).
-    #[must_use]
-    pub fn with_observability(mut self, on: bool) -> Self {
-        self.obs_enabled = on;
-        self
     }
 
     /// Seeds the planner with previously stored wisdom.
@@ -236,10 +222,10 @@ impl Planner {
                 let dir = if direction == Direction::Forward { "fwd" } else { "inv" };
                 let mut ranking = Vec::new();
                 for engine in registry.engines_mut() {
-                    // With observability on, every calibration rep
-                    // lands in a per-engine histogram instead of being
-                    // discarded after the best-of reduction.
-                    let mut hist = self.obs_enabled.then(Histogram::new);
+                    // Every calibration rep lands in a per-engine
+                    // histogram instead of being discarded after the
+                    // best-of reduction.
+                    let mut hist = Histogram::new();
                     let rank = measure_rank(
                         engine,
                         &signal,
@@ -248,12 +234,10 @@ impl Planner {
                         self.reps,
                         &mut hist,
                     )?;
-                    if let Some(hist) = hist {
-                        self.calibration
-                            .entry(format!("n{n}/{dir}/{}", rank.name))
-                            .or_default()
-                            .merge(&hist);
-                    }
+                    self.calibration
+                        .entry(format!("n{n}/{dir}/{}", rank.name))
+                        .or_default()
+                        .merge(&hist);
                     ranking.push(rank);
                 }
                 ranking
@@ -293,9 +277,8 @@ impl Planner {
     /// Every calibration rep this planner has timed, as a named
     /// snapshot (`n{n}/{dir}/{engine}` series) — the distribution
     /// behind each [`Strategy::Measure`] ranking, which the best-of
-    /// reduction alone would have discarded. Empty with observability
-    /// off, and for planners that only ever ran
-    /// [`Strategy::Estimate`] or wisdom replays.
+    /// reduction alone would have discarded. Empty for planners that
+    /// only ever ran [`Strategy::Estimate`] or wisdom replays.
     pub fn calibration_snapshot(&self) -> Snapshot {
         Snapshot::from_series(
             self.calibration.iter().map(|(name, h)| (name.clone(), h.clone())).collect(),
@@ -354,7 +337,7 @@ fn measure_rank(
     output: &mut [C64],
     direction: Direction,
     reps: usize,
-    hist: &mut Option<Histogram>,
+    hist: &mut Histogram,
 ) -> Result<EngineRank, FftError> {
     // Warm the engine-owned scratch outside the timed region, so the
     // first timed rep doesn't pay one-time buffer growth.
@@ -364,9 +347,7 @@ fn measure_rank(
         let start = Instant::now();
         engine.execute_into(signal, output, direction)?;
         let rep_ns = start.elapsed().as_nanos();
-        if let Some(hist) = hist {
-            hist.record(u64::try_from(rep_ns).unwrap_or(u64::MAX));
-        }
+        hist.record(u64::try_from(rep_ns).unwrap_or(u64::MAX));
         wall_ns = wall_ns.min(rep_ns as f64);
     }
     // Cycle-accurate backends rank by modeled hardware time, not by
@@ -574,7 +555,7 @@ mod tests {
     #[test]
     fn measure_keeps_calibration_distributions() {
         let reps = 4;
-        let mut planner = Planner::new().with_observability(true).with_measure_reps(reps);
+        let mut planner = Planner::new().with_measure_reps(reps);
         planner.plan(64, Strategy::Measure).unwrap();
         let snap = planner.calibration_snapshot();
         assert_eq!(snap.series().len(), EngineRegistry::standard(64).unwrap().len());
@@ -586,13 +567,6 @@ mod tests {
         // A wisdom replay re-runs nothing and records nothing new.
         planner.plan(64, Strategy::Measure).unwrap();
         assert_eq!(planner.calibration_snapshot().get("n64/fwd/dft_naive").unwrap().count(), 4);
-    }
-
-    #[test]
-    fn observability_off_discards_calibration() {
-        let mut planner = Planner::new().with_observability(false).with_measure_reps(2);
-        planner.plan(64, Strategy::Measure).unwrap();
-        assert!(planner.calibration_snapshot().series().is_empty());
     }
 
     #[test]

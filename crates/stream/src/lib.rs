@@ -39,6 +39,11 @@
 //!   number, counters and stage histograms as a submitted symbol,
 //!   without the handoffs to and from a worker — the shape for a
 //!   caller with one symbol in hand that wants its answer now;
+//! * [`StreamPipeline::stats`] copies the counters and every channel's
+//!   stage histograms ([`ChannelObs`]: queue-wait, transform,
+//!   reorder-park, end-to-end latency, one symbol in [`SAMPLE_EVERY`]
+//!   sampled) in one critical section, so a snapshot never contradicts
+//!   itself;
 //! * [`StreamPipeline::shutdown`] drains every in-flight symbol before
 //!   joining the pool, returning the final [`StreamStats`] and any
 //!   undelivered completions — accepted work is never lost.
@@ -91,6 +96,6 @@ mod worker;
 
 pub use pipeline::{
     ChannelId, ChannelOp, ChannelSpec, Completion, RecvError, StreamBuilder, StreamPipeline,
-    SubmitError, DEFAULT_SAMPLE_EVERY,
+    SubmitError, SAMPLE_EVERY,
 };
 pub use stats::{ChannelObs, ChannelStats, StreamObs, StreamStats};

@@ -1,7 +1,7 @@
-//! Pipeline observability: cumulative counters, queue pressure, and —
-//! when metrics are enabled — per-channel latency histograms with the
-//! queue-wait / transform / reorder-park / deliver stage breakdown.
-//! Snapshotted by
+//! Pipeline observability: cumulative counters, queue pressure, and
+//! per-channel latency histograms with the queue-wait / transform /
+//! reorder-park / deliver stage breakdown, all copied in one critical
+//! section by
 //! [`StreamPipeline::stats`](crate::StreamPipeline::stats).
 
 use std::time::Duration;
@@ -21,17 +21,20 @@ pub struct ChannelStats {
 }
 
 /// Latency histograms for one channel, decomposing a delivered
-/// symbol's life (see [`afft_obs::Stage`]).
+/// symbol's life into queue-wait, transform and reorder-park, plus the
+/// end-to-end latency they add up to.
 ///
-/// The histograms hold the *sampled* symbols — one in
-/// [`DEFAULT_SAMPLE_EVERY`](crate::DEFAULT_SAMPLE_EVERY) by default,
-/// every symbol under
-/// [`StreamBuilder::sample_every(1)`](crate::StreamBuilder::sample_every)
-/// — and the stage histograms are recorded at different points of a
-/// symbol's life (queue-wait and transform when a worker finishes it,
-/// reorder-park and latency when the caller pops it), so counts can
-/// also differ across stages on a live snapshot.
-#[derive(Debug, Clone, PartialEq)]
+/// The histograms hold the *sampled* symbols: those whose per-channel
+/// sequence number is a multiple of
+/// [`SAMPLE_EVERY`](crate::SAMPLE_EVERY). All four spans of a sampled
+/// symbol are recorded together, under the pipeline's lock, when the
+/// symbol is delivered in order (by a receive, a caller run, or
+/// [`shutdown`](crate::StreamPipeline::shutdown)'s drain of what is
+/// left). So in every snapshot each of the four counts equals the
+/// channel's `delivered.div_ceil(SAMPLE_EVERY)`, and a completion that
+/// is never delivered, such as one parked behind the lost symbol of a
+/// poisoned pipeline, appears in no histogram.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChannelObs {
     /// Submission to the start of the transform: time spent in the
     /// bounded queue waiting for a free worker.
@@ -49,8 +52,8 @@ pub struct ChannelObs {
 }
 
 impl ChannelObs {
-    /// The stage histograms paired with their
-    /// [`Stage`](afft_obs::Stage) names, in stage order.
+    /// The stage histograms paired with their names, in stage order
+    /// (`deliver` is the end-to-end [`latency`](Self::latency)).
     pub fn stages(&self) -> [(&'static str, &Histogram); 4] {
         [
             ("queue_wait", &self.queue_wait),
@@ -61,10 +64,8 @@ impl ChannelObs {
     }
 }
 
-/// Per-channel latency histograms for a whole pipeline — present on
-/// [`StreamStats::obs`] when the pipeline was built with observability
-/// enabled (the `AFFT_OBS` switch, or
-/// [`StreamBuilder::observability`](crate::StreamBuilder::observability)).
+/// Per-channel latency histograms for a whole pipeline, as carried by
+/// [`StreamStats::obs`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamObs {
     /// Stage histograms per channel, in registration order.
@@ -159,9 +160,9 @@ pub struct StreamStats {
     pub caller_transforms: u64,
     /// Per-channel counters, in channel registration order.
     pub per_channel: Vec<ChannelStats>,
-    /// Per-channel latency histograms, when the pipeline was built with
-    /// observability on (`None` when metrics are disabled).
-    pub obs: Option<StreamObs>,
+    /// Per-channel stage histograms, copied in the same critical
+    /// section as the counters.
+    pub obs: StreamObs,
     /// Time since the pipeline was built.
     pub elapsed: Duration,
 }
@@ -191,11 +192,11 @@ impl StreamStats {
     /// Renders the snapshot as one JSON object carrying the same
     /// figures as the [`Display`](core::fmt::Display) line — global
     /// counters, queue pressure, and the scheduler block (per-worker
-    /// and caller-run transforms) — plus per-channel counters and, when
-    /// metrics are on, the stage histograms of [`StreamObs::to_json`].
+    /// and caller-run transforms) — plus per-channel counters and the
+    /// stage histograms of [`StreamObs::to_json`] under `channels`.
     pub fn to_json(&self) -> String {
         use afft_obs::json;
-        let mut obj = json::Obj::new()
+        json::Obj::new()
             .num("submitted", self.submitted as f64)
             .num("completed", self.completed as f64)
             .num("delivered", self.delivered as f64)
@@ -224,11 +225,9 @@ impl StreamStats {
                         .num("delivered", c.delivered as f64)
                         .finish()
                 })),
-            );
-        if let Some(obs) = &self.obs {
-            obj = obj.raw("channels", obs.to_json());
-        }
-        obj.finish()
+            )
+            .raw("channels", self.obs.to_json())
+            .finish()
     }
 }
 
@@ -279,7 +278,7 @@ mod tests {
             worker_transforms: vec![5, 3],
             caller_transforms: 0,
             per_channel: vec![ChannelStats { submitted: 10, completed: 8, delivered: 6 }],
-            obs: None,
+            obs: StreamObs { per_channel: vec![ChannelObs::default()] },
             elapsed: Duration::from_secs(2),
         }
     }
@@ -316,7 +315,7 @@ mod tests {
             "{doc}"
         );
         assert!(doc.contains("\"per_channel\":[{\"channel\":0"), "{doc}");
-        assert!(!doc.contains("\"channels\""), "obs off leaves no histogram block: {doc}");
+        assert!(doc.contains("\"channels\":[{\"channel\":0,\"queue_wait\":{\"count\":0"), "{doc}");
         let line = stats.to_string();
         assert!(line.contains("(hwm 4)") && doc.contains("\"queue_high_water\":4"));
         assert!(line.contains("[5 (62%), 3 (38%)]") && doc.contains("[5,3]"));
@@ -348,12 +347,7 @@ mod tests {
     fn stream_obs_snapshot_json_and_table() {
         let mut latency = Histogram::new();
         latency.record_n(10_000, 100);
-        let chan = ChannelObs {
-            queue_wait: Histogram::new(),
-            transform: Histogram::new(),
-            reorder_park: Histogram::new(),
-            latency,
-        };
+        let chan = ChannelObs { latency, ..ChannelObs::default() };
         let obs = StreamObs { per_channel: vec![chan] };
         let snap = obs.snapshot();
         assert_eq!(snap.series().len(), 4);

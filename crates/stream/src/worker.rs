@@ -2,13 +2,13 @@
 //! transform it with the worker's private engines outside the lock,
 //! then park the completion and take the next job in one critical
 //! section. [`Front::run_job`] is the transform-and-stamp step, shared
-//! with caller runs.
+//! with caller runs. Workers record no metrics: a sampled symbol's
+//! stamps ride in its [`Parked`] to the delivering receiver.
 
 use afft_core::engine::FftEngine;
 use afft_core::ofdm::Ofdm;
 use afft_core::{Direction, FftError};
 use afft_num::{Complex, C64};
-use afft_obs::{ns_between, Stage};
 use afft_planner::planner::take_engine;
 use afft_planner::RegistryFactory;
 use std::time::Instant;
@@ -68,23 +68,14 @@ impl Front {
     /// Transforms `job` and returns it parked: the one
     /// transform-and-stamp step, shared by pool workers and caller
     /// runs. Only sampled jobs read the clock, two stamps bracketing the
-    /// transform, recorded to `shard`. The buffers leave `job` only
-    /// after the backend returns, so a caller that catches a panicking
-    /// backend still holds them.
-    pub(crate) fn run_job(&mut self, job: &mut Job, shared: &Shared, shard: usize) -> Parked {
-        let begin = if job.sampled { Instant::now() } else { shared.epoch };
+    /// transform; unsampled ones get `epoch`. The buffers leave `job`
+    /// only after the backend returns, so a caller that catches a
+    /// panicking backend still holds them.
+    pub(crate) fn run_job(&mut self, job: &mut Job, epoch: Instant) -> Parked {
+        let stamp = || if job.sampled { Instant::now() } else { epoch };
+        let began_at = stamp();
         let error = self.run(&job.input, &mut job.output).err();
-        let finished_at = match &shared.obs {
-            Some(obs) if job.sampled => {
-                let end = Instant::now();
-                let series = |stage: Stage| job.channel.index * Stage::COUNT + stage.index();
-                let rec = &obs.recorder;
-                rec.record(shard, series(Stage::QueueWait), ns_between(job.submitted_at, begin));
-                rec.record(shard, series(Stage::Transform), ns_between(begin, end));
-                end
-            }
-            _ => shared.epoch,
-        };
+        let finished_at = stamp();
         Parked {
             done: Completion {
                 channel: job.channel,
@@ -95,6 +86,7 @@ impl Front {
                 error,
             },
             submitted_at: job.submitted_at,
+            began_at,
             finished_at,
             sampled: job.sampled,
         }
@@ -166,6 +158,6 @@ pub(crate) fn worker_loop(
             shared.space.notify_all();
         }
         let Some(mut job) = job else { return };
-        finished = Some(fronts[job.channel.index].run_job(&mut job, shared, idx));
+        finished = Some(fronts[job.channel.index].run_job(&mut job, shared.epoch));
     }
 }

@@ -5,9 +5,6 @@
 //! takes the queue head, so the flood is shared across workers, and a
 //! probe symbol on another channel still returns while the flood is
 //! outstanding.
-//!
-//! Runs under any pool size `AFFT_STREAM_WORKERS` forces, and skips
-//! itself on a 1-worker pool, where there is nobody to share with.
 
 use afft_core::engine::EngineRegistry;
 use afft_core::Direction;
@@ -26,11 +23,6 @@ fn flooded_channel_is_shared_by_the_pool_while_others_progress() {
     // The probe: a fast channel submitted behind the whole flood.
     let probe = builder.channel(ChannelSpec::transform(64, "radix2_dit", Direction::Forward));
     let pipeline = builder.build().unwrap();
-    if pipeline.worker_count() < 2 {
-        // One worker: nothing to share the flood with. The backpressure
-        // suites cover this shape.
-        return;
-    }
 
     const FLOOD_SYMBOLS: u64 = 96;
     for s in 0..FLOOD_SYMBOLS {

@@ -1,14 +1,28 @@
-//! `StreamPipeline::stats` is one snapshot: every counter in it is read
-//! at the same instant, so the symbol ledger balances in every
-//! snapshot, even while symbols are moving through every stage and
-//! caller runs are finishing symbols beside the pool.
+//! `StreamPipeline::stats` is one snapshot: every counter and stage
+//! histogram in it is read at the same instant, so the symbol ledger
+//! balances, and every stage histogram holds exactly the sampled
+//! delivered symbols, in every snapshot, even while symbols are moving
+//! through every stage and caller runs are finishing symbols beside the
+//! pool.
 
 use std::time::Duration;
 
 use afft_core::engine::EngineRegistry;
 use afft_core::Direction;
 use afft_num::Complex;
-use afft_stream::{ChannelSpec, StreamPipeline, SubmitError};
+use afft_stream::{ChannelSpec, StreamPipeline, StreamStats, SubmitError, SAMPLE_EVERY};
+
+/// Where a snapshot's stage histograms disagree with its counters: each
+/// of a channel's four stage counts must be the number of sampled
+/// symbols (seq a multiple of `SAMPLE_EVERY`) it has delivered.
+fn incoherent_stages(st: &StreamStats) -> Option<String> {
+    st.obs.per_channel.iter().zip(&st.per_channel).enumerate().find_map(|(i, (obs, counts))| {
+        let want = counts.delivered.div_ceil(SAMPLE_EVERY);
+        obs.stages().into_iter().find(|(_, h)| h.count() != want).map(|(stage, h)| {
+            format!("channel {i}: delivered {} but {stage}.count() {}", counts.delivered, h.count())
+        })
+    })
+}
 
 #[test]
 fn every_stats_snapshot_balances_under_a_submit_recv_storm() {
@@ -57,6 +71,7 @@ fn every_stats_snapshot_balances_under_a_submit_recv_storm() {
         while !receiver.is_finished() || !runner.is_finished() {
             let st = pipeline.stats();
             snapshots += 1;
+            unbalanced.extend(incoherent_stages(&st));
             let in_pipeline = (st.in_queue + st.in_flight) as u64;
             let transforms = st.worker_transforms.iter().sum::<u64>() + st.caller_transforms;
             if st.submitted != st.completed + in_pipeline
@@ -82,14 +97,15 @@ fn every_stats_snapshot_balances_under_a_submit_recv_storm() {
     assert!(
         unbalanced.is_empty(),
         "{} of {snapshots} snapshots broke submitted == completed + in_queue + in_flight, \
-         delivered <= completed or sum(worker_transforms) + caller_transforms == completed; \
-         first: {}",
+         delivered <= completed, sum(worker_transforms) + caller_transforms == completed or \
+         stage count == delivered.div_ceil(SAMPLE_EVERY); first: {}",
         unbalanced.len(),
         unbalanced[0]
     );
     assert!(runs >= (RUN_ATTEMPTS / 2) as u64, "every run on the quiet channel succeeds");
     let (stats, leftover) = pipeline.shutdown();
     assert!(leftover.is_empty());
+    assert_eq!(incoherent_stages(&stats), None);
     let total = SYMBOLS as u64 + runs;
     assert_eq!((stats.submitted, stats.delivered), (total, total));
     assert_eq!(stats.caller_transforms, runs);

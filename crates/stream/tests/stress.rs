@@ -14,6 +14,8 @@
 //!   must complete every accepted symbol and hand the undelivered
 //!   completions back in per-channel order. Accepted work is never
 //!   lost.
+//!
+//! Both run on a 2-worker and on a 4-worker pool.
 
 use afft_core::engine::EngineRegistry;
 use afft_core::Direction;
@@ -68,7 +70,14 @@ fn reference_spectra() -> Vec<Vec<Vec<C64>>> {
 
 #[test]
 fn try_submit_storm_delivers_every_accepted_symbol_in_order() {
-    let mut builder = StreamPipeline::builder(EngineRegistry::standard).workers(2).queue_depth(2); // tiny on purpose: the storm must hit QueueFull
+    for workers in [2, 4] {
+        try_submit_storm(workers);
+    }
+}
+
+fn try_submit_storm(workers: usize) {
+    let mut builder =
+        StreamPipeline::builder(EngineRegistry::standard).workers(workers).queue_depth(2); // tiny on purpose: the storm must hit QueueFull
     let ids: Vec<_> = CHANNELS
         .iter()
         .map(|&(n, engine, _)| {
@@ -145,7 +154,14 @@ fn try_submit_storm_delivers_every_accepted_symbol_in_order() {
 
 #[test]
 fn shutdown_under_load_completes_and_returns_accepted_work_in_order() {
-    let mut builder = StreamPipeline::builder(EngineRegistry::standard).workers(2).queue_depth(8);
+    for workers in [2, 4] {
+        shutdown_under_load(workers);
+    }
+}
+
+fn shutdown_under_load(workers: usize) {
+    let mut builder =
+        StreamPipeline::builder(EngineRegistry::standard).workers(workers).queue_depth(8);
     let ids: Vec<_> = CHANNELS
         .iter()
         .map(|&(n, engine, _)| {

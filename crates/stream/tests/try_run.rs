@@ -7,7 +7,7 @@ use afft_core::engine::EngineRegistry;
 use afft_core::{Direction, FftError};
 use afft_num::{Complex, C64};
 use afft_planner::take_engine;
-use afft_stream::{ChannelSpec, StreamPipeline, SubmitError};
+use afft_stream::{ChannelSpec, StreamPipeline, SubmitError, SAMPLE_EVERY};
 
 fn tagged(n: usize, tag: f64) -> Vec<C64> {
     (0..n).map(|i| Complex::new(tag, i as f64 / n as f64)).collect()
@@ -90,17 +90,21 @@ fn caller_runs_refuse_misshaped_payloads_and_a_closed_pipeline() {
 
 #[test]
 fn a_sampled_caller_run_lands_once_in_every_stage_histogram() {
-    let mut builder = StreamPipeline::builder(EngineRegistry::standard)
-        .workers(1)
-        .observability(true)
-        .sample_every(1);
+    let mut builder = StreamPipeline::builder(EngineRegistry::standard).workers(1);
     let ch = builder.channel(ChannelSpec::transform(64, "radix4_dit", Direction::Forward));
     let pipeline = builder.build().unwrap();
+    // Seq 0 is sampled; the caller runs up to seq SAMPLE_EVERY are not.
+    for s in 0..SAMPLE_EVERY {
+        assert_eq!(pipeline.try_run(ch, tagged(64, s as f64), zeros(64)).unwrap().seq, s);
+        for (stage, hist) in pipeline.stats().obs.per_channel[0].stages() {
+            assert_eq!(hist.count(), 1, "stage {stage} after seq {s}");
+        }
+    }
     pipeline.try_run(ch, tagged(64, 1.0), zeros(64)).unwrap();
 
     let (stats, _) = pipeline.shutdown();
-    let obs = stats.obs.expect("metrics on");
-    for (stage, hist) in obs.per_channel[0].stages() {
-        assert_eq!(hist.count(), 1, "stage {stage}");
+    assert_eq!(stats.caller_transforms, SAMPLE_EVERY + 1);
+    for (stage, hist) in stats.obs.per_channel[0].stages() {
+        assert_eq!(hist.count(), 2, "stage {stage}");
     }
 }

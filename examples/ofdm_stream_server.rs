@@ -18,10 +18,9 @@
 //! The end of the run demonstrates backpressure (`try_submit` refusing
 //! with `QueueFull` on a deliberately tiny queue) and graceful
 //! shutdown (close, drain, join — with the undelivered completions
-//! handed back). Shutdown also prints the observability layer's
-//! per-channel latency table — p50/p99 end-to-end plus the queue-wait
-//! / transform / reorder-park stage breakdown (set `AFFT_OBS=0` to run
-//! the server bare).
+//! handed back). Shutdown also prints the pipeline's per-channel
+//! latency table — p50/p99 end-to-end plus the queue-wait / transform /
+//! reorder-park stage breakdown.
 //!
 //! ```text
 //! cargo run --release --example ofdm_stream_server
@@ -158,12 +157,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(final_stats.delivered, final_stats.submitted);
 
     // The shutdown report: per-channel latency percentiles with the
-    // queue-wait / transform / reorder-park breakdown, recorded by the
-    // observability layer (present unless the server ran AFFT_OBS=0).
-    match &final_stats.obs {
-        Some(obs) => println!("\nper-channel latency at shutdown:\n{obs}"),
-        None => println!("\nper-channel latency at shutdown: disabled (AFFT_OBS=0)"),
-    }
+    // queue-wait / transform / reorder-park breakdown.
+    println!("\nper-channel latency at shutdown:\n{}", final_stats.obs);
 
     // Backpressure, demonstrated: a tiny queue on a slow engine rejects
     // with QueueFull instead of blocking — and hands the buffers back.

@@ -68,14 +68,12 @@ def check_stream(path, doc):
         "sequential_tps",
         "threaded_call_tps",
         "stream_tps",
-        "stream_metrics_tps",
         "stream_mc_tps",
     ):
         expect(path, doc["arms"], arm, (int, float))
         if doc["arms"][arm] <= 0:
             fail(path, f"arms.{arm} must be positive, got {doc['arms'][arm]}")
     expect(path, doc, "stream_vs_call", (int, float))
-    expect(path, doc, "metrics_overhead_ratio", (int, float))
     expect(path, doc, "queue", dict)
     expect(path, doc["queue"], "capacity", (int, float))
     expect(path, doc["queue"], "high_water", (int, float))
@@ -139,7 +137,7 @@ def check_net(path, doc):
         )
     # The embedded admin document — the same JSON a live STATS frame
     # returns. Server counters, then the full pipeline snapshot with
-    # per-channel histograms when observability was on.
+    # its per-channel stage histograms.
     expect(path, doc, "admin", dict)
     admin = doc["admin"]
     expect(path, admin, "server", str)
@@ -161,7 +159,10 @@ def check_net(path, doc):
     for chan in pipe["per_channel"]:
         for key in ("channel", "submitted", "completed", "delivered"):
             expect(path, chan, key, (int, float))
-    for chan in pipe.get("channels", []):
+    expect(path, pipe, "channels", list)
+    if len(pipe["channels"]) != len(pipe["per_channel"]):
+        fail(path, "admin.pipeline.channels and per_channel differ in length")
+    for chan in pipe["channels"]:
         for stage in ("latency", "queue_wait", "transform", "reorder_park"):
             if stage not in chan:
                 fail(path, f"admin channel {chan.get('channel')}: missing stage {stage!r}")

@@ -29,10 +29,9 @@
 //!   protocol-level load shedding (`RETRY_AFTER`), buffer recycling,
 //!   graceful drain, an admin stats endpoint, and a loopback client;
 //! * [`obs`] ([`afft_obs`]) — the zero-dependency observability layer:
-//!   log-bucketed latency histograms, sharded lock-free recorders,
-//!   stage timers, named counters, and text/JSON exporters, wired
-//!   through the stream, planner, and bench layers (global switch:
-//!   `AFFT_OBS`, default on);
+//!   log-bucketed latency histograms, stage spans, named counters, and
+//!   text/JSON exporters, wired through the stream, planner, and bench
+//!   layers (always on);
 //! * [`baselines`] ([`afft_baselines`]) — the TI C6713 and Xtensa
 //!   trace-driven models of Table II;
 //! * [`hwmodel`] ([`afft_hwmodel`]) — the Section IV gate/power/timing

@@ -3,30 +3,28 @@
 //! multipath channel, demodulate on the cycle-accurate hardware,
 //! equalise, and demand zero bit errors.
 
-use afft::asip::pipeline::FftPipeline;
-use afft::asip::runner::quantize_input;
+use afft::asip::engine::AsipEngine;
 use afft::core::ofdm::{apply_fir_channel, qpsk_demap, qpsk_map, Ofdm};
 use afft::num::{Complex, C64};
-use afft::sim::Timing;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const N: usize = 128;
 const CP: usize = 32;
 
-fn asip_fft(pipeline: &mut FftPipeline, time: &[C64]) -> Vec<C64> {
-    // Scale into the Q15 range, run on the ASIP, undo the 1/N scaling.
-    let amp = 0.5;
-    let input = quantize_input(time, amp);
-    let (out, _cycles) = pipeline.process(&input).expect("ASIP symbol");
-    out.iter().map(|c| c.to_c64() * (N as f64 / amp)).collect()
-}
-
 #[test]
 fn multipath_ofdm_link_through_the_simulated_hardware() {
     let mut rng = StdRng::seed_from_u64(42);
     let mut ofdm = Ofdm::new(N, CP).expect("ofdm plan");
-    let mut pipeline = FftPipeline::new(N, Timing::default()).expect("pipeline");
+    // The receiver's FFT is the ISS, planned once and reused per symbol.
+    let asip = AsipEngine::new(N).expect("asip engine");
+    let mut receiver = Ofdm::with_engine(Box::new(asip), CP).expect("asip receiver");
+    let mut cycles = Vec::new();
+    let mut demodulate = |samples: &[C64]| {
+        let bins = receiver.demodulate(samples).expect("ASIP symbol");
+        cycles.push(receiver.engine().cycles().expect("the ISS reports cycles"));
+        bins
+    };
 
     // A 4-tap channel inside the cyclic prefix.
     let taps = vec![
@@ -40,8 +38,7 @@ fn multipath_ofdm_link_through_the_simulated_hardware() {
     let pilot_bits: Vec<(bool, bool)> = (0..N).map(|_| (rng.gen(), rng.gen())).collect();
     let pilot = qpsk_map(&pilot_bits);
     let tx_pilot = ofdm.modulate(&pilot).expect("modulate pilot");
-    let rx_pilot_time = apply_fir_channel(&tx_pilot, &taps);
-    let rx_pilot = asip_fft(&mut pipeline, &rx_pilot_time[CP..]);
+    let rx_pilot = demodulate(&apply_fir_channel(&tx_pilot, &taps));
     let channel: Vec<C64> =
         rx_pilot.iter().zip(&pilot).map(|(&y, &x)| y * x.conj() * (1.0 / x.norm_sqr())).collect();
 
@@ -51,8 +48,7 @@ fn multipath_ofdm_link_through_the_simulated_hardware() {
     for _ in 0..4 {
         let bits: Vec<(bool, bool)> = (0..N).map(|_| (rng.gen(), rng.gen())).collect();
         let tx = ofdm.modulate(&qpsk_map(&bits)).expect("modulate");
-        let rx_time = apply_fir_channel(&tx, &taps);
-        let rx_bins = asip_fft(&mut pipeline, &rx_time[CP..]);
+        let rx_bins = demodulate(&apply_fir_channel(&tx, &taps));
         let eq = ofdm.equalize(&rx_bins, &channel);
         let decided = qpsk_demap(&eq);
         total_bits += 2 * N;
@@ -64,7 +60,8 @@ fn multipath_ofdm_link_through_the_simulated_hardware() {
     }
     assert_eq!(errors, 0, "{errors}/{total_bits} bit errors through the simulated ASIP");
 
-    // The pipeline ran 5 symbols (pilot + 4 data) on one machine.
-    assert_eq!(pipeline.symbols(), 5);
-    assert!(pipeline.steady_state_cycles() > 0.0);
+    // Five symbols (pilot + 4 data) on one planned machine, each costing
+    // the same modeled cycles as a fresh run.
+    assert_eq!(cycles.len(), 5);
+    assert!(cycles[0] > 0 && cycles.iter().all(|&c| c == cycles[0]), "{cycles:?}");
 }
