@@ -55,11 +55,6 @@ pub struct AsipEngine {
     // Q15 staging for the wire-format input and the natural-order output.
     quant_in: Vec<Complex<Q15>>,
     quant_out: Vec<Complex<Q15>>,
-    /// Modeled cycle counts of every run — always recorded (the
-    /// simulator's own cost dwarfs two histogram adds), so per-run
-    /// variation (e.g. across cache configurations) is inspectable
-    /// instead of only the last value.
-    cycle_hist: afft_obs::Histogram,
 }
 
 impl AsipEngine {
@@ -85,7 +80,6 @@ impl AsipEngine {
             last_stats: None,
             quant_in: vec![Complex::zero(); n],
             quant_out: vec![Complex::zero(); n],
-            cycle_hist: afft_obs::Histogram::new(),
         })
     }
 
@@ -98,12 +92,6 @@ impl AsipEngine {
     /// Cycle count of the most recent run, or `None` before the first.
     pub fn last_cycles(&self) -> Option<u64> {
         self.last_stats().map(|s| s.cycles)
-    }
-
-    /// Distribution of modeled cycle counts over every run this engine
-    /// instance has executed (empty before the first).
-    pub fn cycle_histogram(&self) -> &afft_obs::Histogram {
-        &self.cycle_hist
     }
 }
 
@@ -147,7 +135,6 @@ impl FftEngine for AsipEngine {
             },
         )?;
         self.last_stats = Some(stats);
-        self.cycle_hist.record(stats.cycles);
 
         // The datapath scales by 1/N; undo that and the input scaling
         // to meet the unnormalised-DFT contract.
@@ -247,18 +234,15 @@ mod tests {
         // Before the run: the closed-form prediction.
         assert_eq!(engine.traffic().unwrap().total(), 4 * n);
         assert!(engine.last_stats().is_none());
-        assert!(engine.cycle_histogram().is_empty());
         engine.execute(&random_signal(n, 2), Direction::Forward).unwrap();
         let stats = engine.last_stats().expect("stats retained");
         assert_eq!(stats.ldin, n as u64);
         assert_eq!(stats.stout, n as u64);
         assert!(stats.cycles > 0);
-        // Every run lands in the cycle distribution; the canonical
-        // program is deterministic, so both runs cost the same bucket.
+        // The canonical program is deterministic: another input costs
+        // the same cycles.
         engine.execute(&random_signal(n, 4), Direction::Forward).unwrap();
-        let hist = engine.cycle_histogram();
-        assert_eq!(hist.count(), 2);
-        assert_eq!(hist.p50(), hist.p99(), "deterministic program, one bucket");
+        assert_eq!(engine.last_cycles(), Some(stats.cycles), "deterministic program");
         // Measured traffic equals the prediction for the canonical
         // program: each beat moves two points.
         assert_eq!(engine.traffic().unwrap().total(), 4 * n);

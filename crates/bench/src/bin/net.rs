@@ -23,10 +23,11 @@
 //! cargo run -p afft-bench --release --bin net -- --smoke # CI subset
 //! ```
 //!
-//! Every run (smoke included) writes `BENCH_net.json`: both arms'
-//! frames/sec, the flood ledger, and the server's own admin stats
-//! document embedded verbatim — the same JSON a live `STATS` frame
-//! returns, schema-checked by CI.
+//! A full run writes `BENCH_net.json` and a smoke run
+//! `target/bench-smoke/BENCH_net.json`, so smokes leave the committed
+//! artifact alone: both arms' frames/sec, the flood ledger, and the
+//! server's own admin stats document embedded verbatim — the same JSON
+//! a live `STATS` frame returns, schema-checked by CI.
 
 use afft_core::engine::EngineRegistry;
 use afft_core::Direction;
@@ -198,7 +199,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("tcp:     {tcp_tps:>10.0} frames/s  ({ratio:.2}x of direct)");
     println!("flood:   {accepted} accepted + {shed} shed = {flood_frames} (ledger balanced)");
 
-    // Machine-readable artifact, smoke included — CI schema-checks it.
+    // Machine-readable artifact, smoke included (under
+    // target/bench-smoke/) — CI schema-checks both kinds.
     let doc = json::Obj::new()
         .str("bench", "net")
         .num("stamp_unix", stamp as f64)
@@ -225,7 +227,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )
         .raw("admin", admin)
         .finish();
-    std::fs::write("BENCH_net.json", doc + "\n")?;
-    println!("wrote BENCH_net.json");
+    let path = afft_bench::artifact_path("BENCH_net.json", smoke)?;
+    std::fs::write(&path, doc + "\n")?;
+    println!("wrote {}", path.display());
     Ok(())
 }

@@ -1,18 +1,16 @@
 //! Experiment E11 — sustained streaming throughput: the persistent
-//! [`StreamPipeline`] worker pool versus the two execution shapes the
-//! workspace already had, on a continuous symbol stream:
+//! [`StreamPipeline`] worker pool versus two baseline execution shapes,
+//! on a continuous symbol stream:
 //!
-//! * `sequential` — one planned engine,
-//!   [`BatchExecutor::execute_into`](afft_planner::BatchExecutor::execute_into)
+//! * `sequential` — a loop over one planned engine's `execute_into`
 //!   over the whole stream on the calling thread;
-//! * `threaded/call` — per-call scoped threads:
-//!   [`BatchExecutor::execute_threaded_into`](afft_planner::BatchExecutor::execute_threaded_into)
-//!   on each arriving chunk, re-spawning the pool (and re-building one
-//!   registry per worker) every call — the shape PR 2 built for
-//!   one-shot frames. Sized to the host with `available_parallelism`
-//!   exactly like the pipeline arm, so the comparison prices the
-//!   *shape* (per-call spawns vs a persistent pool), not a thread-count
-//!   mismatch;
+//! * `threaded/call` — per-call scoped threads, written out here as
+//!   bench code: each arriving chunk spawns a [`std::thread::scope`]
+//!   pool, every worker builds its own engine ([`take_engine`]) and
+//!   transforms one contiguous shard of the chunk. Sized to the host
+//!   with `available_parallelism` exactly like the pipeline arm, so the
+//!   comparison prices the *shape* (per-call spawns vs a persistent
+//!   pool), not a thread-count mismatch;
 //! * `stream` — the persistent pipeline: the pool and the per-worker
 //!   engines outlive the whole stream, symbols flow through the
 //!   one-queue scheduler, and the payload buffers recycle through
@@ -31,11 +29,12 @@
 //! cargo run -p afft-bench --release --bin stream -- --smoke # CI subset
 //! ```
 //!
-//! Every run (smoke included) writes `BENCH_stream.json`: per-arm
-//! throughput plus the pipeline's per-channel latency histograms with
-//! the queue-wait / transform / reorder-park breakdown (one symbol in
-//! `SAMPLE_EVERY` sampled). Full optimized runs on a multi-core host
-//! enforce one acceptance bar: the persistent pipeline must sustain at
+//! A full run writes `BENCH_stream.json` and a smoke run
+//! `target/bench-smoke/BENCH_stream.json`, so smokes leave the committed
+//! artifact alone: per-arm throughput plus the pipeline's per-channel
+//! latency histograms with the queue-wait / transform / reorder-park
+//! breakdown (one symbol in `SAMPLE_EVERY` sampled). Full optimized
+//! runs on a multi-core host enforce one acceptance bar: the persistent pipeline must sustain at
 //! least **1.2x** the per-call scoped-thread throughput at N = 256. It
 //! is skipped for `--smoke`, debug builds, and single-core hosts —
 //! wherever the timings are noise: on one core the pipeline arm is
@@ -46,11 +45,11 @@
 
 use afft_bench::row;
 use afft_bench::workload::qpsk_symbol;
-use afft_core::engine::EngineRegistry;
-use afft_core::Direction;
+use afft_core::engine::{EngineRegistry, FftEngine};
+use afft_core::{Direction, FftError};
 use afft_num::{Complex, C64};
 use afft_obs::json;
-use afft_planner::{Plan, Planner, Strategy};
+use afft_planner::{take_engine, Plan, Planner, Strategy};
 use afft_stream::{ChannelSpec, StreamPipeline, StreamStats};
 use std::time::Instant;
 
@@ -60,7 +59,7 @@ const N: usize = 256;
 const WORKERS: usize = 4;
 /// Channels (and forced workers) in the multi-worker contention arm.
 const MC_CHANNELS: usize = 4;
-/// Symbols per `execute_threaded_into` call in the per-call arm — the
+/// Symbols per scoped-thread call in the per-call arm — the
 /// "frame" a streaming caller would have buffered up before paying for
 /// a scoped-thread spawn. At N = 256 this is ~100 us of math per call,
 /// a realistic latency budget for a symbol stream — and far too little
@@ -74,6 +73,43 @@ const CHUNK: usize = 32;
 /// ratio on small hosts; now the two arms differ only in *shape*.
 fn pool_workers() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get).min(WORKERS)
+}
+
+/// One per-call scoped-thread run over a chunk: `pool` workers, each
+/// building its own engine and transforming a contiguous shard into its
+/// slice of `out`. With one worker (or a one-symbol chunk) the chunk
+/// runs on the calling thread's `engine` instead, spawning nothing.
+fn threaded_call(
+    engine: &mut dyn FftEngine,
+    chunk: &[Vec<C64>],
+    out: &mut [Vec<C64>],
+    pool: usize,
+) -> Result<(), FftError> {
+    let workers = pool.min(chunk.len());
+    if workers <= 1 {
+        return chunk
+            .iter()
+            .zip(out)
+            .try_for_each(|(x, y)| engine.execute_into(x, y, Direction::Forward));
+    }
+    let shard = chunk.len().div_ceil(workers);
+    let name = engine.name();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = chunk
+            .chunks(shard)
+            .zip(out.chunks_mut(shard))
+            .map(|(shard_in, shard_out)| {
+                scope.spawn(move || -> Result<(), FftError> {
+                    let mut engine = take_engine(EngineRegistry::standard, N, name)?;
+                    for (x, y) in shard_in.iter().zip(shard_out) {
+                        engine.execute_into(x, y, Direction::Forward)?;
+                    }
+                    Ok(())
+                })
+            })
+            .collect();
+        handles.into_iter().try_for_each(|h| h.join().expect("per-call worker panicked"))
+    })
 }
 
 /// The stream arm: a pipeline plus the recycling payload buffers its
@@ -272,25 +308,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let stream_in: Vec<Vec<C64>> = (0..symbols).map(|s| qpsk_symbol(N, s as u64)).collect();
 
-    // Reference spectra + the sequential arm share one executor.
-    let mut executor = planner.executor(&plan)?;
-    let mut reference = executor.alloc_output(symbols);
+    // Reference spectra + the sequential arm share one planned engine.
+    let mut engine = planner.engine(&plan)?;
+    let mut reference = vec![vec![Complex::zero(); N]; symbols];
     let mut seq_tps = 0.0f64;
     for _ in 0..reps {
         let start = Instant::now();
-        executor.execute_into(&stream_in, &mut reference, Direction::Forward)?;
+        for (x, y) in stream_in.iter().zip(&mut reference) {
+            engine.execute_into(x, y, Direction::Forward)?;
+        }
         seq_tps = seq_tps.max(symbols as f64 / start.elapsed().as_secs_f64());
     }
 
     // Per-call scoped threads: every CHUNK symbols pays thread spawns
     // plus one engine construction per worker — the cost a persistent
     // pool exists to amortise.
-    let mut chunk_out = executor.alloc_output(symbols);
+    let mut chunk_out = vec![vec![Complex::zero(); N]; symbols];
     let mut call_tps = 0.0f64;
     for _ in 0..reps {
         let start = Instant::now();
-        for (shard_in, shard_out) in stream_in.chunks(CHUNK).zip(chunk_out.chunks_mut(CHUNK)) {
-            executor.execute_threaded_into(shard_in, shard_out, Direction::Forward, pool)?;
+        for (chunk, out) in stream_in.chunks(CHUNK).zip(chunk_out.chunks_mut(CHUNK)) {
+            threaded_call(engine.as_mut(), chunk, out, pool)?;
         }
         call_tps = call_tps.max(symbols as f64 / start.elapsed().as_secs_f64());
     }
@@ -343,7 +381,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "stream vs per-call scoped threads: {speedup:.2}x sustained on a {symbols}-symbol stream"
     );
 
-    // Machine-readable artifact, smoke included — CI schema-checks it.
+    // Machine-readable artifact, smoke included (under
+    // target/bench-smoke/) — CI schema-checks both kinds.
     let doc = json::Obj::new()
         .str("bench", "stream")
         .num("stamp_unix", stamp as f64)
@@ -385,8 +424,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )
         .raw("channels", obs.to_json())
         .finish();
-    std::fs::write("BENCH_stream.json", doc + "\n")?;
-    println!("wrote BENCH_stream.json");
+    let path = afft_bench::artifact_path("BENCH_stream.json", smoke)?;
+    std::fs::write(&path, doc + "\n")?;
+    println!("wrote {}", path.display());
 
     // The acceptance bar, gated like the throughput bin: only where
     // the timing means something (full run, optimized build) AND only

@@ -48,6 +48,23 @@ pub fn parse_stamp(args: &[String]) -> Result<u64, String> {
     }
 }
 
+/// Where a bench bin writes its JSON artifact `name`: the working
+/// directory for a full run (the committed artifact), and
+/// `target/bench-smoke/` (created on demand, ignored by git) for a
+/// `--smoke` run, so a smoke never overwrites the full-run numbers.
+///
+/// # Errors
+///
+/// Any [`std::io::Error`] from creating the smoke directory.
+pub fn artifact_path(name: &str, smoke: bool) -> std::io::Result<std::path::PathBuf> {
+    if !smoke {
+        return Ok(name.into());
+    }
+    let dir = std::path::Path::new("target/bench-smoke");
+    std::fs::create_dir_all(dir)?;
+    Ok(dir.join(name))
+}
+
 /// Formats a ratio as the paper's "X-factor" improvement strings.
 pub fn factor(ours: f64, other: f64) -> String {
     if ours <= 0.0 {

@@ -38,9 +38,9 @@
 //! the borrow checker), and on error the output buffer's contents are
 //! unspecified.
 //!
-//! This contract is what the upper layers build on: the planner's
-//! batch executor and the streaming pipeline's long-lived workers each
-//! own one engine instance (and therefore one scratch set) per thread
+//! This contract is what the upper layers build on: the streaming
+//! pipeline's long-lived workers each own one engine instance (and
+//! therefore one scratch set) per thread
 //! — [`FftEngine`] deliberately carries no `Sync` bound — and drive it
 //! through `execute_into` so steady-state throughput work never
 //! touches the allocator. It does carry `Send`: an engine may move
@@ -921,7 +921,7 @@ impl EngineRegistry {
 
     /// Removes the row named `name` and returns its engine owned — how a
     /// planner hands the winning backend to a long-lived consumer (an
-    /// OFDM modem, a batch executor) without building the others.
+    /// OFDM modem, a stream worker) without building the others.
     ///
     /// # Errors
     ///

@@ -1,11 +1,11 @@
 //! **afft-obs** — the workspace's zero-dependency observability layer:
 //! log-bucketed latency histograms, the saturating span between two
-//! clock stamps, named counters, and table/JSON exporters. In the
-//! spirit of HdrHistogram and `tracing`, rebuilt std-only so the
-//! runtime stack (stream pipeline, planner, batch executor, benches) can
-//! measure itself without pulling a dependency into the hot path.
+//! clock stamps, and table/JSON exporters. In the spirit of
+//! HdrHistogram and `tracing`, rebuilt std-only so the runtime stack
+//! (stream pipeline, planner, benches) can measure itself without
+//! pulling a dependency into the hot path.
 //!
-//! Four pieces:
+//! Three pieces:
 //!
 //! * [`Histogram`] — a log-bucketed (~2% relative error) `u64`
 //!   histogram with `record`/`merge`/`percentile` and saturation
@@ -15,7 +15,6 @@
 //! * [`ns_between`] — the saturating span between two stamps, which
 //!   the stream pipeline records for its queue-wait / transform /
 //!   reorder-park / end-to-end stages;
-//! * [`Counter`] — named, process-global, relaxed atomic event counts;
 //! * exporters — [`Snapshot`] `Display` tables, [`histogram_json`],
 //!   and the dependency-free [`json`] writer (shared with the bench
 //!   artifacts — `afft_bench::json` re-exports it).
@@ -45,13 +44,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod counter;
 pub mod export;
 pub mod hist;
 pub mod json;
 pub mod stage;
 
-pub use counter::{counter, counters_snapshot, Counter};
 pub use export::{fmt_ns, histogram_json, Snapshot};
 pub use hist::Histogram;
 pub use stage::ns_between;

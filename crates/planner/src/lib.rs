@@ -1,25 +1,26 @@
 //! **afft-planner** — the autotuning layer over the
 //! [`afft_core::engine::EngineRegistry`]: measure (or estimate) every
 //! backend for a transform shape, remember the winner as serializable
-//! *wisdom*, and execute whole batches of symbols through the planned
-//! engine — the FFTW planner/wisdom idiom rebuilt natively on the
-//! workspace's registry.
+//! *wisdom*, and build the planned engine — the FFTW planner/wisdom
+//! idiom rebuilt natively on the workspace's registry.
 //!
-//! Three pillars:
+//! Two pillars:
 //!
 //! * [`Planner`] — ranks the registry per `(n, direction)` by
 //!   [`Strategy::Estimate`] (each catalog row's cost — operation count
 //!   and traffic, or modeled cycles — priced with host constants,
 //!   building no engine) or [`Strategy::Measure`] (times a calibration
 //!   run of every engine; cycle-accurate backends rank by modeled
-//!   hardware cycles instead of simulator wall time);
+//!   hardware cycles instead of simulator wall time), and builds the
+//!   winner with [`Planner::engine`];
 //! * [`Wisdom`] — a plan cache keyed by `(n, direction, strategy,
 //!   backend-set hash)` with a dependency-free line-oriented text
 //!   serialization ([`Wisdom::load`] / [`Wisdom::store`] /
-//!   [`Wisdom::merge`]), so tuning cost is paid once per machine;
-//! * [`BatchExecutor`] — plans once, then runs `&[Vec<C64>]` batches
-//!   through the planned engine, optionally sharded across a
-//!   [`std::thread::scope`] worker pool with bit-identical results.
+//!   [`Wisdom::merge`]), so tuning cost is paid once per machine.
+//!
+//! Many symbols run either as a loop over the planned engine's
+//! `execute_into`, or through an `afft_stream` pipeline channel built
+//! from the plan (`ChannelSpec::from_plan`).
 //!
 //! # Quickstart
 //!
@@ -38,11 +39,14 @@
 //! let replay = planner.plan(256, Strategy::Estimate)?;
 //! assert!(replay.from_wisdom);
 //!
-//! // Batch execution on the winning engine, optionally threaded.
-//! let mut executor = planner.executor(&plan)?;
+//! // A batch is a loop over the winning engine: one engine, one
+//! // scratch set, no heap work per symbol.
+//! let mut engine = planner.engine(&plan)?;
 //! let batch = vec![vec![afft_num::Complex::new(1.0, 0.0); 256]; 8];
-//! let spectra = executor.execute_threaded(&batch, afft_core::Direction::Forward, 4)?;
-//! assert_eq!(spectra.len(), 8);
+//! let mut spectra = vec![vec![afft_num::Complex::zero(); 256]; batch.len()];
+//! for (symbol, spectrum) in batch.iter().zip(&mut spectra) {
+//!     engine.execute_into(symbol, spectrum, afft_core::Direction::Forward)?;
+//! }
 //! assert!((spectra[0][0].re - 256.0).abs() < 1e-6);
 //! # Ok::<(), afft_core::FftError>(())
 //! ```
@@ -50,11 +54,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod planner;
 pub mod wisdom;
 
-pub use batch::{BatchExecutor, RunTiming, ShardTiming};
 pub use planner::{
     calibration_signal, take_engine, EngineRank, Plan, Planner, RegistryFactory, Strategy,
 };

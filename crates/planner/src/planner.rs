@@ -10,7 +10,6 @@ use afft_core::{Direction, FftError};
 use afft_num::{Complex, C64};
 use afft_obs::{Histogram, Snapshot};
 
-use crate::batch::BatchExecutor;
 use crate::wisdom::{backend_set_hash, Wisdom, WisdomEntry, WisdomKey};
 
 /// How a registry for size `n` is built — the planner's only coupling
@@ -265,15 +264,6 @@ impl Planner {
         take_engine(self.factory, plan.n, &plan.best().name)
     }
 
-    /// Builds a [`BatchExecutor`] over the plan's winning engine.
-    ///
-    /// # Errors
-    ///
-    /// As [`Planner::engine`].
-    pub fn executor(&self, plan: &Plan) -> Result<BatchExecutor, FftError> {
-        BatchExecutor::from_plan(plan, self.factory)
-    }
-
     /// Every calibration rep this planner has timed, as a named
     /// snapshot (`n{n}/{dir}/{engine}` series) — the distribution
     /// behind each [`Strategy::Measure`] ranking, which the best-of
@@ -292,11 +282,11 @@ fn unix_stamp() -> u64 {
 
 /// Builds the engine `name` from the factory's rows for size `n`, and
 /// no other — the one plan→engine resolution path shared by
-/// [`Planner::engine`], the batch executor's per-worker engines, and
-/// the `afft_stream` pipeline's long-lived workers. Public so any
-/// layer that holds a [`RegistryFactory`] and a planned engine name
-/// can construct private engine instances (one per worker — the
-/// threading idiom that needs no `Sync` bound on [`FftEngine`]).
+/// [`Planner::engine`] and the `afft_stream` pipeline's long-lived
+/// workers. Public so any layer that holds a [`RegistryFactory`] and a
+/// planned engine name can construct private engine instances (one per
+/// worker — the threading idiom that needs no `Sync` bound on
+/// [`FftEngine`]).
 ///
 /// # Errors
 ///

@@ -244,11 +244,9 @@ impl Wisdom {
     /// Loads wisdom from `path`. A missing file yields an empty cache
     /// (first run on a new machine); other I/O errors are returned.
     ///
-    /// Corrupt lines are skipped as in [`Wisdom::parse`]; when any are
-    /// present, their number is added to the process-wide
-    /// `wisdom.corrupt_lines` counter ([`fn@afft_obs::counter`]) and one
-    /// warning line is printed to stderr — silent wisdom decay is how
-    /// a machine quietly loses its tuning.
+    /// Corrupt lines are skipped and counted as in [`Wisdom::parse`];
+    /// when any are present, one warning line is printed to stderr —
+    /// silent wisdom decay is how a machine quietly loses its tuning.
     ///
     /// # Errors
     ///
@@ -259,7 +257,6 @@ impl Wisdom {
             Ok(text) => {
                 let wisdom = Wisdom::parse(&text);
                 if wisdom.rejected > 0 {
-                    afft_obs::counter("wisdom.corrupt_lines").add(wisdom.rejected as u64);
                     eprintln!(
                         "warning: skipped {} corrupt wisdom line(s) in {} ({} plan(s) kept)",
                         wisdom.rejected,

@@ -178,9 +178,8 @@ fn planner_wisdom_survives_a_disk_round_trip() {
 }
 
 #[test]
-fn loading_a_corrupt_file_bumps_the_observability_counter() {
-    let before = afft_obs::counter("wisdom.corrupt_lines").get();
-    let path = std::env::temp_dir().join("afft-wisdom-corrupt-counter-test.txt");
+fn loading_a_corrupt_file_counts_and_skips_its_bad_lines() {
+    let path = std::env::temp_dir().join("afft-wisdom-corrupt-lines-test.txt");
     std::fs::write(
         &path,
         "# afft wisdom v1\n\
@@ -192,10 +191,5 @@ fn loading_a_corrupt_file_bumps_the_observability_counter() {
     let wisdom = Wisdom::load(&path).expect("load");
     std::fs::remove_file(&path).ok();
     assert_eq!(wisdom.len(), 1);
-    assert_eq!(wisdom.rejected_lines(), 2);
-    assert_eq!(
-        afft_obs::counter("wisdom.corrupt_lines").get(),
-        before + 2,
-        "corrupt lines must surface on the process-wide counter"
-    );
+    assert_eq!(wisdom.rejected_lines(), 2, "corrupt lines are counted, not lost silently");
 }

@@ -1,20 +1,20 @@
-//! **afft-stream** — the persistent streaming execution layer: a
-//! long-lived worker pool that runs continuous OFDM traffic through
-//! planned [`FftEngine`](afft_core::engine::FftEngine) backends with
-//! zero heap allocation per symbol in steady state.
+//! **afft-stream** — the workspace's one layer for running many
+//! symbols in parallel: a long-lived worker pool that runs continuous
+//! OFDM traffic through planned
+//! [`FftEngine`](afft_core::engine::FftEngine) backends with zero heap
+//! allocation per symbol in steady state. (Run sequentially, a batch is
+//! just a loop over the planned engine's `execute_into`.)
 //!
-//! The batch layer ([`afft_planner::BatchExecutor`]) spawns scoped
-//! threads *per call* — the right shape for one frame, the wrong shape
-//! for millions of symbols arriving continuously. A [`StreamPipeline`]
-//! is the "plan once, execute forever" counterpart: it is built once
-//! from a [`RegistryFactory`](afft_planner::RegistryFactory) and a set
-//! of [`ChannelSpec`]s (typically the winners of wisdom-ranked plans),
-//! spawns `N` long-lived workers that each own a private engine and
-//! pre-warmed scratch per channel (plus one more per channel for
-//! callers that run a symbol themselves), and feeds them from **one bounded
-//! FIFO queue under one lock**: the next free worker takes the oldest
-//! queued symbol, whatever its channel, so one flooded channel cannot
-//! idle the pool. Backpressure is the queue's bound of
+//! A [`StreamPipeline`] plans once and executes forever: it is built
+//! once from a [`RegistryFactory`](afft_planner::RegistryFactory) and a
+//! set of [`ChannelSpec`]s (typically the winners of wisdom-ranked
+//! plans, via [`ChannelSpec::from_plan`]), spawns `N` long-lived
+//! workers that each own a private engine and pre-warmed scratch per
+//! channel (plus one more per channel for callers that run a symbol
+//! themselves), and feeds them from **one bounded FIFO queue under one
+//! lock**: the next free worker takes the oldest queued symbol,
+//! whatever its channel, so one flooded channel cannot idle the pool.
+//! Backpressure is the queue's bound of
 //! [`queue_depth`](StreamBuilder::queue_depth) symbols:
 //!
 //! * [`StreamPipeline::try_submit`] refuses with
@@ -23,16 +23,15 @@
 //! * [`StreamPipeline::submit`] blocks until queue space frees up;
 //! * completions are delivered **strictly in per-channel submission
 //!   order** ([`StreamPipeline::recv`] / [`StreamPipeline::try_recv`]),
-//!   regardless of which worker finished first — with
-//!   [`StreamPipeline::recv_timeout`] bounding the wait and the checked
-//!   forms ([`StreamPipeline::recv_checked`] /
-//!   [`StreamPipeline::submit_checked`]) reporting a poisoned pipeline
-//!   as [`RecvError::Poisoned`] / [`SubmitError::Poisoned`] instead of
-//!   panicking;
+//!   regardless of which worker finished first;
 //! * a single consumer of every channel drains them all at once with
 //!   [`StreamPipeline::recv_ready`]: one pass under the lock moves
-//!   whatever every channel has ready, and it never waits to fill a
-//!   batch;
+//!   whatever every channel has ready, it never waits to fill a batch,
+//!   and its timeout bounds the wait;
+//! * a backend panic poisons the pipeline: the non-blocking calls
+//!   report it as [`SubmitError::Poisoned`] / [`RecvError::Poisoned`]
+//!   (after every parked completion is delivered), while the blocking
+//!   `submit` and `recv` panic rather than wait forever;
 //! * [`StreamPipeline::try_run`] runs a symbol on the calling thread
 //!   when its channel has nothing outstanding, and refuses with
 //!   [`SubmitError::Busy`] otherwise: the same admission, sequence

@@ -53,15 +53,14 @@
 //!
 //! Engines are **never** shared between threads at once: each worker
 //! constructs its own backend per channel from the registry factory
-//! (the same idiom as
-//! [`BatchExecutor::execute_threaded_into`](afft_planner::BatchExecutor::execute_threaded_into)),
-//! and the pipeline keeps one more per channel, the *caller front*,
-//! behind a mutex for caller runs. Only one caller run per channel can
-//! be admitted at a time, so that mutex never contends; it exists
-//! because the engine moves between the threads that call `try_run`
-//! (hence [`FftEngine`](afft_core::engine::FftEngine)`: Send`). Every
-//! front warms its scratch once at build, so steady-state traffic does
-//! zero heap work per symbol.
+//! ([`take_engine`](afft_planner::take_engine)), and the pipeline keeps
+//! one more per channel, the *caller front*, behind a mutex for caller
+//! runs. Only one caller run per channel can be admitted at a time, so
+//! that mutex never contends; it exists because the engine moves
+//! between the threads that call `try_run` (hence
+//! [`FftEngine`](afft_core::engine::FftEngine)`: Send`). Every front
+//! warms its scratch once at build, so steady-state traffic does zero
+//! heap work per symbol.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -188,8 +187,6 @@ pub struct Completion {
     pub input: Vec<C64>,
     /// The result buffer. On error its contents are unspecified.
     pub output: Vec<C64>,
-    /// Cycle count of this transform, on cycle-accurate backends.
-    pub cycles: Option<u64>,
     /// The backend error, if the transform failed. Errors are delivered
     /// in order like successes — a failed symbol never reorders the
     /// stream.
@@ -229,11 +226,9 @@ pub enum SubmitError {
         output: Vec<C64>,
     },
     /// A backend panicked and poisoned the pipeline; it will never
-    /// accept or finish work again. Only the checked forms
-    /// ([`StreamPipeline::try_submit`] /
-    /// [`StreamPipeline::submit_checked`] /
-    /// [`StreamPipeline::try_run`]) return this — the panicking
-    /// [`StreamPipeline::submit`] wrapper re-raises it as a panic.
+    /// accept or finish work again. Only the non-blocking forms
+    /// ([`StreamPipeline::try_submit`] / [`StreamPipeline::try_run`])
+    /// return this; [`StreamPipeline::submit`] panics instead.
     Poisoned {
         /// The refused input buffer, returned to the caller.
         input: Vec<C64>,
@@ -282,15 +277,12 @@ impl core::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// Why a checked receive ([`StreamPipeline::recv_checked`] /
-/// [`StreamPipeline::recv_timeout`]) returned without a verdict on the
-/// channel's traffic.
+/// Why [`StreamPipeline::recv_ready`] returned without a completion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecvError {
-    /// The [`recv_timeout`](StreamPipeline::recv_timeout) deadline
-    /// elapsed with the channel still owing a completion. The symbol is
-    /// not lost — it stays queued/in flight and a later receive can
-    /// still collect it.
+    /// The timeout elapsed with nothing deliverable. No symbol is lost:
+    /// outstanding ones stay queued or in flight, and a later receive
+    /// can still collect them.
     Timeout,
     /// A backend panicked and poisoned the pipeline. The symbol it was
     /// running is lost; waiting for it would hang forever. Completions
@@ -512,8 +504,6 @@ impl StreamPipeline {
     }
 
     /// Blocking submission: waits for queue space instead of refusing.
-    /// A thin wrapper over [`StreamPipeline::submit_checked`] kept for
-    /// callers that prefer a crash to handling a dead pipeline.
     ///
     /// # Errors
     ///
@@ -532,37 +522,12 @@ impl StreamPipeline {
         input: Vec<C64>,
         output: Vec<C64>,
     ) -> Result<u64, SubmitError> {
-        match self.submit_checked(channel, input, output) {
+        match self.enqueue(channel, input, output, Admit::Block) {
             Err(SubmitError::Poisoned { .. }) => {
                 panic!("a stream backend panicked; the pipeline is dead")
             }
             other => other,
         }
-    }
-
-    /// Blocking submission that reports a dead pipeline as an error
-    /// instead of panicking: waits for queue space, and returns
-    /// [`SubmitError::Poisoned`] (with the payload buffers) if a backend
-    /// panic poisons the pipeline before the symbol is accepted. The
-    /// form for callers — like a connection handler — that must degrade
-    /// gracefully rather than unwind.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::Closed`], [`SubmitError::Shape`], or
-    /// [`SubmitError::Poisoned`] — all returning the payload buffers.
-    /// Never [`SubmitError::QueueFull`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel` did not come from this pipeline's builder.
-    pub fn submit_checked(
-        &self,
-        channel: ChannelId,
-        input: Vec<C64>,
-        output: Vec<C64>,
-    ) -> Result<u64, SubmitError> {
-        self.enqueue(channel, input, output, Admit::Block)
     }
 
     /// Queues an admitted symbol for the pool, so queue order always
@@ -713,8 +678,6 @@ impl StreamPipeline {
     /// completion. Returns `None` only when the channel has nothing
     /// outstanding (every accepted symbol already delivered) — so a
     /// drain loop is simply `while let Some(c) = pipeline.recv(ch)`.
-    /// A thin wrapper over [`StreamPipeline::recv_checked`] kept for
-    /// callers that prefer a crash to handling a dead pipeline.
     ///
     /// # Panics
     ///
@@ -724,63 +687,13 @@ impl StreamPipeline {
     /// Completions that were already parked are still delivered before
     /// the panic is raised.
     pub fn recv(&self, channel: ChannelId) -> Option<Completion> {
-        match self.recv_checked(channel) {
+        let idx = self.chan(channel);
+        match self.receive(None, Some(idx), |st| st.rings[idx].deliver()) {
             Ok(got) => got,
             Err(_) => {
                 panic!("a stream backend panicked; its symbol is lost and the pipeline is dead")
             }
         }
-    }
-
-    /// Blocking delivery that reports a dead pipeline as an error
-    /// instead of panicking: `Ok(Some)` is the channel's next in-order
-    /// completion, `Ok(None)` means the channel is drained, and
-    /// [`RecvError::Poisoned`] means a backend panic killed the pipeline
-    /// (parked completions are still delivered first). Never returns
-    /// [`RecvError::Timeout`].
-    ///
-    /// # Errors
-    ///
-    /// [`RecvError::Poisoned`] once the channel's parked completions
-    /// are exhausted on a poisoned pipeline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel` did not come from this pipeline's builder.
-    pub fn recv_checked(&self, channel: ChannelId) -> Result<Option<Completion>, RecvError> {
-        let idx = self.chan(channel);
-        self.receive(None, Some(idx), |st| st.rings[idx].deliver())
-    }
-
-    /// Deadline-bounded delivery: like
-    /// [`recv_checked`](StreamPipeline::recv_checked), but waits at most
-    /// `timeout` for the channel's next in-order completion. Lets a
-    /// caller — a connection handler, say — time out a stalled channel
-    /// and shed its client instead of hanging forever.
-    ///
-    /// A timeout loses nothing: the outstanding symbol stays queued or
-    /// in flight, and a later receive can still collect it. A
-    /// completion that lands exactly at the deadline wins over the
-    /// timeout — one final delivery attempt runs after the wait expires.
-    ///
-    /// # Errors
-    ///
-    /// [`RecvError::Timeout`] if the deadline passes with the channel
-    /// still owing a completion; [`RecvError::Poisoned`] as for
-    /// `recv_checked`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel` did not come from this pipeline's builder.
-    pub fn recv_timeout(
-        &self,
-        channel: ChannelId,
-        timeout: Duration,
-    ) -> Result<Option<Completion>, RecvError> {
-        let idx = self.chan(channel);
-        // A deadline too far to represent means "wait forever".
-        let deadline = Instant::now().checked_add(timeout);
-        self.receive(deadline, Some(idx), |st| st.rings[idx].deliver())
     }
 
     /// Batched delivery across every channel: waits at most `timeout`
@@ -803,8 +716,8 @@ impl StreamPipeline {
     ///
     /// [`RecvError::Timeout`] if `timeout` passes with nothing
     /// deliverable; [`RecvError::Poisoned`] once the parked completions
-    /// are exhausted on a poisoned pipeline, as for
-    /// [`recv_checked`](StreamPipeline::recv_checked).
+    /// are exhausted on a poisoned pipeline (where
+    /// [`recv`](StreamPipeline::recv) would panic).
     pub fn recv_ready(
         &self,
         out: &mut Vec<Completion>,
@@ -819,17 +732,16 @@ impl StreamPipeline {
         Ok(moved.unwrap_or(0))
     }
 
-    /// The one receive loop behind `recv`/`recv_checked`/`recv_timeout`
-    /// (`channel` is the one channel they wait on) and `recv_ready`
-    /// (`None`: every channel), all under one hold of the state lock
-    /// (released only while parked on `done`): `take` pops what the
-    /// caller wants, else a poisoned pipeline is an error, else a
-    /// drained wait (nothing left that could become deliverable: the
-    /// channel has delivered all it accepted, or, for every channel,
-    /// the pipeline is also closed) is `Ok(None)`, else the caller parks
-    /// until a completion becomes deliverable or the deadline passes.
-    /// After the deadline the loop runs `take` one last time before
-    /// conceding [`RecvError::Timeout`].
+    /// The one receive loop behind `recv` (`channel` is the one channel
+    /// it waits on, with no deadline) and `recv_ready` (`None`: every
+    /// channel), all under one hold of the state lock (released only
+    /// while parked on `done`): `take` pops what the caller wants, else
+    /// a poisoned pipeline is an error, else a drained wait (nothing left
+    /// that could become deliverable: the channel has delivered all it
+    /// accepted, or, for every channel, the pipeline is also closed) is
+    /// `Ok(None)`, else the caller parks until a completion becomes
+    /// deliverable or the deadline passes. After the deadline the loop
+    /// runs `take` one last time before conceding [`RecvError::Timeout`].
     fn receive<T>(
         &self,
         deadline: Option<Instant>,
@@ -874,18 +786,6 @@ impl StreamPipeline {
         }
     }
 
-    /// Symbols accepted on `channel` but not yet delivered (queued, in
-    /// flight, or parked awaiting their turn).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel` did not come from this pipeline's builder.
-    pub fn outstanding(&self, channel: ChannelId) -> u64 {
-        let idx = self.chan(channel);
-        let st = self.shared.lock();
-        st.rings[idx].submitted - st.rings[idx].delivered
-    }
-
     /// Stops accepting new submissions. Already-accepted work keeps
     /// flowing: workers drain the queue and completions stay
     /// retrievable. Blocked [`StreamPipeline::submit`] callers return
@@ -894,19 +794,14 @@ impl StreamPipeline {
         self.shared.close(false);
     }
 
-    /// Whether [`StreamPipeline::close`] (or shutdown) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.shared.lock().closed
-    }
-
     /// Whether a backend panic, on a worker or in a caller run, has
     /// poisoned the pipeline. A poisoned pipeline is also closed; the
-    /// checked calls ([`StreamPipeline::submit_checked`] /
-    /// [`StreamPipeline::try_run`] / [`StreamPipeline::recv_checked`] /
-    /// [`StreamPipeline::recv_timeout`]) report it as an error, the
-    /// legacy forms panic, and [`StreamPipeline::shutdown`] would panic
-    /// on a dead worker's join — a graceful owner checks here and drops
-    /// instead.
+    /// non-blocking calls ([`StreamPipeline::try_submit`] /
+    /// [`StreamPipeline::try_run`] / [`StreamPipeline::recv_ready`])
+    /// report it as an error, the blocking [`StreamPipeline::submit`] and
+    /// [`StreamPipeline::recv`] panic, and [`StreamPipeline::shutdown`]
+    /// would panic on a dead worker's join — a graceful owner checks
+    /// here and drops instead.
     pub fn is_poisoned(&self) -> bool {
         self.shared.lock().poisoned
     }
@@ -1298,7 +1193,6 @@ mod tests {
         assert!(matches!(err.unwrap_err(), SubmitError::Shape { .. }));
 
         pipeline.close();
-        assert!(pipeline.is_closed());
         let err = pipeline.submit(ch, vec![Complex::zero(); 64], vec![Complex::zero(); 64]);
         let (input, output) = match err.unwrap_err() {
             e @ SubmitError::Closed { .. } => e.into_buffers(),
@@ -1431,12 +1325,12 @@ mod tests {
         pipeline.submit(ch, vec![Complex::new(1.0, 0.0); 64], vec![Complex::zero(); 64]).unwrap();
         let recv = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pipeline.recv(ch)));
         assert!(recv.is_err(), "recv must fail loudly after a worker panic");
-        // Blocking submit fails loudly too, and the intake is closed.
+        // Blocking submit fails loudly too, and the pipeline is poisoned.
         let blocked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             pipeline.submit(ch, vec![Complex::zero(); 64], vec![Complex::zero(); 64])
         }));
         assert!(blocked.is_err(), "submit must fail loudly after a worker panic");
-        assert!(pipeline.is_closed());
+        assert!(pipeline.is_poisoned());
         // Drop (not shutdown) so the test itself doesn't re-panic on join.
         drop(pipeline);
     }
@@ -1460,15 +1354,15 @@ mod tests {
         };
         assert_eq!((input, output.len()), (ones, 64));
         assert!(pipeline.is_poisoned());
-        assert!(pipeline.is_closed(), "a backend panic also closes the intake");
 
         // Every later call refuses, and the lost symbol is reported, not
         // awaited.
         let refused = pipeline.try_run(ch, zeros(), zeros());
         assert!(matches!(refused, Err(SubmitError::Poisoned { .. })), "{refused:?}");
-        let refused = pipeline.submit_checked(ch, zeros(), zeros());
+        let refused = pipeline.try_submit(ch, zeros(), zeros());
         assert!(matches!(refused, Err(SubmitError::Poisoned { .. })), "{refused:?}");
-        assert_eq!(pipeline.recv_checked(ch).unwrap_err(), RecvError::Poisoned);
+        let received = pipeline.recv_ready(&mut Vec::new(), Duration::from_secs(10));
+        assert_eq!(received.unwrap_err(), RecvError::Poisoned);
         let stats = pipeline.stats();
         assert_eq!((stats.submitted, stats.completed, stats.in_flight), (2, 1, 1));
         assert_eq!(stats.caller_transforms, 1);
@@ -1581,7 +1475,6 @@ mod tests {
                 seq,
                 input: tagged(64, seq as f64),
                 output: vec![Complex::zero(); 64],
-                cycles: None,
                 error: None,
             },
             submitted_at: shared.epoch,
@@ -1606,7 +1499,6 @@ mod tests {
         assert!(pipeline.try_recv(ch).is_none());
         let mut out = Vec::new();
         let timeout = Duration::from_millis(10);
-        assert!(matches!(pipeline.recv_timeout(ch, timeout), Err(RecvError::Timeout)));
         assert!(matches!(pipeline.recv_ready(&mut out, timeout), Err(RecvError::Timeout)));
         assert!(out.is_empty());
 

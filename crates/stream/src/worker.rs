@@ -58,13 +58,6 @@ impl Front {
         }
     }
 
-    fn cycles(&self) -> Option<u64> {
-        match self {
-            Front::Raw { engine, .. } => engine.cycles(),
-            Front::Modem { ofdm, .. } => ofdm.engine().cycles(),
-        }
-    }
-
     /// Transforms `job` and returns it parked: the one
     /// transform-and-stamp step, shared by pool workers and caller
     /// runs. Only sampled jobs read the clock, two stamps bracketing the
@@ -82,7 +75,6 @@ impl Front {
                 seq: job.seq,
                 input: std::mem::take(&mut job.input),
                 output: std::mem::take(&mut job.output),
-                cycles: self.cycles(),
                 error,
             },
             submitted_at: job.submitted_at,

@@ -1,12 +1,14 @@
-//! Acceptance: the threaded batch executor produces *bit-identical*
-//! spectra to sequential execution on a 64-symbol OFDM batch, through
-//! a plan that came out of the planner (and back out of wisdom).
+//! Acceptance: a stream pipeline built from a plan produces
+//! *bit-identical* spectra to a sequential loop over the planned engine
+//! on a 64-symbol OFDM batch, through a plan that came out of the
+//! planner (and back out of wisdom).
 
 use afft_core::engine::EngineRegistry;
 use afft_core::ofdm::{qpsk_map, Ofdm};
 use afft_core::Direction;
 use afft_num::C64;
-use afft_planner::{BatchExecutor, Planner, Strategy, Wisdom};
+use afft_planner::{Plan, Planner, Strategy, Wisdom};
+use afft_stream::{ChannelOp, ChannelSpec, StreamPipeline};
 
 const N: usize = 128;
 const CP: usize = 32;
@@ -25,18 +27,43 @@ fn ofdm_batch() -> Vec<Vec<C64>> {
         .collect()
 }
 
+/// The batch, in order, through a loop over the planner's engine.
+fn sequential(planner: &Planner, plan: &Plan, batch: &[Vec<C64>]) -> Vec<Vec<C64>> {
+    let mut engine = planner.engine(plan).expect("engine");
+    let mut out = vec![vec![C64::zero(); N]; batch.len()];
+    for (symbol, slot) in batch.iter().zip(&mut out) {
+        engine.execute_into(symbol, slot, Direction::Forward).expect("transform");
+    }
+    out
+}
+
+/// The batch through a `workers`-strong pipeline channel on the plan.
+fn pipelined(plan: &Plan, workers: usize, batch: &[Vec<C64>]) -> Vec<Vec<C64>> {
+    let mut builder = StreamPipeline::builder(EngineRegistry::standard).workers(workers);
+    let ch =
+        builder.channel(ChannelSpec::from_plan(plan, ChannelOp::Transform(Direction::Forward)));
+    let pipeline = builder.build().expect("pipeline");
+    for symbol in batch {
+        pipeline.submit(ch, symbol.clone(), vec![C64::zero(); N]).expect("accepted");
+    }
+    let mut out = Vec::with_capacity(batch.len());
+    while let Some(done) = pipeline.recv(ch) {
+        assert!(done.error.is_none());
+        out.push(done.output);
+    }
+    out
+}
+
 #[test]
 fn threaded_pool_is_bit_identical_on_a_64_symbol_ofdm_batch() {
     let mut planner = Planner::new().with_measure_reps(1);
     let plan = planner.plan(N, Strategy::Measure).expect("measure plan");
     assert_eq!(plan.ranking.len(), EngineRegistry::standard(N).expect("registry").len());
 
-    let mut executor = planner.executor(&plan).expect("executor");
     let batch = ofdm_batch();
-    let sequential = executor.execute(&batch, Direction::Forward).expect("sequential");
-    for workers in [2usize, 4, 7, 64] {
-        let threaded =
-            executor.execute_threaded(&batch, Direction::Forward, workers).expect("threaded");
+    let sequential = sequential(&planner, &plan, &batch);
+    for workers in [2usize, 4] {
+        let threaded = pipelined(&plan, workers, &batch);
         assert_eq!(sequential, threaded, "workers={workers} must be bit-identical");
     }
 
@@ -50,7 +77,7 @@ fn threaded_pool_is_bit_identical_on_a_64_symbol_ofdm_batch() {
 #[test]
 fn wisdom_replayed_plan_drives_the_same_executor() {
     // Plan, serialize the wisdom, revive a fresh planner from the
-    // text, and check the replayed plan builds an equivalent executor.
+    // text, and check the replayed plan builds the same engine.
     let mut planner = Planner::new();
     let plan = planner.plan(N, Strategy::Estimate).expect("plan");
     let text = planner.wisdom().serialize();
@@ -59,12 +86,8 @@ fn wisdom_replayed_plan_drives_the_same_executor() {
     let replay = revived.plan(N, Strategy::Estimate).expect("replay");
     assert!(replay.from_wisdom);
     assert_eq!(replay.best().name, plan.best().name);
+    assert_eq!(revived.engine(&replay).expect("engine").name(), plan.best().name);
 
-    let mut a = BatchExecutor::from_plan(&plan, EngineRegistry::standard).expect("exec");
-    let mut b = revived.executor(&replay).expect("exec from wisdom");
     let batch = ofdm_batch();
-    assert_eq!(
-        a.execute(&batch, Direction::Forward).expect("a"),
-        b.execute_threaded(&batch, Direction::Forward, 4).expect("b"),
-    );
+    assert_eq!(sequential(&planner, &plan, &batch), pipelined(&replay, 4, &batch));
 }

@@ -1,10 +1,10 @@
-//! Regression suite for deadline-bounded delivery (`recv_timeout`) and
-//! the non-panicking poisoned-pipeline paths (`recv_checked` /
-//! `submit_checked` / `SubmitError::Poisoned`) — the stream-API
-//! contract the network server leans on: a handler must be able to time
-//! out a stalled channel and degrade per-connection when a worker dies,
-//! never unwind or hang.
+//! Regression suite for blocking delivery and poisoning: receivers
+//! parked behind a caller run, `recv_ready`'s take-what-is-ready
+//! batches, and how a dead worker surfaces — the stream-API contract the
+//! network server leans on: its non-blocking calls report a poisoned
+//! pipeline as an error, and the blocking ones panic, never hang.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use afft_core::engine::{Cost, EngineRegistry, EngineSpec, FftEngine};
@@ -67,79 +67,40 @@ fn paced_symbol(n: usize, millis: f64) -> Vec<C64> {
     v
 }
 
-#[test]
-fn recv_timeout_wakes_on_completion_before_the_deadline() {
-    let mut builder = StreamPipeline::builder(paced_registry).workers(1).queue_depth(4);
-    let ch = builder.channel(ChannelSpec::transform(16, "paced", Direction::Forward));
-    let pipeline = builder.build().unwrap();
-
-    // The symbol takes ~100 ms; the deadline is 10 s. A correct wait
-    // parks and wakes on the completion notification, so the call
-    // returns far before the deadline.
-    pipeline.submit(ch, paced_symbol(16, 100.0), vec![Complex::zero(); 16]).unwrap();
-    let began = Instant::now();
-    let got = pipeline.recv_timeout(ch, Duration::from_secs(10)).unwrap();
-    assert_eq!(got.expect("one symbol outstanding").seq, 0);
-    assert!(began.elapsed() < Duration::from_secs(5), "woke on completion, not the deadline");
-}
-
-#[test]
-fn recv_timeout_times_out_on_a_stalled_channel_without_losing_the_symbol() {
-    let mut builder = StreamPipeline::builder(paced_registry).workers(1).queue_depth(4);
-    let ch = builder.channel(ChannelSpec::transform(16, "paced", Direction::Forward));
-    let pipeline = builder.build().unwrap();
-
-    // ~700 ms of transform vs a 20 ms deadline: the receive must come
-    // back with Timeout while the symbol is still in flight...
-    pipeline.submit(ch, paced_symbol(16, 700.0), vec![Complex::zero(); 16]).unwrap();
-    let err = pipeline.recv_timeout(ch, Duration::from_millis(20)).unwrap_err();
-    assert_eq!(err, RecvError::Timeout);
-    assert_eq!(pipeline.outstanding(ch), 1, "a timeout sheds the wait, not the work");
-
-    // ...and a later (unbounded) checked receive still collects it.
-    let got = pipeline.recv_checked(ch).unwrap().expect("symbol survived the timeout");
-    assert_eq!(got.seq, 0);
-    assert!(got.error.is_none());
-
-    // Drained channel: both forms report None rather than waiting.
-    assert!(pipeline.recv_timeout(ch, Duration::from_millis(20)).unwrap().is_none());
-    assert!(pipeline.recv_checked(ch).unwrap().is_none());
-}
-
-#[test]
-fn recv_timeout_returns_none_immediately_on_a_drained_channel() {
-    let mut builder = StreamPipeline::builder(paced_registry).workers(1).queue_depth(4);
-    let ch = builder.channel(ChannelSpec::transform(16, "paced", Direction::Forward));
-    let pipeline = builder.build().unwrap();
-
-    // Nothing outstanding: "drained" beats "deadline", immediately.
-    let began = Instant::now();
-    assert!(pipeline.recv_timeout(ch, Duration::from_secs(10)).unwrap().is_none());
-    assert!(began.elapsed() < Duration::from_secs(5));
-}
-
 /// Runs a ~300 ms symbol through `try_run` on another thread, which
-/// takes its completion back itself, and once the run is admitted times
-/// `receive` on this thread.
-fn behind_a_caller_run<T>(
+/// takes its completion back itself, and once the run is admitted runs
+/// `receive` on a third. Fails, rather than hangs, if `receive` has not
+/// returned within 5 s.
+fn behind_a_caller_run<T: Send>(
     pipeline: &StreamPipeline,
     ch: ChannelId,
-    receive: impl FnOnce() -> T,
-) -> (T, Duration) {
+    receive: impl FnOnce() -> T + Send,
+) -> T {
+    let admitted = pipeline.stats().per_channel[0].submitted + 1;
     std::thread::scope(|s| {
         let runner = s.spawn(|| {
             pipeline.try_run(ch, paced_symbol(16, 300.0), vec![Complex::zero(); 16]).unwrap()
         });
         let began = Instant::now();
-        while pipeline.outstanding(ch) == 0 && !runner.is_finished() {
+        while pipeline.stats().per_channel[0].submitted < admitted && !runner.is_finished() {
             assert!(began.elapsed() < Duration::from_secs(10), "the caller run never started");
             std::thread::sleep(Duration::from_millis(1));
         }
+        let receiver = s.spawn(receive);
         let began = Instant::now();
-        let got = receive();
-        let took = began.elapsed();
+        while !receiver.is_finished() && began.elapsed() < Duration::from_secs(5) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let woke = receiver.is_finished();
+        if !woke {
+            // Closing notifies every parked receiver, so the scope can
+            // join the stranded one before the test fails.
+            pipeline.close();
+        }
+        let got = receiver.join().unwrap();
+        assert!(woke, "the receive was not woken within 5 s");
         assert!(runner.join().unwrap().error.is_none());
-        (got, took)
+        got
     })
 }
 
@@ -148,31 +109,26 @@ fn receives_parked_behind_a_caller_run_wake_when_it_hands_its_symbol_back() {
     let mut builder = StreamPipeline::builder(paced_registry).workers(1).queue_depth(4);
     let ch = builder.channel(ChannelSpec::transform(16, "paced", Direction::Forward));
     let pipeline = builder.build().unwrap();
-    let deadline = Duration::from_secs(10);
 
     // A pooled symbol finished behind the run becomes the channel's
     // deliverable head once the run hands its own symbol back.
-    let (got, took) = behind_a_caller_run(&pipeline, ch, || {
+    let got = behind_a_caller_run(&pipeline, ch, || {
         pipeline.submit(ch, paced_symbol(16, 0.0), vec![Complex::zero(); 16]).unwrap();
-        pipeline.recv_timeout(ch, deadline)
+        pipeline.recv(ch)
     });
-    assert_eq!(got.unwrap().expect("the pooled symbol").seq, 1);
-    assert!(took < Duration::from_secs(5), "woke on the new head, not the deadline");
+    assert_eq!(got.expect("the pooled symbol").seq, 1);
 
     // With nothing behind it, handing the run's symbol back drains the
     // channel.
-    let (got, took) = behind_a_caller_run(&pipeline, ch, || pipeline.recv_timeout(ch, deadline));
-    assert!(got.unwrap().is_none());
-    assert!(took < Duration::from_secs(5), "woke on the drain, not the deadline");
+    assert!(behind_a_caller_run(&pipeline, ch, || pipeline.recv(ch)).is_none());
 
     // On a closed pipeline that drains every channel, which ends a wait
     // on all of them.
-    let (got, took) = behind_a_caller_run(&pipeline, ch, || {
+    let got = behind_a_caller_run(&pipeline, ch, || {
         pipeline.close();
-        pipeline.recv_ready(&mut Vec::new(), deadline)
+        pipeline.recv_ready(&mut Vec::new(), Duration::from_secs(10))
     });
     assert_eq!(got.unwrap(), 0);
-    assert!(took < Duration::from_secs(5), "woke on the drain, not the deadline");
 }
 
 #[test]
@@ -201,10 +157,9 @@ fn checked_calls_surface_poisoning_as_errors_not_panics() {
     let ch = builder.channel(ChannelSpec::transform(16, "paced", Direction::Forward));
     let pipeline = builder.build().unwrap();
 
-    // One good symbol completes and parks...
+    // One good symbol completes and is delivered...
     pipeline.submit(ch, paced_symbol(16, 0.0), vec![Complex::zero(); 16]).unwrap();
-    let got = pipeline.recv_checked(ch).unwrap().expect("good symbol");
-    assert_eq!(got.seq, 0);
+    assert_eq!(pipeline.recv(ch).expect("good symbol").seq, 0);
 
     // ...then another good symbol parks (poll stats until it counts as
     // completed, so the symbol is durably parked in the reorder ring
@@ -217,32 +172,35 @@ fn checked_calls_surface_poisoning_as_errors_not_panics() {
     }
 
     // ...and a poison symbol kills the worker. The parked completion
-    // must still be delivered before Poisoned is reported.
+    // must still be delivered before Poisoned is reported, and
+    // Poisoned comes back at once — not Timeout, and not a hang.
     pipeline.submit(ch, paced_symbol(16, -1.0), vec![Complex::zero(); 16]).unwrap();
-    let parked = pipeline.recv_checked(ch).unwrap().expect("parked completion survives");
-    assert_eq!(parked.seq, 1);
-    assert_eq!(pipeline.recv_checked(ch).unwrap_err(), RecvError::Poisoned);
+    let mut out = Vec::new();
+    assert_eq!(pipeline.recv_ready(&mut out, Duration::from_secs(10)), Ok(1));
+    assert_eq!(out[0].seq, 1, "parked completion survives");
+    let began = Instant::now();
+    assert_eq!(pipeline.recv_ready(&mut out, Duration::from_secs(10)), Err(RecvError::Poisoned));
+    assert!(began.elapsed() < Duration::from_secs(5), "reported, not waited out");
     assert!(pipeline.is_poisoned());
-    assert!(pipeline.is_closed(), "a worker panic also closes the intake");
 
-    // recv_timeout reports Poisoned too — not Timeout, and not a hang.
-    assert_eq!(
-        pipeline.recv_timeout(ch, Duration::from_secs(10)).unwrap_err(),
-        RecvError::Poisoned
-    );
-
-    // Both checked submission forms refuse with Poisoned and hand the
-    // payload buffers back.
+    // Both non-blocking submission forms refuse with Poisoned and hand
+    // the payload buffers back.
     let err =
-        pipeline.submit_checked(ch, paced_symbol(16, 0.0), vec![Complex::zero(); 16]).unwrap_err();
-    assert!(matches!(err, SubmitError::Poisoned { .. }), "submit_checked: {err}");
-    let (input, output) = err.into_buffers();
-    assert_eq!((input.len(), output.len()), (16, 16));
-
-    let err = pipeline.try_submit(ch, input, output).unwrap_err();
+        pipeline.try_submit(ch, paced_symbol(16, 0.0), vec![Complex::zero(); 16]).unwrap_err();
     assert!(matches!(err, SubmitError::Poisoned { .. }), "try_submit: {err}");
     let (input, output) = err.into_buffers();
     assert_eq!((input.len(), output.len()), (16, 16));
+
+    let err = pipeline.try_run(ch, input, output).unwrap_err();
+    assert!(matches!(err, SubmitError::Poisoned { .. }), "try_run: {err}");
+    let (input, output) = err.into_buffers();
+    assert_eq!((input.len(), output.len()), (16, 16));
+
+    // The blocking forms fail loudly instead of waiting forever.
+    let submitted = catch_unwind(AssertUnwindSafe(|| pipeline.submit(ch, input, output)));
+    assert!(submitted.is_err(), "submit must panic on a poisoned pipeline");
+    let received = catch_unwind(AssertUnwindSafe(|| pipeline.recv(ch)));
+    assert!(received.is_err(), "recv must panic on a poisoned pipeline");
 
     // Drop (not shutdown): shutdown would panic on the dead worker's
     // join, which is exactly what a graceful owner avoids via

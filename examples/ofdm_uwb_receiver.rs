@@ -10,8 +10,9 @@
 //! wisdom file when one exists (run the `wimax_scalable` example or
 //! the `planner` bench bin first to warm it), the demodulator runs on
 //! the planned engine via `Ofdm::with_engine`, and the whole frame is
-//! also pushed through the threaded `BatchExecutor` to check the pool
-//! is bit-identical to sequential execution.
+//! also pushed through a 4-worker `StreamPipeline` demodulation channel
+//! on the same plan to check the pool is bit-identical to per-symbol
+//! demodulation.
 //!
 //! ```text
 //! cargo run --release --example ofdm_uwb_receiver
@@ -19,9 +20,9 @@
 
 use afft::asip::engine::registry_with_asip;
 use afft::core::ofdm::{qpsk_demap, qpsk_map, Ofdm};
-use afft::core::Direction;
 use afft::num::{Complex, C64};
 use afft::planner::{Planner, Strategy, Wisdom};
+use afft::stream::{ChannelOp, ChannelSpec, StreamPipeline};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -82,16 +83,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // The same frame through the batched executor, threaded, into a
-    // caller-owned preallocated output batch: the pool shards symbols
-    // across workers, each writing straight into its shard, and must
-    // be bit-identical to the per-symbol demodulation above.
-    let mut executor = planner.executor(&plan)?;
-    let batch: Vec<Vec<C64>> = rx_frames.iter().map(|f| f[CP..].to_vec()).collect();
-    let mut threaded = executor.alloc_output(batch.len());
-    executor.execute_threaded_into(&batch, &mut threaded, Direction::Forward, 4)?;
-    assert_eq!(threaded, spectra, "threaded batch must match per-symbol demodulation");
-    println!("batch: {SYMBOLS} symbols on 4 workers, bit-identical to sequential");
+    // The same frame through a stream pipeline: four workers, each
+    // with its own demodulator on the planned engine, and completions
+    // handed back in submission order. They must be bit-identical to
+    // the per-symbol demodulation above.
+    let mut builder = StreamPipeline::builder(registry_with_asip).workers(4);
+    let ch = builder.channel(ChannelSpec::from_plan(&plan, ChannelOp::Demodulate { cp: CP }));
+    let pipeline = builder.build()?;
+    for frame in &rx_frames {
+        pipeline.submit(ch, frame.clone(), vec![C64::zero(); N]).expect("pipeline accepts");
+    }
+    let mut pooled: Vec<Vec<C64>> = Vec::with_capacity(SYMBOLS);
+    while let Some(done) = pipeline.recv(ch) {
+        assert!(done.error.is_none(), "pooled demodulation failed: {:?}", done.error);
+        pooled.push(done.output);
+    }
+    assert_eq!(pooled, spectra, "pipeline must match per-symbol demodulation");
+    println!("stream: {SYMBOLS} symbols on 4 workers, bit-identical to per-symbol demodulation");
 
     println!();
     println!("demodulated {SYMBOLS} OFDM symbols: {bit_errors}/{total_bits} bit errors");

@@ -18,20 +18,21 @@
 //!   soft-float library, the Imple-1 software FFT) and run drivers;
 //! * [`planner`] ([`afft_planner`]) — the autotuning planner: ranks
 //!   the registry per transform shape (Estimate heuristics or Measure
-//!   calibration), caches winners as serializable wisdom, and batches
-//!   multi-symbol workloads through the planned engine;
-//! * [`stream`] ([`afft_stream`]) — the persistent streaming pipeline:
-//!   a long-lived worker pool over planned engines with bounded
-//!   queues, backpressure, and strict per-channel in-order completion
-//!   delivery for continuous OFDM traffic;
+//!   calibration), caches winners as serializable wisdom, and builds
+//!   the planned engine;
+//! * [`stream`] ([`afft_stream`]) — the persistent streaming pipeline,
+//!   the one way to run many symbols in parallel: a long-lived worker
+//!   pool over planned engines with bounded queues, backpressure, and
+//!   strict per-channel in-order completion delivery for continuous
+//!   OFDM traffic;
 //! * [`net`] ([`afft_net`]) — the network-facing serving layer: a TCP
 //!   binary-frame front-end over the stream pipeline with
 //!   protocol-level load shedding (`RETRY_AFTER`), buffer recycling,
 //!   graceful drain, an admin stats endpoint, and a loopback client;
 //! * [`obs`] ([`afft_obs`]) — the zero-dependency observability layer:
-//!   log-bucketed latency histograms, stage spans, named counters, and
-//!   text/JSON exporters, wired through the stream, planner, and bench
-//!   layers (always on);
+//!   log-bucketed latency histograms, stage spans, and text/JSON
+//!   exporters, wired through the stream, planner, and bench layers
+//!   (always on);
 //! * [`baselines`] ([`afft_baselines`]) — the TI C6713 and Xtensa
 //!   trace-driven models of Table II;
 //! * [`hwmodel`] ([`afft_hwmodel`]) — the Section IV gate/power/timing
