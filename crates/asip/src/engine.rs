@@ -15,10 +15,10 @@
 //! a call does no heap work, and its output and statistics are those
 //! of a fresh machine ([`run_array_fft`](crate::run_array_fft)).
 //! Execution statistics of the most recent run (cycles, instruction
-//! classes, cache counters) are retained and exposed through
-//! [`AsipEngine::last_stats`]; [`AsipEngine::traffic`] reports the
-//! measured `LDIN`/`STOUT` point traffic once a run has happened and
-//! the closed-form prediction (`2N` points each way) before.
+//! classes, cache counters, the measured `LDIN`/`STOUT` beats) are
+//! retained and exposed through [`AsipEngine::last_stats`]; the
+//! [`ASIP_ISS`] row states the closed-form cost (`2N` points each way),
+//! which the measured beats match, two points per beat.
 //!
 //! # Examples
 //!
@@ -145,18 +145,6 @@ impl FftEngine for AsipEngine {
         Ok(())
     }
 
-    fn traffic(&self) -> Option<MemTraffic> {
-        // Each LDIN/STOUT beat moves two complex points.
-        match self.last_stats() {
-            Some(s) => {
-                Some(MemTraffic { loads: 2 * s.ldin as usize, stores: 2 * s.stout as usize })
-            }
-            // Closed form before any run: N/2 beats per epoch, two
-            // epochs, two points per beat, each way.
-            None => (ASIP_ISS.cost)(self.n).traffic(),
-        }
-    }
-
     fn tolerance(&self) -> f64 {
         // 16-bit datapath with per-stage rounding: a few percent of the
         // spectrum peak in the worst case.
@@ -168,9 +156,10 @@ impl FftEngine for AsipEngine {
     }
 }
 
-/// The ASIP's catalog row. Its Estimate cost is the closed-form cycle
-/// model of the array datapath: `N log2 N / 8` butterfly issues, `2N`
-/// streaming beats and a fixed startup, moving `2N` points each way.
+/// The ASIP's catalog row. Its cost is the closed-form cycle model of
+/// the array datapath: `N log2 N / 8` butterfly issues, `2N` streaming
+/// beats and a fixed startup, moving `2N` points each way (`N/2` beats
+/// per epoch, two epochs, two points per beat).
 pub const ASIP_ISS: EngineSpec = EngineSpec {
     name: "asip_iss",
     supports: |n| Split::for_size(n).is_ok(),
@@ -229,23 +218,22 @@ mod tests {
 
     #[test]
     fn stats_and_traffic_reflect_the_run() {
-        let n = 256;
-        let mut engine = AsipEngine::new(n).unwrap();
-        // Before the run: the closed-form prediction.
-        assert_eq!(engine.traffic().unwrap().total(), 4 * n);
-        assert!(engine.last_stats().is_none());
-        engine.execute(&random_signal(n, 2), Direction::Forward).unwrap();
-        let stats = engine.last_stats().expect("stats retained");
-        assert_eq!(stats.ldin, n as u64);
-        assert_eq!(stats.stout, n as u64);
-        assert!(stats.cycles > 0);
-        // The canonical program is deterministic: another input costs
-        // the same cycles.
-        engine.execute(&random_signal(n, 4), Direction::Forward).unwrap();
-        assert_eq!(engine.last_cycles(), Some(stats.cycles), "deterministic program");
-        // Measured traffic equals the prediction for the canonical
-        // program: each beat moves two points.
-        assert_eq!(engine.traffic().unwrap().total(), 4 * n);
+        for n in [64usize, 128, 256, 512, 1024] {
+            let mut engine = AsipEngine::new(n).unwrap();
+            assert!(engine.last_stats().is_none());
+            engine.execute(&random_signal(n, 2), Direction::Forward).unwrap();
+            let stats = engine.last_stats().expect("stats retained");
+            assert!(stats.cycles > 0);
+            // The measured traffic, two points per LDIN/STOUT beat, is
+            // what the row states.
+            let measured =
+                MemTraffic { loads: 2 * stats.ldin as usize, stores: 2 * stats.stout as usize };
+            assert_eq!(Some(measured), (ASIP_ISS.cost)(n).traffic(), "n={n}");
+            // The canonical program is deterministic: another input
+            // costs the same cycles.
+            engine.execute(&random_signal(n, 4), Direction::Forward).unwrap();
+            assert_eq!(engine.last_cycles(), Some(stats.cycles), "n={n}");
+        }
     }
 
     #[test]

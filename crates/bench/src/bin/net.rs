@@ -31,7 +31,7 @@
 
 use afft_core::engine::EngineRegistry;
 use afft_core::Direction;
-use afft_net::{NetClient, NetEvent, NetServer};
+use afft_net::{NetClient, NetEvent, NetServer, RETRY_AFTER_MS};
 use afft_num::{Complex, C64};
 use afft_obs::json;
 use afft_stream::{ChannelOp, ChannelSpec, StreamPipeline};
@@ -164,8 +164,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Flood sub-run: a shallow slow server must shed, and the ledger
     // must balance. Same shape as the crate's loopback tests, but
     // counted into the artifact.
-    let mut builder =
-        NetServer::builder(EngineRegistry::standard).workers(1).queue_depth(2).retry_after_ms(5);
+    let mut builder = NetServer::builder(EngineRegistry::standard).workers(1).queue_depth(2);
     let flood_ch = builder.channel(ChannelSpec::transform(512, "dft_naive", Direction::Forward));
     let flood_server = builder.serve("127.0.0.1:0")?;
     let flood_client = NetClient::connect(flood_server.local_addr()).map_err(|e| e.to_string())?;
@@ -222,7 +221,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .num("frames", flood_frames as f64)
                 .num("accepted", accepted as f64)
                 .num("shed", shed as f64)
-                .num("retry_after_ms", 5.0)
+                .num("retry_after_ms", f64::from(RETRY_AFTER_MS))
                 .finish(),
         )
         .raw("admin", admin)

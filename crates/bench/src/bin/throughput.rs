@@ -47,7 +47,7 @@ use afft_bench::{json, row};
 use afft_core::cached::cached_fft;
 use afft_core::engine::{EngineRegistry, McfftEngine};
 use afft_core::mcfft::mcfft;
-use afft_core::reference::{bit_reverse_permute, fft_radix2_dif_f64, fft_radix2_dit_f64};
+use afft_core::reference::fft_radix2_dit_f64;
 use afft_core::{simd, ArrayFft, Direction};
 use afft_num::Complex;
 use std::hint::black_box;
@@ -76,12 +76,6 @@ fn alloc_path_tps(name: &str, n: usize, x: &[Complex<f64>], budget: Duration) ->
         "radix2_dit" => Some(tps(budget, || {
             let mut d = x.to_vec();
             fft_radix2_dit_f64(&mut d, dir).expect("dit");
-            black_box(&d);
-        })),
-        "radix2_dif" => Some(tps(budget, || {
-            let mut d = x.to_vec();
-            fft_radix2_dif_f64(&mut d, dir).expect("dif");
-            bit_reverse_permute(&mut d);
             black_box(&d);
         })),
         "mcfft" => {

@@ -9,7 +9,9 @@
 //! registry and calls [`FftEngine::execute`].
 //!
 //! Each [`EngineSpec`] row says what one engine is: its name, the sizes
-//! it serves, how to build it, and its Estimate [`Cost`]. A registry is
+//! it serves, how to build it, and its [`Cost`], the engine's one cost
+//! model (operations and main-memory traffic, or modeled cycles), which
+//! Estimate prices and surveys read without building. A registry is
 //! the rows that support one size and builds an engine only when asked:
 //! [`EngineRegistry::take`] builds one, [`EngineRegistry::engines_mut`]
 //! builds them all, and naming or pricing them builds nothing.
@@ -77,9 +79,7 @@ use crate::mixed::{factorize, mixed_radix_into, MixedRadixPlan};
 use crate::plan::Split;
 use crate::rader::{is_prime, rader_into, RaderPlan};
 use crate::radix4::{is_power_of_four, radix4_dit_into, Radix4Plan};
-use crate::reference::{
-    bit_reverse_permute, dft_naive_into, fft_radix2_dif_f64, fft_radix2_dit_f64, Direction,
-};
+use crate::reference::{check_pow2, dft_naive_into, fft_radix2_dit_f64, Direction};
 use crate::simd::{self, Radix4SimdEngine};
 use afft_num::{Complex, C64};
 
@@ -132,10 +132,6 @@ pub trait FftEngine: Send {
         self.execute_into(input, &mut output, dir)?;
         Ok(output)
     }
-
-    /// Main-memory traffic of one transform in complex points, where
-    /// the backend models it (`None` for pure math backends).
-    fn traffic(&self) -> Option<MemTraffic>;
 
     /// Expected worst-case deviation from the exact DFT, relative to
     /// the spectrum peak. Exact-arithmetic backends keep the default;
@@ -207,10 +203,6 @@ impl FftEngine for NaiveDftEngine {
         check_io(self.n, input, output)?;
         dft_naive_into(input, output, dir)
     }
-
-    fn traffic(&self) -> Option<MemTraffic> {
-        None
-    }
 }
 
 /// The classic radix-2 decimation-in-time FFT as an engine.
@@ -226,7 +218,7 @@ impl Radix2DitEngine {
     ///
     /// Returns [`FftError::InvalidSize`] otherwise.
     pub fn new(n: usize) -> Result<Self, FftError> {
-        check_pow2_size(n)?;
+        check_pow2(n)?;
         Ok(Radix2DitEngine { n })
     }
 }
@@ -249,56 +241,6 @@ impl FftEngine for Radix2DitEngine {
         check_io(self.n, input, output)?;
         output.copy_from_slice(input);
         fft_radix2_dit_f64(output, dir)
-    }
-
-    fn traffic(&self) -> Option<MemTraffic> {
-        Some(plain_fft_traffic(self.n))
-    }
-}
-
-/// The radix-2 decimation-in-frequency FFT as an engine (its
-/// bit-reversed output is re-ordered to natural order).
-#[derive(Debug, Clone, Copy)]
-pub struct Radix2DifEngine {
-    n: usize,
-}
-
-impl Radix2DifEngine {
-    /// Plans a DIF FFT of size `n` (power of two, `>= 2`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::InvalidSize`] otherwise.
-    pub fn new(n: usize) -> Result<Self, FftError> {
-        check_pow2_size(n)?;
-        Ok(Radix2DifEngine { n })
-    }
-}
-
-impl FftEngine for Radix2DifEngine {
-    fn name(&self) -> &str {
-        "radix2_dif"
-    }
-
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    fn execute_into(
-        &mut self,
-        input: &[C64],
-        output: &mut [C64],
-        dir: Direction,
-    ) -> Result<(), FftError> {
-        check_io(self.n, input, output)?;
-        output.copy_from_slice(input);
-        fft_radix2_dif_f64(output, dir)?;
-        bit_reverse_permute(output);
-        Ok(())
-    }
-
-    fn traffic(&self) -> Option<MemTraffic> {
-        Some(plain_fft_traffic(self.n))
     }
 }
 
@@ -338,10 +280,6 @@ impl FftEngine for Radix4DitEngine {
     ) -> Result<(), FftError> {
         radix4_dit_into(&self.plan, input, output, dir)
     }
-
-    fn traffic(&self) -> Option<MemTraffic> {
-        radix4_dit_cost(self.plan.len()).traffic()
-    }
 }
 
 /// The general mixed-radix FFT as an engine: any `n >= 2` with prime
@@ -380,10 +318,6 @@ impl FftEngine for MixedRadixEngine {
     ) -> Result<(), FftError> {
         mixed_radix_into(&mut self.plan, input, output, dir)
     }
-
-    fn traffic(&self) -> Option<MemTraffic> {
-        mixed_radix_cost(self.plan.len()).traffic()
-    }
 }
 
 /// The array-structured FFT golden model is itself an engine; its
@@ -405,12 +339,6 @@ impl FftEngine for ArrayFft<f64> {
         dir: Direction,
     ) -> Result<(), FftError> {
         self.process_into(input, output, dir)
-    }
-
-    fn traffic(&self) -> Option<MemTraffic> {
-        // One load and one store per point per epoch through the CRF
-        // streaming port (the LDIN/STOUT beat count times two points).
-        each_way(2 * ArrayFft::len(self))
     }
 }
 
@@ -453,11 +381,6 @@ impl FftEngine for CachedFftEngine {
         cached_fft_into(input, output, dir, &mut self.scratch)?;
         Ok(())
     }
-
-    fn traffic(&self) -> Option<MemTraffic> {
-        // Two epochs, each touching every point once in each direction.
-        each_way(2 * self.n)
-    }
 }
 
 /// The multi-epoch cached FFT (MCFFT) as an engine (with an
@@ -477,7 +400,7 @@ impl McfftEngine {
     /// Returns [`FftError::InvalidSize`] unless `n` is a power of two
     /// `>= 2`.
     pub fn new(n: usize) -> Result<Self, FftError> {
-        check_pow2_size(n)?;
+        check_pow2(n)?;
         let mut factors = Vec::new();
         let mut bits = n.trailing_zeros();
         while bits > 0 {
@@ -485,16 +408,7 @@ impl McfftEngine {
             factors.push(1usize << step);
             bits -= step;
         }
-        Self::with_epochs(Epochs::new(n, &factors)?)
-    }
-
-    /// Plans an MCFFT with an explicit epoch decomposition.
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible; kept fallible for API symmetry.
-    pub fn with_epochs(epochs: Epochs) -> Result<Self, FftError> {
-        Ok(McfftEngine { epochs, scratch: McfftScratch::new() })
+        Ok(McfftEngine { epochs: Epochs::new(n, &factors)?, scratch: McfftScratch::new() })
     }
 
     /// The epoch decomposition in use.
@@ -520,10 +434,6 @@ impl FftEngine for McfftEngine {
     ) -> Result<(), FftError> {
         check_io(self.epochs.n(), input, output)?;
         mcfft_into(input, output, &self.epochs, dir, &mut self.scratch)
-    }
-
-    fn traffic(&self) -> Option<MemTraffic> {
-        Some(self.epochs.traffic())
     }
 }
 
@@ -564,42 +474,25 @@ impl FftEngine for BluesteinEngine {
     ) -> Result<(), FftError> {
         bluestein_into(&mut self.plan, input, output, dir)
     }
-
-    fn traffic(&self) -> Option<MemTraffic> {
-        bluestein_cost(self.plan.len()).traffic()
-    }
-
-    fn tolerance(&self) -> f64 {
-        // Three rounding fronts the direct kernels don't have: the
-        // chirp multiply, the kernel-spectrum product, and the final
-        // chirp/1-in-m fold. Each contributes O(eps) relative to the
-        // spectrum peak; 1e-8 (the exact-arithmetic default) still
-        // holds with orders of magnitude to spare at every size the
-        // suite pins, so the default is kept deliberately.
-        1e-8
-    }
 }
 
-/// Rader's prime-length FFT as an engine: prime `p >= 3` through the
-/// `(p-1)`-point generator-permutation cyclic convolution.
+/// Rader's prime-length FFT as an engine: an odd prime `p` whose
+/// `p - 1` is 5-smooth, through the `(p-1)`-point generator-permutation
+/// cyclic convolution on `mixed_radix`.
 #[derive(Debug, Clone)]
 pub struct RaderEngine {
     plan: RaderPlan,
 }
 
 impl RaderEngine {
-    /// Plans a Rader FFT of prime size `p >= 3`.
+    /// Plans a Rader FFT of prime size `p` (see [`RaderPlan::new`]).
     ///
     /// # Errors
     ///
-    /// Returns [`FftError::InvalidSize`] unless `p` is an odd prime.
+    /// Returns [`FftError::InvalidSize`] unless `p` is an odd prime
+    /// with 5-smooth `p - 1`.
     pub fn new(p: usize) -> Result<Self, FftError> {
         Ok(RaderEngine { plan: RaderPlan::new(p)? })
-    }
-
-    /// The engine family serving the inner `(p-1)`-point convolution.
-    pub fn inner_engine(&self) -> &'static str {
-        self.plan.inner_engine()
     }
 }
 
@@ -620,34 +513,12 @@ impl FftEngine for RaderEngine {
     ) -> Result<(), FftError> {
         rader_into(&mut self.plan, input, output, dir)
     }
-
-    fn traffic(&self) -> Option<MemTraffic> {
-        rader_cost(self.plan.len()).traffic()
-    }
-
-    fn tolerance(&self) -> f64 {
-        // One convolution (possibly Bluestein-backed, i.e. up to three
-        // power-of-two FFTs deep) between gather and scatter; same
-        // O(eps)-per-front argument as Bluestein, and the measured
-        // error sits far below the exact-arithmetic default.
-        1e-8
-    }
 }
 
-fn check_pow2_size(n: usize) -> Result<(), FftError> {
-    if !n.is_power_of_two() {
-        return Err(FftError::InvalidSize { n, reason: "not a power of two", factor: None });
-    }
-    if n < 2 {
-        return Err(FftError::InvalidSize { n, reason: "must be at least 2", factor: None });
-    }
-    Ok(())
-}
-
-/// An engine's Estimate cost of one transform at one size, in physical
-/// units the planner prices with its host constants. Both terms carry
-/// the main-memory traffic in complex points where the engine models it
-/// (what its [`FftEngine::traffic`] reports).
+/// An engine's cost model: one transform at one size, in physical units
+/// the planner prices with its host constants. Both terms carry the
+/// main-memory traffic in complex points where the engine models it;
+/// an engine's [`EngineSpec::cost`] is the only statement of it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Cost {
     /// Host arithmetic in scalar issue slots (a vector engine divides
@@ -699,16 +570,15 @@ macro_rules! row {
 pub static CATALOG: &[EngineSpec] = &[
     // N^2 overtakes every N log N structure beyond trivially small N.
     row!("dft_naive", |_| true, NaiveDftEngine, |n| Cost::Host(n as f64 * n as f64, None)),
-    row!("radix2_dit", usize::is_power_of_two, Radix2DitEngine, |n| radix2_cost(1.0, n)),
-    // Radix-2 plus the bit-reverse pass.
-    row!("radix2_dif", usize::is_power_of_two, Radix2DifEngine, |n| radix2_cost(1.1, n)),
+    row!("radix2_dit", usize::is_power_of_two, Radix2DitEngine, radix2_dit_cost),
     row!("radix4_dit", is_power_of_four, Radix4DitEngine, radix4_dit_cost),
     row!("radix4_simd", simd_tier, Radix4SimdEngine, radix4_simd_cost),
     row!("mcfft", usize::is_power_of_two, McfftEngine, mcfft_cost),
     row!("mixed_radix", |n| factorize(n).is_some(), MixedRadixEngine, mixed_radix_cost),
-    row!("rader", |n| is_prime(n) && n >= 3, RaderEngine, rader_cost),
+    row!("rader", |n| n >= 3 && is_prime(n) && factorize(n - 1).is_some(), RaderEngine, rader_cost),
     row!("bluestein", |_| true, BluesteinEngine, bluestein_cost),
-    // Radix-2 work plus group bookkeeping, over two epochs of traffic.
+    // Radix-2 work plus group bookkeeping, over two epochs of traffic
+    // through the CRF streaming port.
     row!("array_fft", array_size, ArrayFft::<f64>, |n| two_epoch_cost(1.15, n)),
     row!("cached_fft", array_size, CachedFftEngine, |n| two_epoch_cost(1.2, n)),
 ];
@@ -733,8 +603,8 @@ fn array_size(n: usize) -> bool {
 
 /// Per-butterfly `cos`/`sin`, no plan-time tables; `N log2 N` points of
 /// traffic each way.
-fn radix2_cost(c: f64, n: usize) -> Cost {
-    Cost::Host(n_log2n(c, n), Some(plain_fft_traffic(n)))
+fn radix2_dit_cost(n: usize) -> Cost {
+    Cost::Host(n_log2n(1.0, n), Some(plain_fft_traffic(n)))
 }
 
 /// The epoch structures move every point once each way per epoch.
@@ -754,7 +624,7 @@ fn radix4_dit_cost(n: usize) -> Cost {
 }
 
 /// Vector issue over the radix-4 op count; see `radix4_simd_model`.
-pub(crate) fn radix4_simd_cost(n: usize) -> Cost {
+fn radix4_simd_cost(n: usize) -> Cost {
     let (ops, points) = radix4_simd_model(n);
     Cost::Host(ops, each_way(points))
 }
@@ -772,43 +642,38 @@ fn radix4_simd_model(n: usize) -> (f64, usize) {
 /// `±i` rotations, radix-3 and radix-5 pay their constant rotations.
 const STAGE_OPS: [f64; 6] = [0.0, 0.0, 1.0, 1.9, 1.7, 3.2];
 
+/// The mixed-radix op count of a 5-smooth `n` with stage radices
+/// `radices`.
+fn stage_ops(n: usize, radices: &[usize]) -> f64 {
+    n as f64 * radices.iter().map(|&r| STAGE_OPS[r]).sum::<f64>()
+}
+
 /// One full load + store pass per {4, 2, 3, 5} factor stage.
 fn mixed_radix_cost(n: usize) -> Cost {
     let radices = factorize(n).expect("mixed_radix serves 5-smooth sizes only");
-    let ops = n as f64 * radices.iter().map(|&r| STAGE_OPS[r]).sum::<f64>();
-    Cost::Host(ops, each_way(n * radices.len()))
+    Cost::Host(stage_ops(n, &radices), each_way(n * radices.len()))
 }
 
-/// Two inner convolution passes; see `bluestein_model`.
-fn bluestein_cost(n: usize) -> Cost {
-    let (ops, points) = bluestein_model(n);
-    Cost::Host(ops, each_way(points))
-}
-
-/// Bluestein's ops and one-way traffic in points: two
-/// `m = next_pow2(2n - 1)`-point `radix4_simd` passes around the
+/// Two `m = next_pow2(2n - 1)`-point `radix4_simd` passes around the
 /// pointwise multiply, plus the `O(n + m)` chirp and fold passes — a
 /// multiple of a direct kernel at the same size, so Bluestein only
 /// ranks first where nothing structured exists.
-fn bluestein_model(n: usize) -> (f64, usize) {
+fn bluestein_cost(n: usize) -> Cost {
     let m = (2 * n - 1).next_power_of_two();
     let (ops, points) = radix4_simd_model(m);
-    (2.0 * ops + (m + 2 * n) as f64, 2 * points + m + 2 * n)
+    Cost::Host(2.0 * ops + (m + 2 * n) as f64, each_way(2 * points + m + 2 * n))
 }
 
-/// Two `(p-1)`-point inner passes priced by the family the engine picks
-/// for that length, plus the generator permutations and the pointwise
-/// multiply: cheaper than Bluestein when `p - 1` is smooth.
+/// Two `(p-1)`-point `mixed_radix` passes, plus the generator
+/// permutations and the pointwise multiply.
 fn rader_cost(p: usize) -> Cost {
     let m = p - 1;
-    let mf = m as f64;
-    let inner = if let Some(radices) = factorize(m) {
-        mf * radices.iter().map(|&r| STAGE_OPS[r]).sum::<f64>()
-    } else {
-        bluestein_model(m).0
-    };
+    let radices = factorize(m).expect("rader serves primes with 5-smooth p - 1 only");
     let stages = (m.ilog2() + 1) as usize;
-    Cost::Host(2.0 * inner + 4.0 * mf + p as f64, each_way(2 * m * stages + 3 * m))
+    Cost::Host(
+        2.0 * stage_ops(m, &radices) + 4.0 * m as f64 + p as f64,
+        each_way(2 * m * stages + 3 * m),
+    )
 }
 
 /// One catalog row supporting the registry's size, and its engine once
@@ -985,7 +850,7 @@ mod tests {
         // vector unit.
         let simd = simd::active_level().is_simd();
         for n in (3..=11).map(|k| 1usize << k) {
-            let mut want = vec!["dft_naive", "radix2_dit", "radix2_dif"];
+            let mut want = vec!["dft_naive", "radix2_dit"];
             if is_power_of_four(n) {
                 want.push("radix4_dit");
             }
@@ -1004,13 +869,14 @@ mod tests {
             let r = EngineRegistry::standard(n).unwrap();
             assert_eq!(r.names(), ["dft_naive", "mixed_radix", "bluestein"], "n={n}");
         }
-        // Odd primes add Rader's engine; non-5-smooth composites fall
+        // Odd primes with 5-smooth p - 1 add Rader's engine; rough
+        // primes (1008 = 2^4·3^2·7) and non-5-smooth composites fall
         // through to the universal chirp-Z fallback alone.
-        for n in [7usize, 17, 97, 251, 1009] {
+        for n in [7usize, 17, 97, 251] {
             let r = EngineRegistry::standard(n).unwrap();
             assert_eq!(r.names(), ["dft_naive", "rader", "bluestein"], "n={n}");
         }
-        for n in [14usize, 77, 1022, 1344] {
+        for n in [14usize, 77, 1009, 1022, 1344] {
             let r = EngineRegistry::standard(n).unwrap();
             assert_eq!(r.names(), ["dft_naive", "bluestein"], "n={n}");
         }
@@ -1037,14 +903,13 @@ mod tests {
         names.dedup();
         assert_eq!(names.len(), CATALOG.len(), "duplicate catalog name");
         // Every row builds at every size it claims, under its own name,
-        // and its Estimate traffic is what the built engine reports.
+        // and prices it with a positive host op count.
         for n in [2usize, 3, 7, 8, 16, 60, 64, 97, 128, 243, 256, 1009, 1022, 1024, 1200] {
             let mut registry = EngineRegistry::standard(n).unwrap();
             let specs: Vec<EngineSpec> = registry.specs().copied().collect();
             for (engine, spec) in registry.engines_mut().zip(specs) {
                 assert_eq!((engine.name(), engine.len()), (spec.name, n));
                 let cost = (spec.cost)(n);
-                assert_eq!(engine.traffic(), cost.traffic(), "{} at n={n}", spec.name);
                 assert!(matches!(cost, Cost::Host(ops, _) if ops > 0.0), "{} at n={n}", spec.name);
             }
         }
@@ -1174,8 +1039,11 @@ mod tests {
     #[test]
     fn traffic_reporting_matches_the_motivating_counts() {
         let n = 1024usize;
-        let mut registry = EngineRegistry::standard(n).unwrap();
-        let mut traffic = |name: &str| registry.get_mut(name).unwrap().traffic();
+        let registry = EngineRegistry::standard(n).unwrap();
+        let traffic = |name: &str| {
+            let spec = registry.specs().find(|s| s.name == name).unwrap();
+            (spec.cost)(n).traffic()
+        };
         // The paper's Section II motivation: plain FFT moves N log2 N
         // points each way; the epoch structures move 2N each way.
         assert_eq!(traffic("radix2_dit").unwrap().loads, n * 10);

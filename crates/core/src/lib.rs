@@ -26,7 +26,8 @@
 //!   serves composite OFDM sizes (60, 1200, 1536, ...);
 //! * [`bluestein`], [`rader`] — the convolution-based engines that
 //!   close the size domain: chirp-Z for **any** `n >= 2` and the
-//!   prime-length generator-permutation FFT, so 5G NR DFT-s-OFDM sizes
+//!   generator-permutation FFT for primes with 5-smooth `p - 1`, so 5G
+//!   NR DFT-s-OFDM sizes
 //!   and arbitrary user requests plan instead of erroring;
 //! * [`simd`] — the vectorized kernel tier: one AVX2/NEON radix-4
 //!   kernel over split real/imag planes for every power of two (one

@@ -12,23 +12,19 @@
 //!
 //! a cyclic convolution of `a_r = x[g^r]` with the fixed sequence
 //! `b_s = W_p^{g^{-s}}`, both of length `p - 1` (`X[0]` is the plain
-//! input sum). The convolution runs through one of two engine families,
-//! chosen at plan time: the 5-smooth `mixed_radix` when `p - 1` factors
-//! over {2, 3, 5} (every power of two included), and Bluestein's
-//! chirp-Z otherwise. That last arm is what makes the recursion safe
-//! for *every* prime: [`BluesteinPlan`] only ever recurses into the
-//! power-of-two `radix4_simd` kernel, so the inner-transform chain is
-//! at most two levels deep — no registry re-entry at execute time, no
-//! unbounded recursion, no per-transform allocation.
+//! input sum). The convolution runs on the 5-smooth `mixed_radix`
+//! kernel, so Rader serves exactly the odd primes whose `p - 1` factors
+//! over {2, 3, 5} (every power of two included). Every other prime is
+//! Bluestein's: a Rader convolution through Bluestein costs about twice
+//! a plain Bluestein transform at the same prime.
 //!
 //! Plan-time state: the generator permutation and its inverse, the
-//! forward/inverse kernel spectra (`FFT_{p-1}` of `b`), the inner plan
-//! and two `(p-1)`-point scratch arenas, honouring the crate-wide
-//! zero-allocation `execute_into` contract.
+//! forward/inverse kernel spectra (`FFT_{p-1}` of `b`), the inner
+//! mixed-radix plan and two `(p-1)`-point scratch arenas, honouring the
+//! crate-wide zero-allocation `execute_into` contract.
 
-use crate::bluestein::{bluestein_into, BluesteinPlan};
 use crate::error::FftError;
-use crate::mixed::{factorize, mixed_radix_into, MixedRadixPlan};
+use crate::mixed::{mixed_radix_into, smallest_rough_factor, MixedRadixPlan};
 use crate::reference::Direction;
 use afft_num::{twiddle, Complex, C64};
 
@@ -96,42 +92,6 @@ fn primitive_root(p: usize) -> usize {
         .expect("every prime has a primitive root")
 }
 
-/// The inner `(p-1)`-point transform, resolved once at plan time.
-#[derive(Debug, Clone)]
-enum Inner {
-    MixedRadix(MixedRadixPlan),
-    Bluestein(Box<BluesteinPlan>),
-}
-
-impl Inner {
-    fn plan(m: usize) -> Result<Self, FftError> {
-        if factorize(m).is_some() {
-            Ok(Inner::MixedRadix(MixedRadixPlan::new(m)?))
-        } else {
-            Ok(Inner::Bluestein(Box::new(BluesteinPlan::new(m)?)))
-        }
-    }
-
-    fn execute(
-        &mut self,
-        input: &[C64],
-        output: &mut [C64],
-        dir: Direction,
-    ) -> Result<(), FftError> {
-        match self {
-            Inner::MixedRadix(plan) => mixed_radix_into(plan, input, output, dir),
-            Inner::Bluestein(plan) => bluestein_into(plan, input, output, dir),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            Inner::MixedRadix(_) => "mixed_radix",
-            Inner::Bluestein(_) => "bluestein",
-        }
-    }
-}
-
 /// Plan-time state of the Rader kernel.
 #[derive(Debug, Clone)]
 pub struct RaderPlan {
@@ -143,19 +103,20 @@ pub struct RaderPlan {
     /// `FFT_{p-1}` of `b_s = W_p^{g^{-s}}`, per direction.
     kernel_fwd: Vec<C64>,
     kernel_inv: Vec<C64>,
-    inner: Inner,
+    inner: MixedRadixPlan,
     buf_a: Vec<C64>,
     buf_b: Vec<C64>,
 }
 
 impl RaderPlan {
-    /// Plans a Rader FFT of prime size `p >= 3`.
+    /// Plans a Rader FFT of prime size `p >= 3` with 5-smooth `p - 1`.
     ///
     /// # Errors
     ///
     /// Returns [`FftError::InvalidSize`] unless `p` is an odd prime
     /// (the even prime 2 has a trivial unit group and is served by
-    /// every power-of-two kernel already).
+    /// every power-of-two kernel already), or when `p - 1` has a prime
+    /// factor beyond 5, which the error names.
     pub fn new(p: usize) -> Result<Self, FftError> {
         if p < 3 || !is_prime(p) {
             return Err(FftError::InvalidSize {
@@ -165,6 +126,13 @@ impl RaderPlan {
             });
         }
         let m = p - 1;
+        if let Some(rough) = smallest_rough_factor(m) {
+            return Err(FftError::InvalidSize {
+                n: p,
+                reason: "Rader needs a 5-smooth p - 1",
+                factor: Some(rough),
+            });
+        }
         let g = primitive_root(p);
         let g_inv = pow_mod(g, m - 1, p); // g^{p-2} = g^{-1} mod p
         let mut g_pow = Vec::with_capacity(m);
@@ -177,7 +145,7 @@ impl RaderPlan {
             inv = inv * g_inv % p;
         }
 
-        let mut inner = Inner::plan(m)?;
+        let mut inner = MixedRadixPlan::new(m)?;
         let mut buf_a = vec![Complex::zero(); m];
         let buf_b = vec![Complex::zero(); m];
         let mut kernel_fwd = vec![Complex::zero(); m];
@@ -185,12 +153,12 @@ impl RaderPlan {
         for (slot, &e) in buf_a.iter_mut().zip(&g_inv_pow) {
             *slot = twiddle(p, e);
         }
-        inner.execute(&buf_a, &mut kernel_fwd, Direction::Forward)?;
+        mixed_radix_into(&mut inner, &buf_a, &mut kernel_fwd, Direction::Forward)?;
         // Inverse DFT: same convolution with the conjugated twiddles.
         for slot in buf_a.iter_mut() {
             *slot = slot.conj();
         }
-        inner.execute(&buf_a, &mut kernel_inv, Direction::Forward)?;
+        mixed_radix_into(&mut inner, &buf_a, &mut kernel_inv, Direction::Forward)?;
         Ok(RaderPlan { p, g_pow, g_inv_pow, kernel_fwd, kernel_inv, inner, buf_a, buf_b })
     }
 
@@ -202,12 +170,6 @@ impl RaderPlan {
     /// Never true for a plan (`p >= 3`).
     pub fn is_empty(&self) -> bool {
         self.p == 0
-    }
-
-    /// The engine family serving the `(p-1)`-point inner convolution:
-    /// `mixed_radix` when `p - 1` is 5-smooth, else `bluestein`.
-    pub fn inner_engine(&self) -> &'static str {
-        self.inner.name()
     }
 }
 
@@ -242,13 +204,13 @@ pub fn rader_into(
         *slot = input[idx];
     }
 
-    // (a ⊛ b) by the convolution theorem over the inner engine; the
+    // (a ⊛ b) by the convolution theorem over the inner plan; the
     // inner inverse is unnormalised, folded by 1/m at the scatter.
-    plan.inner.execute(&plan.buf_a, &mut plan.buf_b, Direction::Forward)?;
+    mixed_radix_into(&mut plan.inner, &plan.buf_a, &mut plan.buf_b, Direction::Forward)?;
     for (slot, &k) in plan.buf_b.iter_mut().zip(kernel) {
         *slot = *slot * k;
     }
-    plan.inner.execute(&plan.buf_b, &mut plan.buf_a, Direction::Inverse)?;
+    mixed_radix_into(&mut plan.inner, &plan.buf_b, &mut plan.buf_a, Direction::Inverse)?;
 
     // X[0] is the plain sum; every other bin scatters through g^{-q}.
     let x0 = input[0];
@@ -267,6 +229,7 @@ pub fn rader_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EngineRegistry;
     use crate::reference::{dft_naive, max_error};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -303,21 +266,39 @@ mod tests {
     }
 
     #[test]
-    fn matches_naive_for_every_inner_engine_arm() {
-        // p - 1 routes each arm: 5-smooth lengths, powers of two
-        // included (3 -> 2, 5 -> 4, 17 -> 16, 7 -> 6, 251 -> 250), to
-        // mixed_radix; 1009 -> 1008 = 2^4·3^2·7 to bluestein.
-        for (p, inner) in [
-            (3usize, "mixed_radix"),
-            (5, "mixed_radix"),
-            (7, "mixed_radix"),
-            (17, "mixed_radix"),
-            (97, "mixed_radix"),
-            (251, "mixed_radix"),
-            (1009, "bluestein"),
+    fn serves_exactly_the_smooth_primes_and_matches_naive_there() {
+        // The registry lists Rader exactly at odd primes whose p - 1
+        // has no prime factor beyond 5.
+        let smooth = |mut m: usize| {
+            for f in [2, 3, 5] {
+                while m.is_multiple_of(f) {
+                    m /= f;
+                }
+            }
+            m == 1
+        };
+        for p in 2..=4100usize {
+            let listed = EngineRegistry::standard(p).unwrap().names().contains(&"rader");
+            assert_eq!(listed, p % 2 == 1 && is_prime(p) && smooth(p - 1), "p={p}");
+        }
+        // A rough prime is refused, naming the factor that makes p - 1
+        // rough: 1008 = 2^4·3^2·7, 22 = 2·11, 46 = 2·23.
+        for (p, rough) in [(1009usize, 7usize), (23, 11), (47, 23)] {
+            assert_eq!(smallest_rough_factor(p - 1), Some(rough));
+            match RaderPlan::new(p) {
+                Err(FftError::InvalidSize { n, factor, .. }) => {
+                    assert_eq!((n, factor), (p, Some(rough)), "p={p}");
+                }
+                other => panic!("p={p}: expected InvalidSize, got {other:?}"),
+            }
+        }
+        // Smooth primes it serves match the naive DFT both ways, from
+        // the smallest inner lengths (2, 4) up.
+        for p in [
+            3usize, 5, 7, 11, 13, 17, 31, 61, 97, 181, 241, 251, 257, 401, 577, 641, 769, 1153,
+            1297, 1601,
         ] {
             let mut plan = RaderPlan::new(p).unwrap();
-            assert_eq!(plan.inner_engine(), inner, "p={p}");
             let x = random_signal(p, p as u64);
             let mut got = vec![Complex::zero(); p];
             for dir in [Direction::Forward, Direction::Inverse] {

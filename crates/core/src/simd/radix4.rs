@@ -17,7 +17,6 @@
 //! halves unchanged, and one portable radix-2 pass with `W_n^j`
 //! twiddles, fused into the interleave, finishes the transform.
 
-use crate::cached::MemTraffic;
 use crate::engine::{check_io, FftEngine};
 use crate::error::FftError;
 use crate::radix4::digit_reverse_base4;
@@ -187,10 +186,6 @@ impl FftEngine for Radix4SimdEngine {
             kernels::radix2_interleave(&self.re, &self.im, &self.radix2, sign, output);
         }
         Ok(())
-    }
-
-    fn traffic(&self) -> Option<MemTraffic> {
-        crate::engine::radix4_simd_cost(self.n).traffic()
     }
 }
 

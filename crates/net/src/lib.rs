@@ -47,4 +47,4 @@ pub mod server;
 
 pub use client::{NetClient, NetEvent, NetReceiver, NetSender};
 pub use proto::{ChannelInfo, OpKind, ProtoError};
-pub use server::{NetServer, NetServerBuilder};
+pub use server::{NetServer, NetServerBuilder, RETRY_AFTER_MS};

@@ -87,6 +87,8 @@ use crate::proto::{
     OP_RETRY_AFTER, OP_STATS, OP_STATS_JSON, OP_SUBMIT,
 };
 
+/// The retry hint, in milliseconds, every `RETRY_AFTER` frame carries.
+pub const RETRY_AFTER_MS: u32 = 10;
 /// How often blocked reads and waits re-check the shutdown flag.
 const POLL_TICK: Duration = Duration::from_millis(50);
 /// Cap on pooled buffer pairs per channel — enough to cover the whole
@@ -106,7 +108,6 @@ pub struct NetServerBuilder {
     specs: Vec<ChannelSpec>,
     workers: usize,
     queue_depth: usize,
-    retry_after_ms: u32,
     max_conn_outstanding: u64,
 }
 
@@ -125,13 +126,6 @@ impl NetServerBuilder {
     #[must_use]
     pub fn queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = depth.max(1);
-        self
-    }
-
-    /// The retry hint (milliseconds) carried in `RETRY_AFTER` frames.
-    #[must_use]
-    pub fn retry_after_ms(mut self, millis: u32) -> Self {
-        self.retry_after_ms = millis;
         self
     }
 
@@ -199,7 +193,6 @@ impl NetServerBuilder {
             shutdown: AtomicBool::new(false),
             handlers_joined: AtomicBool::new(false),
             handlers: Arc::new(Mutex::new(Vec::new())),
-            retry_after_ms: self.retry_after_ms,
             max_conn_outstanding: self.max_conn_outstanding,
             connections_live: AtomicU64::new(0),
             connections_accepted: AtomicU64::new(0),
@@ -241,7 +234,6 @@ impl NetServer {
             specs: Vec::new(),
             workers: 4,
             queue_depth: 64,
-            retry_after_ms: 10,
             max_conn_outstanding: 64,
         }
     }
@@ -312,7 +304,6 @@ struct ServerShared {
     /// Handler threads of open connections; each handler removes its
     /// own handle as it exits.
     handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    retry_after_ms: u32,
     max_conn_outstanding: u64,
     /// Connections open right now.
     connections_live: AtomicU64,
@@ -666,7 +657,7 @@ fn refuse(
 /// Answers a load-shed with `RETRY_AFTER` and counts it.
 fn shed(shared: &ServerShared, writer: &ConnWriter, header: &Header) {
     shared.shed.fetch_add(1, Ordering::SeqCst);
-    writer.send(OP_RETRY_AFTER, header.channel, header.seq, &shared.retry_after_ms.to_le_bytes());
+    writer.send(OP_RETRY_AFTER, header.channel, header.seq, &RETRY_AFTER_MS.to_le_bytes());
 }
 
 /// Encodes the answer to one completion onto `bytes`: a `RESULT`

@@ -333,10 +333,6 @@ impl FftEngine for FragileEngine {
         output.fill(Complex::zero());
         Ok(())
     }
-
-    fn traffic(&self) -> Option<afft_core::cached::MemTraffic> {
-        None
-    }
 }
 
 fn fragile_registry(n: usize) -> Result<EngineRegistry, FftError> {

@@ -10,7 +10,7 @@ use std::time::Duration;
 use afft_core::engine::EngineRegistry;
 use afft_core::ofdm::Ofdm;
 use afft_core::Direction;
-use afft_net::{NetClient, NetEvent, NetServer, OpKind};
+use afft_net::{NetClient, NetEvent, NetServer, OpKind, RETRY_AFTER_MS};
 use afft_num::{Complex, C64};
 use afft_planner::take_engine;
 use afft_stream::{ChannelOp, ChannelSpec};
@@ -239,8 +239,7 @@ fn json_u64(doc: &str, key: &str) -> u64 {
 fn flood_client_sees_retry_after_and_loses_no_accepted_frame() {
     // One slow worker behind a 2-deep budget: a flood must trip
     // QueueFull, which the server translates to RETRY_AFTER frames.
-    let mut builder =
-        NetServer::builder(EngineRegistry::standard).workers(1).queue_depth(2).retry_after_ms(5);
+    let mut builder = NetServer::builder(EngineRegistry::standard).workers(1).queue_depth(2);
     let ch = builder.channel(ChannelSpec::transform(512, "dft_naive", Direction::Forward));
     let server = builder.serve("127.0.0.1:0").expect("bind");
 
@@ -269,7 +268,7 @@ fn flood_client_sees_retry_after_and_loses_no_accepted_frame() {
                 results += 1;
             }
             NetEvent::RetryAfter { channel, millis, .. } => {
-                assert_eq!((channel, millis), (ch, 5));
+                assert_eq!((channel, millis), (ch, RETRY_AFTER_MS));
                 retries += 1;
             }
             other => panic!("unexpected {other:?}"),

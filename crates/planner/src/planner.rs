@@ -72,9 +72,12 @@ pub struct EngineRank {
     /// path, preallocated output), where the plan was measured (`None`
     /// for estimates and wisdom replays).
     pub wall_ns: Option<f64>,
-    /// Modeled cycle count, on cycle-accurate backends.
+    /// Modeled cycle count, on cycle-accurate backends: the run's count
+    /// under Measure, the catalog row's closed form under Estimate
+    /// (replays included); `None` on Measure replays.
     pub modeled_cycles: Option<u64>,
-    /// Modelled memory traffic in points, where the backend reports it.
+    /// The catalog row's main-memory traffic in points, where its cost
+    /// model has one.
     pub traffic_points: Option<usize>,
 }
 
@@ -194,15 +197,23 @@ impl Planner {
         let backends = backend_set_hash(&registry.names());
         let key = WisdomKey::new(n, direction, strategy, backends);
         if let Some(entry) = self.wisdom.get(&key) {
+            // A replay keeps what the rows know, so a replayed Estimate
+            // plan equals the fresh one.
             let ranking = entry
                 .ranking
                 .iter()
-                .map(|(name, score)| EngineRank {
-                    name: name.clone(),
-                    score_ns: *score,
-                    wall_ns: None,
-                    modeled_cycles: None,
-                    traffic_points: None,
+                .map(|(name, score)| {
+                    let cost = registry.specs().find(|s| s.name == *name).map(|s| (s.cost)(n));
+                    EngineRank {
+                        name: name.clone(),
+                        score_ns: *score,
+                        wall_ns: None,
+                        modeled_cycles: match (strategy, cost) {
+                            (Strategy::Estimate, Some(Cost::Cycles(cycles, _))) => Some(cycles),
+                            _ => None,
+                        },
+                        traffic_points: cost.and_then(traffic_points),
+                    }
                 })
                 .collect();
             return Ok(Plan { n, direction, strategy, backends, from_wisdom: true, ranking });
@@ -219,14 +230,16 @@ impl Planner {
                 // math, not the host allocator.
                 let mut output = vec![Complex::zero(); n];
                 let dir = if direction == Direction::Forward { "fwd" } else { "inv" };
+                let costs: Vec<Cost> = registry.specs().map(|spec| (spec.cost)(n)).collect();
                 let mut ranking = Vec::new();
-                for engine in registry.engines_mut() {
+                for (engine, cost) in registry.engines_mut().zip(costs) {
                     // Every calibration rep lands in a per-engine
                     // histogram instead of being discarded after the
                     // best-of reduction.
                     let mut hist = Histogram::new();
                     let rank = measure_rank(
                         engine,
+                        cost,
                         &signal,
                         &mut output,
                         direction,
@@ -323,6 +336,7 @@ pub fn calibration_signal(n: usize) -> Vec<C64> {
 
 fn measure_rank(
     engine: &mut dyn FftEngine,
+    cost: Cost,
     signal: &[C64],
     output: &mut [C64],
     direction: Direction,
@@ -349,14 +363,19 @@ fn measure_rank(
         score_ns,
         wall_ns: Some(wall_ns),
         modeled_cycles,
-        traffic_points: engine.traffic().map(|t| t.total()),
+        traffic_points: traffic_points(cost),
     })
+}
+
+/// A row's traffic term, in points moved.
+fn traffic_points(cost: Cost) -> Option<usize> {
+    cost.traffic().map(|t| t.total())
 }
 
 /// Prices one catalog row's [`Cost`]: host operations and traffic in
 /// host nanoseconds, modeled cycles at the ASIP clock.
 fn estimate_rank(name: &str, cost: Cost) -> EngineRank {
-    let traffic = cost.traffic().map(|t| t.total());
+    let traffic = traffic_points(cost);
     let (score_ns, modeled_cycles) = match cost {
         Cost::Host(ops, _) => (HOST_OP_NS * ops + HOST_MEM_NS * traffic.unwrap_or(0) as f64, None),
         Cost::Cycles(cycles, _) => (cycles as f64 / ASIP_CLOCK_GHZ, Some(cycles)),
@@ -459,6 +478,20 @@ mod tests {
     }
 
     #[test]
+    fn replayed_estimate_plans_equal_the_fresh_ones() {
+        // The trap row prices modeled cycles and no traffic; every
+        // software row at 256 prices traffic and no cycles.
+        let mut planner = Planner::with_factory(trapped_registry);
+        let fresh = planner.plan(256, Strategy::Estimate).unwrap();
+        let replay = planner.plan(256, Strategy::Estimate).unwrap();
+        assert!(!fresh.from_wisdom && replay.from_wisdom);
+        assert_eq!(replay.ranking, fresh.ranking);
+        let trap = replay.ranking.iter().find(|r| r.name == "trap").unwrap();
+        assert_eq!((trap.modeled_cycles, trap.traffic_points), (Some(1 << 40), None));
+        assert!(replay.ranking.iter().any(|r| r.traffic_points.is_some()));
+    }
+
+    #[test]
     fn measure_ranks_and_caches_into_wisdom() {
         let mut planner = Planner::new().with_measure_reps(1);
         let plan = planner.plan(64, Strategy::Measure).unwrap();
@@ -471,6 +504,11 @@ mod tests {
         assert!(replay.from_wisdom);
         assert_eq!(replay.best().name, plan.best().name);
         assert_eq!(replay.ranking.len(), plan.ranking.len());
+        // The replay reads each row's traffic back, as the run did.
+        for rank in &replay.ranking {
+            let measured = plan.ranking.iter().find(|r| r.name == rank.name).unwrap();
+            assert_eq!(rank.traffic_points, measured.traffic_points, "{}", rank.name);
+        }
     }
 
     #[test]
@@ -503,9 +541,8 @@ mod tests {
         let plan = planner.plan(97, Strategy::Estimate).unwrap();
         assert_eq!(plan.best().name, "rader");
         assert_eq!(plan.ranking.last().unwrap().name, "dft_naive");
-        // At 1009 the inner length 1008 = 2^4·3^2·7 is itself rough,
-        // so Rader recurses into Bluestein and pays twice the chirp-Z
-        // cost — the model must rank plain Bluestein first there.
+        // At 1009 the inner length 1008 = 2^4·3^2·7 is rough, so Rader
+        // does not register and Bluestein carries the prime.
         let plan = planner.plan(1009, Strategy::Estimate).unwrap();
         assert_eq!(plan.best().name, "bluestein");
         // Tiny primes: the direct radix-3 butterfly is genuinely

@@ -1205,7 +1205,7 @@ mod tests {
     fn shutdown_returns_undelivered_completions_in_order() {
         let mut builder =
             StreamPipeline::builder(EngineRegistry::standard).workers(2).queue_depth(16);
-        let ch = builder.channel(ChannelSpec::transform(64, "radix2_dif", Direction::Forward));
+        let ch = builder.channel(ChannelSpec::transform(64, "radix2_dit", Direction::Forward));
         let pipeline = builder.build().unwrap();
         for s in 0..10u64 {
             pipeline.submit(ch, tagged(64, s as f64), vec![Complex::zero(); 64]).unwrap();
@@ -1293,10 +1293,6 @@ mod tests {
                 *slot = Complex::zero();
             }
             Ok(())
-        }
-
-        fn traffic(&self) -> Option<afft_core::cached::MemTraffic> {
-            None
         }
     }
 

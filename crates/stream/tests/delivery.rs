@@ -46,10 +46,6 @@ impl FftEngine for PacedEngine {
         }
         Ok(())
     }
-
-    fn traffic(&self) -> Option<afft_core::cached::MemTraffic> {
-        None
-    }
 }
 
 fn paced_registry(n: usize) -> Result<EngineRegistry, FftError> {

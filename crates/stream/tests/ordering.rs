@@ -37,7 +37,7 @@ fn symbol(n: usize, channel: usize, seq: u64) -> Vec<C64> {
 }
 
 /// Engines available at every power-of-two size >= 8.
-const ENGINES: [&str; 4] = ["dft_naive", "radix2_dit", "radix2_dif", "mcfft"];
+const ENGINES: [&str; 4] = ["dft_naive", "radix2_dit", "mixed_radix", "mcfft"];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]

@@ -22,7 +22,7 @@
 
 use afft::core::engine::EngineRegistry;
 use afft::core::Direction;
-use afft::net::{NetClient, NetEvent, NetServer};
+use afft::net::{NetClient, NetEvent, NetServer, RETRY_AFTER_MS};
 use afft::num::Complex;
 use afft::planner::{Planner, Strategy};
 use afft::stream::{ChannelOp, ChannelSpec};
@@ -118,8 +118,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Act 2: load shedding as a protocol feature. One slow worker
     // behind a 2-deep budget; the flood must see RETRY_AFTER frames,
     // and the ledger must balance exactly.
-    let mut builder =
-        NetServer::builder(EngineRegistry::standard).workers(1).queue_depth(2).retry_after_ms(5);
+    let mut builder = NetServer::builder(EngineRegistry::standard).workers(1).queue_depth(2);
     let ch = builder.channel(ChannelSpec::transform(512, "dft_naive", Direction::Forward));
     let shallow = builder.serve("127.0.0.1:0")?;
     let flood_client = NetClient::connect(shallow.local_addr())?;
@@ -138,7 +137,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             NetEvent::Result { .. } => accepted += 1,
             NetEvent::RetryAfter { millis, .. } => {
                 shed += 1;
-                debug_assert_eq!(millis, 5);
+                debug_assert_eq!(millis, RETRY_AFTER_MS);
             }
             other => return Err(format!("flood: unexpected {other:?}").into()),
         }

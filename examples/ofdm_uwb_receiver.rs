@@ -4,15 +4,30 @@
 //!
 //! A transmitter modulates QPSK symbols onto 128 subcarriers through
 //! the golden-model `Ofdm`; the channel adds noise; the receiver side
-//! asks the autotuning planner for the fastest backend (measured over
-//! the full registry, cycle-accurate ASIP included — it wins on
-//! modeled hardware time). The plan is replayed from the per-machine
-//! wisdom file when one exists (run the `wimax_scalable` example or
-//! the `planner` bench bin first to warm it), the demodulator runs on
-//! the planned engine via `Ofdm::with_engine`, and the whole frame is
-//! also pushed through a 4-worker `StreamPipeline` demodulation channel
-//! on the same plan to check the pool is bit-identical to per-symbol
-//! demodulation.
+//! asks the autotuning planner for the fastest backend, measured over
+//! the full registry with the cycle-accurate ASIP included. The ISS
+//! competes on modeled hardware time (about 2.8 µs per 128-point
+//! transform at 300 MHz) and every software engine on host wall time,
+//! so the host decides the pick:
+//!
+//! * on a host with a vector unit, `radix4_simd` wins (about 0.7 µs on
+//!   a 2-core AVX2 host);
+//! * without one, or under `AFFT_NO_SIMD=1`, a scalar engine
+//!   (`array_fft` or `mixed_radix`, about 2.2 µs on the same host)
+//!   still beats the ISS.
+//!
+//! On such hosts the receiver and the pipeline run on that software
+//! engine, and the cycle table is skipped with a note. The table, and
+//! demodulation on the ISS itself, run only where `asip_iss` ranks
+//! first: on a host too slow for any software engine to beat its
+//! modeled time, or from a wisdom file that ranks it first.
+//!
+//! The plan is replayed from the per-machine wisdom file when one
+//! exists (run the `wimax_scalable` example or the `planner` bench bin
+//! first to warm it), the demodulator runs on the planned engine via
+//! `Ofdm::with_engine`, and the whole frame is also pushed through a
+//! 4-worker `StreamPipeline` demodulation channel on the same plan to
+//! check the pool is bit-identical to per-symbol demodulation.
 //!
 //! ```text
 //! cargo run --release --example ofdm_uwb_receiver

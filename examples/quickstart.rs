@@ -58,7 +58,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // let every backend write into it (`execute_into` is the engine
     // primitive; `execute` is a convenience wrapper that allocates).
     let mut spectrum = vec![Complex::zero(); n];
-    for engine in registry.engines_mut() {
+    // Traffic is a property of the catalog row, read without building.
+    let costs: Vec<_> = registry.specs().map(|spec| (spec.cost)(n)).collect();
+    for (engine, cost) in registry.engines_mut().zip(costs) {
         // The golden reference already ran; don't pay its O(N^2) twice.
         if engine.name() == "dft_naive" {
             spectrum.copy_from_slice(&golden);
@@ -66,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             engine.execute_into(&signal, &mut spectrum, Direction::Forward)?;
         }
         let err = max_error(&spectrum, &golden) / peak;
-        let traffic = engine.traffic().map_or("-".to_string(), |t| t.total().to_string());
+        let traffic = cost.traffic().map_or("-".to_string(), |t| t.total().to_string());
         let cycles = engine.cycles().map_or("-".to_string(), |c| c.to_string());
         let ok = err < engine.tolerance();
         println!("{:<12} {err:>12.2e} {traffic:>14} {cycles:>10} {ok:>10}", engine.name());

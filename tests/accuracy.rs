@@ -1,5 +1,5 @@
-//! Numerical-accuracy floor at a large prime size: every engine the
-//! standard registry offers at N = 1009 (and 251), measured as RMS
+//! Numerical-accuracy floor at large prime sizes: every engine the
+//! standard registry offers at N = 251, 1009 and 1153, measured as RMS
 //! error against the f64 naive DFT.
 //!
 //! # Why RMS, and why these bounds
@@ -9,16 +9,12 @@
 //! roundoff actually moves. For an f64 FFT built from unit-modulus
 //! twiddles, per-bin error grows like `c · ε · √(log₂ M)` relative to
 //! the spectrum's RMS level, with `ε = 2⁻⁵² ≈ 2.2e-16` and `c` a
-//! small constant per butterfly flavour:
-//!
-//! * the **direct engines** (`dft_naive` is the reference itself;
-//!   `rader`'s smooth inner path, `bluestein`) route through at most
-//!   three inner FFT passes of `M ≤ 4096` points plus O(1) chirp or
-//!   permutation multiplies per point, so the expected relative RMS
-//!   error sits near `10⁻¹⁵`;
-//! * `rader` at 1009 recurses into Bluestein for its rough 1008-point
-//!   inner convolution — roughly **twice** the chirp-Z depth, still
-//!   comfortably below `10⁻¹⁴`.
+//! small constant per butterfly flavour. The engines at these primes
+//! (`dft_naive` is the reference itself; `rader` through its
+//! mixed-radix `p − 1` convolution, `bluestein`) route through at most
+//! three inner FFT passes of `M ≤ 4096` points plus O(1) chirp or
+//! permutation multiplies per point, so the expected relative RMS error
+//! sits near `10⁻¹⁵`.
 //!
 //! The asserted bound of **1e-12** is therefore ~2–3 orders of
 //! magnitude above the expected floor: loose enough never to flake on
@@ -65,10 +61,9 @@ const RMS_BOUND: f64 = 1e-12;
 
 #[test]
 fn every_engine_meets_the_rms_floor_at_large_prime_sizes() {
-    // 251 exercises Rader's smooth inner path (250 = 2·5³); 1009
-    // exercises the deepest stack in the crate: Rader recursing into
-    // Bluestein for its rough 1008 = 2⁴·3²·7 inner convolution.
-    for n in [251usize, 1009] {
+    // 251 and 1153 bring in Rader (250 = 2·5³, 1152 = 2⁷·3²); at 1009
+    // the rough 1008 = 2⁴·3²·7 leaves the prime to Bluestein alone.
+    for n in [251usize, 1009, 1153] {
         let x = random_input(n);
         let mut registry = EngineRegistry::standard(n).expect("prime sizes are supported");
         for dir in [Direction::Forward, Direction::Inverse] {
@@ -91,14 +86,16 @@ fn every_engine_meets_the_rms_floor_at_large_prime_sizes() {
 
 #[test]
 fn rms_floor_holds_for_the_convolution_engines_specifically() {
-    // The two new engines by name, so a registry reordering can never
-    // silently drop them from the assertion above.
-    for n in [251usize, 1009] {
+    // The two engines by name, so a registry reordering can never
+    // silently drop them from the assertion above: Rader at the primes
+    // with 5-smooth p − 1, Bluestein at every prime.
+    let both: &[&str] = &["rader", "bluestein"];
+    for (n, names) in [(251usize, both), (1009, &["bluestein"]), (1153, both)] {
         let x = random_input(n);
         let want = dft_naive(&x, Direction::Forward).expect("reference");
         let mut registry = EngineRegistry::standard(n).expect("supported");
-        for name in ["rader", "bluestein"] {
-            let engine = registry.get_mut(name).expect("registered at primes");
+        for &name in names {
+            let engine = registry.get_mut(name).expect("registered at this prime");
             let got = engine.execute(&x, Direction::Forward).expect("execute");
             let err = relative_rms_error(&got, &want);
             assert!(err < RMS_BOUND, "{name} n={n}: {err:.3e}");

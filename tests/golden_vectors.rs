@@ -16,9 +16,10 @@
 //! Sizes cover the paper's power-of-two range, the composite OFDM
 //! sizes the mixed-radix family adds (60, 243 = 3^5, 1200, 1536) and
 //! the prime/adversarial sizes the convolution engines close: 7, 17,
-//! 97, 251, 1009 (primes, so `rader` and `bluestein` both register)
-//! and 1344 = 2^6·3·7 (a 5G NR DFT-s-OFDM size whose factor 7 defeats
-//! the mixed-radix family — `bluestein` alone serves it). Every engine
+//! 97, 251 (primes with 5-smooth `p - 1`, so `rader` and `bluestein`
+//! both register), 1009 (a prime with rough `p - 1 = 2^4·3^2·7`) and
+//! 1344 = 2^6·3·7 (a 5G NR DFT-s-OFDM size whose factor 7 defeats the
+//! mixed-radix family); `bluestein` alone serves the last two. Every engine
 //! must match within its own declared [`FftEngine::tolerance`],
 //! relative to the spectrum peak.
 
