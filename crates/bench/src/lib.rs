@@ -1,7 +1,7 @@
 //! Experiment harnesses: one binary per paper artifact (Table I,
 //! Table II, the Section IV hardware numbers, the Fig. 3 matrix proof)
-//! plus ablation and scaling extensions, and criterion benches over the
-//! same drivers.
+//! plus ablation and scaling extensions, and the throughput, stream and
+//! net bins over the same drivers.
 //!
 //! Run them with, e.g.:
 //!

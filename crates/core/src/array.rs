@@ -12,6 +12,7 @@ use crate::address::{
     prerot_exponent, transposed_to_natural_bin, Butterfly,
 };
 use crate::bits::bit_reverse;
+use crate::engine::check_io;
 use crate::error::FftError;
 use crate::plan::Split;
 use crate::reference::Direction;
@@ -302,12 +303,7 @@ impl<T: Scalar> ArrayFft<T> {
         dir: Direction,
     ) -> Result<(), FftError> {
         let s = &self.split;
-        if input.len() != s.n {
-            return Err(FftError::LengthMismatch { expected: s.n, got: input.len() });
-        }
-        if output.len() != s.n {
-            return Err(FftError::LengthMismatch { expected: s.n, got: output.len() });
-        }
+        check_io(s.n, input, output)?;
         self.mid_scratch.resize(s.n, Complex::zero());
         self.crf_scratch.resize(s.p_size, Complex::zero());
         if self.sched.is_none() {

@@ -13,7 +13,7 @@
 //! chirp multiply. Because `b` is only ever evaluated at lags
 //! `-(n-1)..=n-1`, the linear convolution embeds exactly in a cyclic
 //! convolution of any length `M >= 2n - 1`; choosing the next power of
-//! two lets the plan run it as three `M`-point
+//! two lets the engine run it as three `M`-point
 //! [`Radix4SimdEngine`] FFTs — two at execute time (the kernel spectrum
 //! is fixed at plan time), always power-of-two, so the recursion
 //! trivially terminates regardless of how adversarial `n`'s
@@ -24,21 +24,24 @@
 //! phase, so the chirp does not decohere at large `n`), the forward and
 //! inverse kernel spectra (`M` points each), and the two `M`-point
 //! scratch arenas the convolution ping-pongs through — so
-//! [`bluestein_into`] performs **zero heap allocation per transform**,
+//! [`BluesteinEngine`] performs **zero heap allocation per transform**,
 //! the same `execute_into` contract every other kernel in the crate
 //! honours.
 
-use crate::engine::FftEngine;
+use crate::engine::{check_io, FftEngine};
 use crate::error::FftError;
 use crate::reference::Direction;
 use crate::simd::Radix4SimdEngine;
 use afft_num::{twiddle, Complex, C64};
 
-/// Plan-time state of the chirp-Z kernel: chirp table, kernel spectra
-/// for both directions, the inner power-of-two plan, and the scratch
-/// arenas of the allocation-free execute path.
+/// Bluestein's chirp-Z FFT as an engine: **any** `n >= 2` through one
+/// power-of-two cyclic convolution — the registry's universal fallback
+/// that closes the size domain (primes, 5G NR DFT-s-OFDM sizes,
+/// arbitrary user requests). It holds the chirp table, the kernel
+/// spectra for both directions, the inner power-of-two engine and the
+/// scratch arenas of the allocation-free execute path.
 #[derive(Debug, Clone)]
-pub struct BluesteinPlan {
+pub struct BluesteinEngine {
     n: usize,
     /// Convolution length: the next power of two `>= 2n - 1`.
     m: usize,
@@ -61,7 +64,7 @@ fn chirp_at(n: usize, j: usize) -> C64 {
     twiddle(2 * n, ((j as u128 * j as u128) % two_n) as usize)
 }
 
-impl BluesteinPlan {
+impl BluesteinEngine {
     /// Plans a chirp-Z FFT of size `n` — any `n >= 2`.
     ///
     /// # Errors
@@ -95,75 +98,58 @@ impl BluesteinPlan {
             *slot = slot.conj();
         }
         inner.execute_into(&buf_a, &mut kernel_inv, Direction::Forward)?;
-        Ok(BluesteinPlan { n, m, chirp, kernel_fwd, kernel_inv, inner, buf_a, buf_b })
-    }
-
-    /// The planned transform size.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Never true for a plan (`n >= 2`).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// The internal cyclic-convolution length (the next power of two
-    /// `>= 2n - 1`) — what the op-model and traffic estimates price.
-    pub fn conv_len(&self) -> usize {
-        self.m
+        Ok(BluesteinEngine { n, m, chirp, kernel_fwd, kernel_inv, inner, buf_a, buf_b })
     }
 }
 
-/// Executes the planned chirp-Z FFT into `output` (natural bin order,
-/// unnormalised-DFT contract, no heap allocation).
-///
-/// # Errors
-///
-/// Returns [`FftError::LengthMismatch`] if either buffer is not
-/// `plan.len()` points.
-pub fn bluestein_into(
-    plan: &mut BluesteinPlan,
-    input: &[C64],
-    output: &mut [C64],
-    dir: Direction,
-) -> Result<(), FftError> {
-    let n = plan.n;
-    if input.len() != n {
-        return Err(FftError::LengthMismatch { expected: n, got: input.len() });
-    }
-    if output.len() != n {
-        return Err(FftError::LengthMismatch { expected: n, got: output.len() });
-    }
-    let forward = dir == Direction::Forward;
-    let kernel = if forward { &plan.kernel_fwd } else { &plan.kernel_inv };
-
-    // Chirp the input into the convolution buffer and zero the padding
-    // tail — the previous call's inverse pass dirtied the whole arena,
-    // and a stale tail would alias into the convolution result.
-    for (slot, (&x, &w)) in plan.buf_a.iter_mut().zip(input.iter().zip(&plan.chirp)) {
-        *slot = if forward { x * w } else { x * w.conj() };
-    }
-    for slot in plan.buf_a[n..].iter_mut() {
-        *slot = Complex::zero();
+impl FftEngine for BluesteinEngine {
+    fn name(&self) -> &str {
+        "bluestein"
     }
 
-    // Cyclic convolution by the convolution theorem: two power-of-two
-    // radix-4 runs around one pointwise multiply. The inner inverse
-    // is unnormalised (returns M times the convolution); the 1/M fold
-    // rides the final chirp multiply below.
-    plan.inner.execute_into(&plan.buf_a, &mut plan.buf_b, Direction::Forward)?;
-    for (slot, &k) in plan.buf_b.iter_mut().zip(kernel) {
-        *slot = *slot * k;
+    fn len(&self) -> usize {
+        self.n
     }
-    plan.inner.execute_into(&plan.buf_b, &mut plan.buf_a, Direction::Inverse)?;
 
-    let scale = 1.0 / plan.m as f64;
-    for (k, (slot, &w)) in output.iter_mut().zip(&plan.chirp).enumerate() {
-        let c = plan.buf_a[k] * scale;
-        *slot = if forward { c * w } else { c * w.conj() };
+    fn execute_into(
+        &mut self,
+        input: &[C64],
+        output: &mut [C64],
+        dir: Direction,
+    ) -> Result<(), FftError> {
+        let n = self.n;
+        check_io(n, input, output)?;
+        let forward = dir == Direction::Forward;
+        let kernel = if forward { &self.kernel_fwd } else { &self.kernel_inv };
+
+        // Chirp the input into the convolution buffer and zero the
+        // padding tail — the previous call's inverse pass dirtied the
+        // whole arena, and a stale tail would alias into the
+        // convolution result.
+        for (slot, (&x, &w)) in self.buf_a.iter_mut().zip(input.iter().zip(&self.chirp)) {
+            *slot = if forward { x * w } else { x * w.conj() };
+        }
+        for slot in self.buf_a[n..].iter_mut() {
+            *slot = Complex::zero();
+        }
+
+        // Cyclic convolution by the convolution theorem: two power-of-two
+        // radix-4 runs around one pointwise multiply. The inner inverse
+        // is unnormalised (returns M times the convolution); the 1/M
+        // fold rides the final chirp multiply below.
+        self.inner.execute_into(&self.buf_a, &mut self.buf_b, Direction::Forward)?;
+        for (slot, &k) in self.buf_b.iter_mut().zip(kernel) {
+            *slot = *slot * k;
+        }
+        self.inner.execute_into(&self.buf_b, &mut self.buf_a, Direction::Inverse)?;
+
+        let scale = 1.0 / self.m as f64;
+        for (k, (slot, &w)) in output.iter_mut().zip(&self.chirp).enumerate() {
+            let c = self.buf_a[k] * scale;
+            *slot = if forward { c * w } else { c * w.conj() };
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -184,12 +170,12 @@ mod tests {
         // two: the chirp path must not care about the factorisation.
         for n in [2usize, 3, 7, 11, 17, 31, 97, 101, 64, 60, 77, 126, 251] {
             let x = random_signal(n, n as u64);
-            let mut plan = BluesteinPlan::new(n).unwrap();
+            let mut engine = BluesteinEngine::new(n).unwrap();
             let mut got = vec![Complex::zero(); n];
             for dir in [Direction::Forward, Direction::Inverse] {
                 let want = dft_naive(&x, dir).unwrap();
                 let peak = want.iter().map(|c| c.abs()).fold(0.0, f64::max);
-                bluestein_into(&mut plan, &x, &mut got, dir).unwrap();
+                engine.execute_into(&x, &mut got, dir).unwrap();
                 let err = max_error(&got, &want) / peak;
                 assert!(err < 1e-10, "n={n} {dir:?}: {err}");
             }
@@ -200,11 +186,11 @@ mod tests {
     fn round_trips_within_tolerance() {
         let n = 97;
         let x = random_signal(n, 5);
-        let mut plan = BluesteinPlan::new(n).unwrap();
+        let mut engine = BluesteinEngine::new(n).unwrap();
         let mut spec = vec![Complex::zero(); n];
         let mut back = vec![Complex::zero(); n];
-        bluestein_into(&mut plan, &x, &mut spec, Direction::Forward).unwrap();
-        bluestein_into(&mut plan, &spec, &mut back, Direction::Inverse).unwrap();
+        engine.execute_into(&x, &mut spec, Direction::Forward).unwrap();
+        engine.execute_into(&spec, &mut back, Direction::Inverse).unwrap();
         let scaled: Vec<C64> = back.iter().map(|&v| v * (1.0 / n as f64)).collect();
         assert!(max_error(&scaled, &x) < 1e-10);
     }
@@ -212,7 +198,7 @@ mod tests {
     #[test]
     fn convolution_length_is_next_pow2_of_2n_minus_1() {
         for (n, m) in [(2usize, 4usize), (7, 16), (97, 256), (1009, 2048), (1344, 4096)] {
-            assert_eq!(BluesteinPlan::new(n).unwrap().conv_len(), m, "n={n}");
+            assert_eq!(BluesteinEngine::new(n).unwrap().m, m, "n={n}");
         }
     }
 
@@ -221,31 +207,31 @@ mod tests {
         // The zero-padding contract: stale convolution state from one
         // call must never leak into the next (also across directions).
         let n = 31;
-        let mut plan = BluesteinPlan::new(n).unwrap();
+        let mut engine = BluesteinEngine::new(n).unwrap();
         let x = random_signal(n, 1);
         let y = random_signal(n, 2);
         let mut first = vec![Complex::zero(); n];
         let mut again = vec![Complex::zero(); n];
-        bluestein_into(&mut plan, &x, &mut first, Direction::Forward).unwrap();
-        bluestein_into(&mut plan, &y, &mut again, Direction::Inverse).unwrap();
-        bluestein_into(&mut plan, &x, &mut again, Direction::Forward).unwrap();
+        engine.execute_into(&x, &mut first, Direction::Forward).unwrap();
+        engine.execute_into(&y, &mut again, Direction::Inverse).unwrap();
+        engine.execute_into(&x, &mut again, Direction::Forward).unwrap();
         assert_eq!(first, again);
     }
 
     #[test]
     fn rejects_degenerate_sizes_and_length_mismatch() {
-        assert!(matches!(BluesteinPlan::new(0), Err(FftError::InvalidSize { .. })));
-        assert!(matches!(BluesteinPlan::new(1), Err(FftError::InvalidSize { .. })));
-        let mut plan = BluesteinPlan::new(7).unwrap();
+        assert!(matches!(BluesteinEngine::new(0), Err(FftError::InvalidSize { .. })));
+        assert!(matches!(BluesteinEngine::new(1), Err(FftError::InvalidSize { .. })));
+        let mut engine = BluesteinEngine::new(7).unwrap();
         let x = random_signal(7, 3);
         let mut short = vec![Complex::zero(); 6];
         assert!(matches!(
-            bluestein_into(&mut plan, &x, &mut short, Direction::Forward),
+            engine.execute_into(&x, &mut short, Direction::Forward),
             Err(FftError::LengthMismatch { expected: 7, got: 6 })
         ));
         let mut ok = vec![Complex::zero(); 7];
         assert!(matches!(
-            bluestein_into(&mut plan, &x[..6], &mut ok, Direction::Forward),
+            engine.execute_into(&x[..6], &mut ok, Direction::Forward),
             Err(FftError::LengthMismatch { expected: 7, got: 6 })
         ));
     }

@@ -71,14 +71,14 @@
 //! ```
 
 use crate::array::ArrayFft;
-use crate::bluestein::{bluestein_into, BluesteinPlan};
+use crate::bluestein::BluesteinEngine;
 use crate::cached::{cached_fft_into, plain_fft_traffic, CachedFftScratch, MemTraffic};
 use crate::error::FftError;
 use crate::mcfft::{mcfft_into, Epochs, McfftScratch};
-use crate::mixed::{factorize, mixed_radix_into, MixedRadixPlan};
+use crate::mixed::{factorize, MixedRadixEngine};
 use crate::plan::Split;
-use crate::rader::{is_prime, rader_into, RaderPlan};
-use crate::radix4::{is_power_of_four, radix4_dit_into, Radix4Plan};
+use crate::rader::{is_prime, RaderEngine};
+use crate::radix4::{is_power_of_four, Radix4DitEngine};
 use crate::reference::{check_pow2, dft_naive_into, fft_radix2_dit_f64, Direction};
 use crate::simd::{self, Radix4SimdEngine};
 use afft_num::{Complex, C64};
@@ -149,13 +149,14 @@ pub trait FftEngine: Send {
 
 /// Validates an [`FftEngine::execute_into`] buffer pair against the
 /// engine's planned size — the one length-check shared by every
-/// backend, in this crate and out-of-crate adapters alike.
+/// backend, in this crate and out-of-crate adapters alike, over any
+/// sample type.
 ///
 /// # Errors
 ///
 /// Returns [`FftError::LengthMismatch`] if either buffer is not `n`
 /// points.
-pub fn check_io(n: usize, input: &[C64], output: &[C64]) -> Result<(), FftError> {
+pub fn check_io<T>(n: usize, input: &[T], output: &[T]) -> Result<(), FftError> {
     if input.len() != n {
         return Err(FftError::LengthMismatch { expected: n, got: input.len() });
     }
@@ -241,82 +242,6 @@ impl FftEngine for Radix2DitEngine {
         check_io(self.n, input, output)?;
         output.copy_from_slice(input);
         fft_radix2_dit_f64(output, dir)
-    }
-}
-
-/// The radix-4 decimation-in-time FFT as an engine (power-of-4 sizes;
-/// ~25% fewer complex multiplies than radix-2, plan-time twiddle
-/// tables).
-#[derive(Debug, Clone)]
-pub struct Radix4DitEngine {
-    plan: Radix4Plan,
-}
-
-impl Radix4DitEngine {
-    /// Plans a radix-4 DIT FFT of size `n` (a power of 4, `>= 4`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::InvalidSize`] otherwise.
-    pub fn new(n: usize) -> Result<Self, FftError> {
-        Ok(Radix4DitEngine { plan: Radix4Plan::new(n)? })
-    }
-}
-
-impl FftEngine for Radix4DitEngine {
-    fn name(&self) -> &str {
-        "radix4_dit"
-    }
-
-    fn len(&self) -> usize {
-        self.plan.len()
-    }
-
-    fn execute_into(
-        &mut self,
-        input: &[C64],
-        output: &mut [C64],
-        dir: Direction,
-    ) -> Result<(), FftError> {
-        radix4_dit_into(&self.plan, input, output, dir)
-    }
-}
-
-/// The general mixed-radix FFT as an engine: any `n >= 2` with prime
-/// factors in {2, 3, 5} — the only registry backend that serves
-/// composite OFDM sizes like 60, 1200 and 1536.
-#[derive(Debug, Clone)]
-pub struct MixedRadixEngine {
-    plan: MixedRadixPlan,
-}
-
-impl MixedRadixEngine {
-    /// Plans a mixed-radix FFT of size `n` (`n >= 2`, 5-smooth).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::InvalidSize`] otherwise.
-    pub fn new(n: usize) -> Result<Self, FftError> {
-        Ok(MixedRadixEngine { plan: MixedRadixPlan::new(n)? })
-    }
-}
-
-impl FftEngine for MixedRadixEngine {
-    fn name(&self) -> &str {
-        "mixed_radix"
-    }
-
-    fn len(&self) -> usize {
-        self.plan.len()
-    }
-
-    fn execute_into(
-        &mut self,
-        input: &[C64],
-        output: &mut [C64],
-        dir: Direction,
-    ) -> Result<(), FftError> {
-        mixed_radix_into(&mut self.plan, input, output, dir)
     }
 }
 
@@ -437,84 +362,6 @@ impl FftEngine for McfftEngine {
     }
 }
 
-/// Bluestein's chirp-Z FFT as an engine: **any** `n >= 2` through one
-/// power-of-two cyclic convolution — the registry's universal fallback
-/// that closes the size domain (primes, 5G NR DFT-s-OFDM sizes,
-/// arbitrary user requests).
-#[derive(Debug, Clone)]
-pub struct BluesteinEngine {
-    plan: BluesteinPlan,
-}
-
-impl BluesteinEngine {
-    /// Plans a chirp-Z FFT of size `n` (any `n >= 2`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::InvalidSize`] for `n < 2`.
-    pub fn new(n: usize) -> Result<Self, FftError> {
-        Ok(BluesteinEngine { plan: BluesteinPlan::new(n)? })
-    }
-}
-
-impl FftEngine for BluesteinEngine {
-    fn name(&self) -> &str {
-        "bluestein"
-    }
-
-    fn len(&self) -> usize {
-        self.plan.len()
-    }
-
-    fn execute_into(
-        &mut self,
-        input: &[C64],
-        output: &mut [C64],
-        dir: Direction,
-    ) -> Result<(), FftError> {
-        bluestein_into(&mut self.plan, input, output, dir)
-    }
-}
-
-/// Rader's prime-length FFT as an engine: an odd prime `p` whose
-/// `p - 1` is 5-smooth, through the `(p-1)`-point generator-permutation
-/// cyclic convolution on `mixed_radix`.
-#[derive(Debug, Clone)]
-pub struct RaderEngine {
-    plan: RaderPlan,
-}
-
-impl RaderEngine {
-    /// Plans a Rader FFT of prime size `p` (see [`RaderPlan::new`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::InvalidSize`] unless `p` is an odd prime
-    /// with 5-smooth `p - 1`.
-    pub fn new(p: usize) -> Result<Self, FftError> {
-        Ok(RaderEngine { plan: RaderPlan::new(p)? })
-    }
-}
-
-impl FftEngine for RaderEngine {
-    fn name(&self) -> &str {
-        "rader"
-    }
-
-    fn len(&self) -> usize {
-        self.plan.len()
-    }
-
-    fn execute_into(
-        &mut self,
-        input: &[C64],
-        output: &mut [C64],
-        dir: Direction,
-    ) -> Result<(), FftError> {
-        rader_into(&mut self.plan, input, output, dir)
-    }
-}
-
 /// An engine's cost model: one transform at one size, in physical units
 /// the planner prices with its host constants. Both terms carry the
 /// main-memory traffic in complex points where the engine models it;
@@ -568,8 +415,7 @@ macro_rules! row {
 /// place that says what each engine is. `afft_asip::engine::ASIP_ISS`
 /// is the cycle-accurate simulator's row.
 pub static CATALOG: &[EngineSpec] = &[
-    // N^2 overtakes every N log N structure beyond trivially small N.
-    row!("dft_naive", |_| true, NaiveDftEngine, |n| Cost::Host(n as f64 * n as f64, None)),
+    row!("dft_naive", |_| true, NaiveDftEngine, dft_naive_cost),
     row!("radix2_dit", usize::is_power_of_two, Radix2DitEngine, radix2_dit_cost),
     row!("radix4_dit", is_power_of_four, Radix4DitEngine, radix4_dit_cost),
     row!("radix4_simd", simd_tier, Radix4SimdEngine, radix4_simd_cost),
@@ -601,10 +447,16 @@ fn array_size(n: usize) -> bool {
     Split::for_size(n).is_ok()
 }
 
-/// Per-butterfly `cos`/`sin`, no plan-time tables; `N log2 N` points of
-/// traffic each way.
+/// One multiply-add and one on-the-fly twiddle per term of the `N^2`
+/// sum, from registers.
+fn dft_naive_cost(n: usize) -> Cost {
+    Cost::Host(n as f64 * n as f64 * (1.0 + TWIDDLE_OPS), None)
+}
+
+/// One on-the-fly twiddle per butterfly, `N/2` butterflies per stage;
+/// `N log2 N` points of traffic each way.
 fn radix2_dit_cost(n: usize) -> Cost {
-    Cost::Host(n_log2n(1.0, n), Some(plain_fft_traffic(n)))
+    Cost::Host(n_log2n(1.0 + TWIDDLE_OPS / 2.0, n), Some(plain_fft_traffic(n)))
 }
 
 /// The epoch structures move every point once each way per epoch.
@@ -641,6 +493,11 @@ fn radix4_simd_model(n: usize) -> (f64, usize) {
 /// Per-point ops of one mixed-radix stage, by radix: radix-4 has only
 /// `±i` rotations, radix-3 and radix-5 pay their constant rotations.
 const STAGE_OPS: [f64; 6] = [0.0, 0.0, 1.0, 1.9, 1.7, 3.2];
+
+/// Ops of one twiddle computed on the fly, a `cos` and a `sin`
+/// (`afft_num::twiddle`): the engines without plan-time tables pay it
+/// per term (`dft_naive`) or per butterfly (`radix2_dit`).
+const TWIDDLE_OPS: f64 = 10.0;
 
 /// The mixed-radix op count of a 5-smooth `n` with stage radices
 /// `radices`.
@@ -1011,28 +868,21 @@ mod tests {
 
     #[test]
     fn length_mismatch_is_uniformly_reported() {
-        let mut registry = EngineRegistry::standard(64).unwrap();
-        let x = random_signal(32, 1);
-        let ok = random_signal(64, 2);
-        for engine in registry.engines_mut() {
-            assert!(
-                matches!(
-                    engine.execute(&x, Direction::Forward),
-                    Err(FftError::LengthMismatch { expected: 64, got: 32 })
-                ),
-                "{}",
-                engine.name()
-            );
-            // The output buffer is length-checked too.
-            let mut short = vec![Complex::zero(); 32];
-            assert!(
-                matches!(
-                    engine.execute_into(&ok, &mut short, Direction::Forward),
-                    Err(FftError::LengthMismatch { expected: 64, got: 32 })
-                ),
-                "{} output check",
-                engine.name()
-            );
+        // 64 reaches every power-of-two kernel, 97 `rader` and 1200
+        // `mixed_radix`; `bluestein` registers at all three.
+        for n in [64usize, 97, 1200] {
+            let mut registry = EngineRegistry::standard(n).unwrap();
+            let x = random_signal(n / 2, 1);
+            let ok = random_signal(n, 2);
+            let mismatch = Some(FftError::LengthMismatch { expected: n, got: n / 2 });
+            let mut short = vec![Complex::zero(); n / 2];
+            for engine in registry.engines_mut() {
+                let got = engine.execute(&x, Direction::Forward).err();
+                assert_eq!(got, mismatch, "{}", engine.name());
+                // The output buffer is length-checked too.
+                let got = engine.execute_into(&ok, &mut short, Direction::Forward).err();
+                assert_eq!(got, mismatch, "{} output check", engine.name());
+            }
         }
     }
 

@@ -21,14 +21,16 @@
 //!   Baas's cached FFT and the variable-epoch MCFFT, used as golden
 //!   references and comparison baselines;
 //! * [`radix4`], [`mixed`] — the scalar mixed-radix kernel family:
-//!   radix-4 DIT (power-of-4, the reference the SIMD kernel is tested
-//!   against) and the general {2, 3, 4, 5} mixed-radix engine that
-//!   serves composite OFDM sizes (60, 1200, 1536, ...);
+//!   [`radix4::Radix4DitEngine`] (power-of-4, the reference the SIMD
+//!   kernel is tested against) and the general {2, 3, 4, 5}
+//!   [`mixed::MixedRadixEngine`] that serves composite OFDM sizes (60,
+//!   1200, 1536, ...);
 //! * [`bluestein`], [`rader`] — the convolution-based engines that
-//!   close the size domain: chirp-Z for **any** `n >= 2` and the
-//!   generator-permutation FFT for primes with 5-smooth `p - 1`, so 5G
-//!   NR DFT-s-OFDM sizes
-//!   and arbitrary user requests plan instead of erroring;
+//!   close the size domain: [`bluestein::BluesteinEngine`] (chirp-Z)
+//!   for **any** `n >= 2` and [`rader::RaderEngine`] (the
+//!   generator-permutation FFT) for primes with 5-smooth `p - 1`, so 5G
+//!   NR DFT-s-OFDM sizes and arbitrary user requests plan instead of
+//!   erroring;
 //! * [`simd`] — the vectorized kernel tier: one AVX2/NEON radix-4
 //!   kernel over split real/imag planes for every power of two (one
 //!   portable radix-2 pass closes odd `log₂ N`), behind runtime feature
@@ -36,7 +38,8 @@
 //! * [`engine`] — the [`FftEngine`] trait, the engine catalog and
 //!   [`EngineRegistry`]: every backend above behind one polymorphic
 //!   execute interface (the cycle-accurate ISS joins through
-//!   `afft_asip`).
+//!   `afft_asip`). Each kernel's engine type is its own plan: `new`
+//!   builds the tables and scratch, `execute_into` runs on them.
 //!
 //! # Quickstart
 //!

@@ -9,6 +9,7 @@
 //! traffic is `E * N` loads and `E * N` stores.
 
 use crate::cached::MemTraffic;
+use crate::engine::check_io;
 use crate::error::FftError;
 use crate::reference::{fft_radix2_dit_f64, Direction};
 use afft_num::{Complex, C64};
@@ -145,12 +146,7 @@ pub fn mcfft_into(
     dir: Direction,
     scratch: &mut McfftScratch,
 ) -> Result<(), FftError> {
-    if input.len() != epochs.n {
-        return Err(FftError::LengthMismatch { expected: epochs.n, got: input.len() });
-    }
-    if output.len() != epochs.n {
-        return Err(FftError::LengthMismatch { expected: epochs.n, got: output.len() });
-    }
+    check_io(epochs.n, input, output)?;
     let depth = epochs.factors.len().saturating_sub(1);
     four_step_into(input, output, &epochs.factors, dir, scratch.level_bufs(depth))
 }

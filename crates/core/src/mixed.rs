@@ -12,9 +12,10 @@
 //! combines with a hardcoded `r`-point butterfly (the radix-3 and
 //! radix-5 butterflies use the classic constant-rotation forms; radix-4
 //! uses only `±i` rotations). Execution reads the input through an
-//! `(offset, stride)` view and works in a plan-owned `2N` scratch
+//! `(offset, stride)` view and works in an engine-owned `2N` scratch
 //! arena: zero heap allocation per transform.
 
+use crate::engine::{check_io, FftEngine};
 use crate::error::FftError;
 use crate::reference::Direction;
 use afft_num::{twiddle, Complex, C64};
@@ -96,16 +97,18 @@ struct Level {
     tw: Vec<C64>,
 }
 
-/// Plan-time state of the mixed-radix kernel: the per-level stage
-/// structure with twiddle tables, and the recursion scratch arena.
+/// The general mixed-radix FFT as an engine: any `n >= 2` with prime
+/// factors in {2, 3, 5} — the only registry backend that serves
+/// composite OFDM sizes like 60, 1200 and 1536. It holds the per-level
+/// stage structure with twiddle tables and the recursion scratch arena.
 #[derive(Debug, Clone)]
-pub struct MixedRadixPlan {
+pub struct MixedRadixEngine {
     n: usize,
     levels: Vec<Level>,
     scratch: Vec<C64>,
 }
 
-impl MixedRadixPlan {
+impl MixedRadixEngine {
     /// Plans a mixed-radix FFT of size `n` (`n >= 2` with prime factors
     /// in {2, 3, 5}).
     ///
@@ -131,47 +134,29 @@ impl MixedRadixPlan {
             levels.push(Level { size, radix, tw });
             size = m;
         }
-        Ok(MixedRadixPlan { n, levels, scratch: vec![Complex::zero(); 2 * n] })
-    }
-
-    /// The planned transform size.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Never true for a plan (`n >= 2`).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
+        Ok(MixedRadixEngine { n, levels, scratch: vec![Complex::zero(); 2 * n] })
     }
 }
 
-/// Executes the planned mixed-radix FFT into `output` (natural bin
-/// order, unnormalised-DFT contract, no heap allocation).
-///
-/// Takes `&mut` the plan for its scratch arena only; the twiddle
-/// tables are never written.
-///
-/// # Errors
-///
-/// Returns [`FftError::LengthMismatch`] if either buffer is not
-/// `plan.len()` points.
-pub fn mixed_radix_into(
-    plan: &mut MixedRadixPlan,
-    input: &[C64],
-    output: &mut [C64],
-    dir: Direction,
-) -> Result<(), FftError> {
-    let n = plan.n;
-    if input.len() != n {
-        return Err(FftError::LengthMismatch { expected: n, got: input.len() });
+impl FftEngine for MixedRadixEngine {
+    fn name(&self) -> &str {
+        "mixed_radix"
     }
-    if output.len() != n {
-        return Err(FftError::LengthMismatch { expected: n, got: output.len() });
+
+    fn len(&self) -> usize {
+        self.n
     }
-    let mut scratch = core::mem::take(&mut plan.scratch);
-    rec(&plan.levels, input, 0, 1, output, &mut scratch, dir == Direction::Forward);
-    plan.scratch = scratch;
-    Ok(())
+
+    fn execute_into(
+        &mut self,
+        input: &[C64],
+        output: &mut [C64],
+        dir: Direction,
+    ) -> Result<(), FftError> {
+        check_io(self.n, input, output)?;
+        rec(&self.levels, input, 0, 1, output, &mut self.scratch, dir == Direction::Forward);
+        Ok(())
+    }
 }
 
 /// One recursion level: the DFT of `x[offset + stride*t]` for
@@ -310,12 +295,12 @@ mod tests {
     #[test]
     fn matches_naive_on_composite_sizes_both_directions() {
         for n in [2usize, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60, 120, 243, 600] {
-            let mut plan = MixedRadixPlan::new(n).unwrap();
+            let mut engine = MixedRadixEngine::new(n).unwrap();
             let x = random_signal(n, 31 + n as u64);
             let mut got = vec![Complex::zero(); n];
             for dir in [Direction::Forward, Direction::Inverse] {
                 let want = dft_naive(&x, dir).unwrap();
-                mixed_radix_into(&mut plan, &x, &mut got, dir).unwrap();
+                engine.execute_into(&x, &mut got, dir).unwrap();
                 let peak = want.iter().map(|c| c.abs()).fold(0.0, f64::max);
                 assert!(max_error(&got, &want) / peak < 1e-11, "n={n} {dir:?}");
             }
@@ -325,11 +310,11 @@ mod tests {
     #[test]
     fn matches_naive_on_power_of_two_sizes() {
         for n in [8usize, 64, 256] {
-            let mut plan = MixedRadixPlan::new(n).unwrap();
+            let mut engine = MixedRadixEngine::new(n).unwrap();
             let x = random_signal(n, 7 + n as u64);
             let want = dft_naive(&x, Direction::Forward).unwrap();
             let mut got = vec![Complex::zero(); n];
-            mixed_radix_into(&mut plan, &x, &mut got, Direction::Forward).unwrap();
+            engine.execute_into(&x, &mut got, Direction::Forward).unwrap();
             let peak = want.iter().map(|c| c.abs()).fold(0.0, f64::max);
             assert!(max_error(&got, &want) / peak < 1e-12, "n={n}");
         }
@@ -342,11 +327,11 @@ mod tests {
         // directions are covered for the smaller sizes above and by
         // the round-trip test below).
         for n in [60usize, 120, 600, 1200, 1536] {
-            let mut plan = MixedRadixPlan::new(n).unwrap();
+            let mut engine = MixedRadixEngine::new(n).unwrap();
             let x = random_signal(n, 97 + n as u64);
             let want = dft_naive(&x, Direction::Forward).unwrap();
             let mut got = vec![Complex::zero(); n];
-            mixed_radix_into(&mut plan, &x, &mut got, Direction::Forward).unwrap();
+            engine.execute_into(&x, &mut got, Direction::Forward).unwrap();
             let peak = want.iter().map(|c| c.abs()).fold(0.0, f64::max);
             assert!(max_error(&got, &want) / peak < 1e-11, "n={n}");
         }
@@ -355,12 +340,12 @@ mod tests {
     #[test]
     fn round_trip_recovers_input_at_lte_sizes() {
         for n in [60usize, 1200, 1536] {
-            let mut plan = MixedRadixPlan::new(n).unwrap();
+            let mut engine = MixedRadixEngine::new(n).unwrap();
             let x = random_signal(n, n as u64);
             let mut spec = vec![Complex::zero(); n];
             let mut back = vec![Complex::zero(); n];
-            mixed_radix_into(&mut plan, &x, &mut spec, Direction::Forward).unwrap();
-            mixed_radix_into(&mut plan, &spec, &mut back, Direction::Inverse).unwrap();
+            engine.execute_into(&x, &mut spec, Direction::Forward).unwrap();
+            engine.execute_into(&spec, &mut back, Direction::Inverse).unwrap();
             let scaled: Vec<C64> = back.iter().map(|&v| v * (1.0 / n as f64)).collect();
             assert!(max_error(&scaled, &x) < 1e-9, "n={n}");
         }
@@ -369,7 +354,7 @@ mod tests {
     #[test]
     fn rejects_unsupported_sizes() {
         for n in [0usize, 1, 7, 14, 49, 77] {
-            assert!(matches!(MixedRadixPlan::new(n), Err(FftError::InvalidSize { .. })), "{n}");
+            assert!(matches!(MixedRadixEngine::new(n), Err(FftError::InvalidSize { .. })), "{n}");
         }
     }
 
@@ -380,7 +365,7 @@ mod tests {
         for (n, factor) in
             [(14usize, 7usize), (49, 7), (77, 7), (1022, 7), (1009, 1009), (2026, 1013)]
         {
-            let err = MixedRadixPlan::new(n).unwrap_err();
+            let err = MixedRadixEngine::new(n).unwrap_err();
             assert!(
                 matches!(err, FftError::InvalidSize { factor: Some(f), .. } if f == factor),
                 "n={n}: {err:?}"
@@ -392,7 +377,7 @@ mod tests {
         }
         // Structural rejections carry no factor.
         for n in [0usize, 1] {
-            let err = MixedRadixPlan::new(n).unwrap_err();
+            let err = MixedRadixEngine::new(n).unwrap_err();
             assert!(matches!(err, FftError::InvalidSize { factor: None, .. }), "n={n}: {err:?}");
         }
     }
@@ -409,11 +394,11 @@ mod tests {
 
     #[test]
     fn length_mismatch_is_reported() {
-        let mut plan = MixedRadixPlan::new(60).unwrap();
+        let mut engine = MixedRadixEngine::new(60).unwrap();
         let x = random_signal(60, 1);
         let mut short = vec![Complex::zero(); 30];
         assert!(matches!(
-            mixed_radix_into(&mut plan, &x, &mut short, Direction::Forward),
+            engine.execute_into(&x, &mut short, Direction::Forward),
             Err(FftError::LengthMismatch { expected: 60, got: 30 })
         ));
     }

@@ -20,11 +20,12 @@
 //!
 //! Plan-time state: the generator permutation and its inverse, the
 //! forward/inverse kernel spectra (`FFT_{p-1}` of `b`), the inner
-//! mixed-radix plan and two `(p-1)`-point scratch arenas, honouring the
-//! crate-wide zero-allocation `execute_into` contract.
+//! [`MixedRadixEngine`] and two `(p-1)`-point scratch arenas, honouring
+//! the crate-wide zero-allocation `execute_into` contract.
 
+use crate::engine::{check_io, FftEngine};
 use crate::error::FftError;
-use crate::mixed::{mixed_radix_into, smallest_rough_factor, MixedRadixPlan};
+use crate::mixed::{smallest_rough_factor, MixedRadixEngine};
 use crate::reference::Direction;
 use afft_num::{twiddle, Complex, C64};
 
@@ -92,9 +93,11 @@ fn primitive_root(p: usize) -> usize {
         .expect("every prime has a primitive root")
 }
 
-/// Plan-time state of the Rader kernel.
+/// Rader's prime-length FFT as an engine: an odd prime `p` whose
+/// `p - 1` is 5-smooth, through the `(p-1)`-point generator-permutation
+/// cyclic convolution on `mixed_radix`.
 #[derive(Debug, Clone)]
-pub struct RaderPlan {
+pub struct RaderEngine {
     p: usize,
     /// `g_pow[q] = g^q mod p` — the input gather order.
     g_pow: Vec<usize>,
@@ -103,12 +106,12 @@ pub struct RaderPlan {
     /// `FFT_{p-1}` of `b_s = W_p^{g^{-s}}`, per direction.
     kernel_fwd: Vec<C64>,
     kernel_inv: Vec<C64>,
-    inner: MixedRadixPlan,
+    inner: MixedRadixEngine,
     buf_a: Vec<C64>,
     buf_b: Vec<C64>,
 }
 
-impl RaderPlan {
+impl RaderEngine {
     /// Plans a Rader FFT of prime size `p >= 3` with 5-smooth `p - 1`.
     ///
     /// # Errors
@@ -145,7 +148,7 @@ impl RaderPlan {
             inv = inv * g_inv % p;
         }
 
-        let mut inner = MixedRadixPlan::new(m)?;
+        let mut inner = MixedRadixEngine::new(m)?;
         let mut buf_a = vec![Complex::zero(); m];
         let buf_b = vec![Complex::zero(); m];
         let mut kernel_fwd = vec![Complex::zero(); m];
@@ -153,77 +156,65 @@ impl RaderPlan {
         for (slot, &e) in buf_a.iter_mut().zip(&g_inv_pow) {
             *slot = twiddle(p, e);
         }
-        mixed_radix_into(&mut inner, &buf_a, &mut kernel_fwd, Direction::Forward)?;
+        inner.execute_into(&buf_a, &mut kernel_fwd, Direction::Forward)?;
         // Inverse DFT: same convolution with the conjugated twiddles.
         for slot in buf_a.iter_mut() {
             *slot = slot.conj();
         }
-        mixed_radix_into(&mut inner, &buf_a, &mut kernel_inv, Direction::Forward)?;
-        Ok(RaderPlan { p, g_pow, g_inv_pow, kernel_fwd, kernel_inv, inner, buf_a, buf_b })
-    }
-
-    /// The planned transform size.
-    pub fn len(&self) -> usize {
-        self.p
-    }
-
-    /// Never true for a plan (`p >= 3`).
-    pub fn is_empty(&self) -> bool {
-        self.p == 0
+        inner.execute_into(&buf_a, &mut kernel_inv, Direction::Forward)?;
+        Ok(RaderEngine { p, g_pow, g_inv_pow, kernel_fwd, kernel_inv, inner, buf_a, buf_b })
     }
 }
 
-/// Executes the planned Rader FFT into `output` (natural bin order,
-/// unnormalised-DFT contract, no heap allocation).
-///
-/// # Errors
-///
-/// Returns [`FftError::LengthMismatch`] if either buffer is not
-/// `plan.len()` points.
-pub fn rader_into(
-    plan: &mut RaderPlan,
-    input: &[C64],
-    output: &mut [C64],
-    dir: Direction,
-) -> Result<(), FftError> {
-    let p = plan.p;
-    if input.len() != p {
-        return Err(FftError::LengthMismatch { expected: p, got: input.len() });
-    }
-    if output.len() != p {
-        return Err(FftError::LengthMismatch { expected: p, got: output.len() });
-    }
-    let m = p - 1;
-    let kernel = match dir {
-        Direction::Forward => &plan.kernel_fwd,
-        Direction::Inverse => &plan.kernel_inv,
-    };
-
-    // Gather the non-zero input points in generator order.
-    for (slot, &idx) in plan.buf_a.iter_mut().zip(&plan.g_pow) {
-        *slot = input[idx];
+impl FftEngine for RaderEngine {
+    fn name(&self) -> &str {
+        "rader"
     }
 
-    // (a ⊛ b) by the convolution theorem over the inner plan; the
-    // inner inverse is unnormalised, folded by 1/m at the scatter.
-    mixed_radix_into(&mut plan.inner, &plan.buf_a, &mut plan.buf_b, Direction::Forward)?;
-    for (slot, &k) in plan.buf_b.iter_mut().zip(kernel) {
-        *slot = *slot * k;
+    fn len(&self) -> usize {
+        self.p
     }
-    mixed_radix_into(&mut plan.inner, &plan.buf_b, &mut plan.buf_a, Direction::Inverse)?;
 
-    // X[0] is the plain sum; every other bin scatters through g^{-q}.
-    let x0 = input[0];
-    let mut sum = Complex::zero();
-    for &x in input {
-        sum = sum + x;
+    fn execute_into(
+        &mut self,
+        input: &[C64],
+        output: &mut [C64],
+        dir: Direction,
+    ) -> Result<(), FftError> {
+        let p = self.p;
+        check_io(p, input, output)?;
+        let m = p - 1;
+        let kernel = match dir {
+            Direction::Forward => &self.kernel_fwd,
+            Direction::Inverse => &self.kernel_inv,
+        };
+
+        // Gather the non-zero input points in generator order.
+        for (slot, &idx) in self.buf_a.iter_mut().zip(&self.g_pow) {
+            *slot = input[idx];
+        }
+
+        // (a ⊛ b) by the convolution theorem over the inner engine; the
+        // inner inverse is unnormalised, folded by 1/m at the scatter.
+        self.inner.execute_into(&self.buf_a, &mut self.buf_b, Direction::Forward)?;
+        for (slot, &k) in self.buf_b.iter_mut().zip(kernel) {
+            *slot = *slot * k;
+        }
+        self.inner.execute_into(&self.buf_b, &mut self.buf_a, Direction::Inverse)?;
+
+        // X[0] is the plain sum; every other bin scatters through g^{-q}.
+        let x0 = input[0];
+        let mut sum = Complex::zero();
+        for &x in input {
+            sum = sum + x;
+        }
+        output[0] = sum;
+        let scale = 1.0 / m as f64;
+        for (q, &idx) in self.g_inv_pow.iter().enumerate() {
+            output[idx] = x0 + self.buf_a[q] * scale;
+        }
+        Ok(())
     }
-    output[0] = sum;
-    let scale = 1.0 / m as f64;
-    for (q, &idx) in plan.g_inv_pow.iter().enumerate() {
-        output[idx] = x0 + plan.buf_a[q] * scale;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -252,15 +243,15 @@ mod tests {
     #[test]
     fn generator_permutation_covers_every_nonzero_residue() {
         for p in [7usize, 17, 97, 251] {
-            let plan = RaderPlan::new(p).unwrap();
+            let engine = RaderEngine::new(p).unwrap();
             let mut seen = vec![false; p];
-            for &v in &plan.g_pow {
+            for &v in &engine.g_pow {
                 assert!(v >= 1 && v < p && !seen[v]);
                 seen[v] = true;
             }
             // And the inverse order really is the inverse permutation.
-            for (q, &v) in plan.g_inv_pow.iter().enumerate() {
-                assert_eq!(v * plan.g_pow[q] % p, 1, "p={p} q={q}");
+            for (q, &v) in engine.g_inv_pow.iter().enumerate() {
+                assert_eq!(v * engine.g_pow[q] % p, 1, "p={p} q={q}");
             }
         }
     }
@@ -285,7 +276,7 @@ mod tests {
         // rough: 1008 = 2^4·3^2·7, 22 = 2·11, 46 = 2·23.
         for (p, rough) in [(1009usize, 7usize), (23, 11), (47, 23)] {
             assert_eq!(smallest_rough_factor(p - 1), Some(rough));
-            match RaderPlan::new(p) {
+            match RaderEngine::new(p) {
                 Err(FftError::InvalidSize { n, factor, .. }) => {
                     assert_eq!((n, factor), (p, Some(rough)), "p={p}");
                 }
@@ -298,13 +289,13 @@ mod tests {
             3usize, 5, 7, 11, 13, 17, 31, 61, 97, 181, 241, 251, 257, 401, 577, 641, 769, 1153,
             1297, 1601,
         ] {
-            let mut plan = RaderPlan::new(p).unwrap();
+            let mut engine = RaderEngine::new(p).unwrap();
             let x = random_signal(p, p as u64);
             let mut got = vec![Complex::zero(); p];
             for dir in [Direction::Forward, Direction::Inverse] {
                 let want = dft_naive(&x, dir).unwrap();
                 let peak = want.iter().map(|c| c.abs()).fold(0.0, f64::max);
-                rader_into(&mut plan, &x, &mut got, dir).unwrap();
+                engine.execute_into(&x, &mut got, dir).unwrap();
                 let err = max_error(&got, &want) / peak;
                 assert!(err < 1e-10, "p={p} {dir:?}: {err}");
             }
@@ -315,11 +306,11 @@ mod tests {
     fn round_trips_within_tolerance() {
         let p = 251;
         let x = random_signal(p, 9);
-        let mut plan = RaderPlan::new(p).unwrap();
+        let mut engine = RaderEngine::new(p).unwrap();
         let mut spec = vec![Complex::zero(); p];
         let mut back = vec![Complex::zero(); p];
-        rader_into(&mut plan, &x, &mut spec, Direction::Forward).unwrap();
-        rader_into(&mut plan, &spec, &mut back, Direction::Inverse).unwrap();
+        engine.execute_into(&x, &mut spec, Direction::Forward).unwrap();
+        engine.execute_into(&spec, &mut back, Direction::Inverse).unwrap();
         let scaled: Vec<C64> = back.iter().map(|&v| v * (1.0 / p as f64)).collect();
         assert!(max_error(&scaled, &x) < 1e-10);
     }
@@ -327,13 +318,13 @@ mod tests {
     #[test]
     fn rejects_composites_the_even_prime_and_mismatched_buffers() {
         for n in [0usize, 1, 2, 4, 9, 91, 1344] {
-            assert!(matches!(RaderPlan::new(n), Err(FftError::InvalidSize { .. })), "{n}");
+            assert!(matches!(RaderEngine::new(n), Err(FftError::InvalidSize { .. })), "{n}");
         }
-        let mut plan = RaderPlan::new(7).unwrap();
+        let mut engine = RaderEngine::new(7).unwrap();
         let x = random_signal(7, 3);
         let mut short = vec![Complex::zero(); 6];
         assert!(matches!(
-            rader_into(&mut plan, &x, &mut short, Direction::Forward),
+            engine.execute_into(&x, &mut short, Direction::Forward),
             Err(FftError::LengthMismatch { expected: 7, got: 6 })
         ));
     }

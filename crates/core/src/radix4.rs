@@ -9,19 +9,20 @@
 //! time (the radix-2 reference recomputes `cos`/`sin` per butterfly),
 //! so it is the crate's fastest power-of-4 kernel by a wide margin.
 //!
-//! The plan-time layout follows the FFTW idiom the engine layer is
-//! built on: [`Radix4Plan::new`] does all table construction,
-//! [`radix4_dit_into`] is the allocation-free execution primitive.
+//! The engine is its own plan, in the FFTW idiom the engine layer is
+//! built on: [`Radix4DitEngine::new`] does all table construction and
+//! its [`FftEngine::execute_into`] is the allocation-free primitive.
 
+use crate::engine::{check_io, FftEngine};
 use crate::error::FftError;
 use crate::reference::Direction;
 use afft_num::{twiddle, C64};
 
-/// Plan-time state of the radix-4 DIT kernel: the base-4 digit-reversal
+/// The radix-4 DIT FFT as an engine: the base-4 digit-reversal
 /// permutation and one twiddle triple `(W^j, W^2j, W^3j)` per butterfly
 /// per stage, stored forward (the inverse conjugates on the fly).
 #[derive(Debug, Clone)]
-pub struct Radix4Plan {
+pub struct Radix4DitEngine {
     n: usize,
     /// `rev[i]` = base-4 digit reversal of `i`: the input gather order.
     rev: Vec<usize>,
@@ -29,12 +30,12 @@ pub struct Radix4Plan {
     stages: Vec<Vec<[C64; 3]>>,
 }
 
-/// Whether `n` is a power of 4 (the sizes [`Radix4Plan`] supports).
+/// Whether `n` is a power of 4 (the sizes [`Radix4DitEngine`] supports).
 pub fn is_power_of_four(n: usize) -> bool {
     n.is_power_of_two() && n.trailing_zeros().is_multiple_of(2) && n >= 4
 }
 
-impl Radix4Plan {
+impl Radix4DitEngine {
     /// Plans a radix-4 DIT FFT of size `n` (a power of 4, `>= 4`).
     ///
     /// # Errors
@@ -59,17 +60,7 @@ impl Radix4Plan {
             );
             len *= 4;
         }
-        Ok(Radix4Plan { n, rev, stages })
-    }
-
-    /// The planned transform size.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Never true for a plan (`n >= 4`).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
+        Ok(Radix4DitEngine { n, rev, stages })
     }
 }
 
@@ -84,60 +75,58 @@ pub(crate) fn digit_reverse_base4(mut i: usize, digits: u32) -> usize {
     out
 }
 
-/// Executes the planned radix-4 DIT FFT into `output` (natural bin
-/// order, unnormalised-DFT contract, no heap allocation).
-///
-/// # Errors
-///
-/// Returns [`FftError::LengthMismatch`] if either buffer is not
-/// `plan.len()` points.
-pub fn radix4_dit_into(
-    plan: &Radix4Plan,
-    input: &[C64],
-    output: &mut [C64],
-    dir: Direction,
-) -> Result<(), FftError> {
-    let n = plan.n;
-    if input.len() != n {
-        return Err(FftError::LengthMismatch { expected: n, got: input.len() });
+impl FftEngine for Radix4DitEngine {
+    fn name(&self) -> &str {
+        "radix4_dit"
     }
-    if output.len() != n {
-        return Err(FftError::LengthMismatch { expected: n, got: output.len() });
+
+    fn len(&self) -> usize {
+        self.n
     }
-    // Gather in base-4 digit-reversed order; the combine stages then
-    // produce natural-order bins in place.
-    for (slot, &src) in output.iter_mut().zip(plan.rev.iter()) {
-        *slot = input[src];
-    }
-    let forward = dir == Direction::Forward;
-    let mut len = 4usize;
-    for stage in &plan.stages {
-        let quarter = len / 4;
-        for base in (0..n).step_by(len) {
-            for (j, tw) in stage.iter().enumerate() {
-                let [w1, w2, w3] =
-                    if forward { *tw } else { [tw[0].conj(), tw[1].conj(), tw[2].conj()] };
-                let i0 = base + j;
-                let a = output[i0];
-                let b = output[i0 + quarter] * w1;
-                let c = output[i0 + 2 * quarter] * w2;
-                let e = output[i0 + 3 * quarter] * w3;
-                let t0 = a + c;
-                let t1 = a - c;
-                let t2 = b + e;
-                let t3 = b - e;
-                // The 4-point DFT's only rotation: W_4 = -i forward, +i
-                // inverse.
-                let t3r = if forward { t3.mul_neg_i() } else { t3.mul_i() };
-                output[i0] = t0 + t2;
-                output[i0 + quarter] = t1 + t3r;
-                output[i0 + 2 * quarter] = t0 - t2;
-                output[i0 + 3 * quarter] = t1 - t3r;
-            }
+
+    fn execute_into(
+        &mut self,
+        input: &[C64],
+        output: &mut [C64],
+        dir: Direction,
+    ) -> Result<(), FftError> {
+        let n = self.n;
+        check_io(n, input, output)?;
+        // Gather in base-4 digit-reversed order; the combine stages then
+        // produce natural-order bins in place.
+        for (slot, &src) in output.iter_mut().zip(self.rev.iter()) {
+            *slot = input[src];
         }
-        len *= 4;
+        let forward = dir == Direction::Forward;
+        let mut len = 4usize;
+        for stage in &self.stages {
+            let quarter = len / 4;
+            for base in (0..n).step_by(len) {
+                for (j, tw) in stage.iter().enumerate() {
+                    let [w1, w2, w3] =
+                        if forward { *tw } else { [tw[0].conj(), tw[1].conj(), tw[2].conj()] };
+                    let i0 = base + j;
+                    let a = output[i0];
+                    let b = output[i0 + quarter] * w1;
+                    let c = output[i0 + 2 * quarter] * w2;
+                    let e = output[i0 + 3 * quarter] * w3;
+                    let t0 = a + c;
+                    let t1 = a - c;
+                    let t2 = b + e;
+                    let t3 = b - e;
+                    // The 4-point DFT's only rotation: W_4 = -i forward,
+                    // +i inverse.
+                    let t3r = if forward { t3.mul_neg_i() } else { t3.mul_i() };
+                    output[i0] = t0 + t2;
+                    output[i0 + quarter] = t1 + t3r;
+                    output[i0 + 2 * quarter] = t0 - t2;
+                    output[i0 + 3 * quarter] = t1 - t3r;
+                }
+            }
+            len *= 4;
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -173,12 +162,12 @@ mod tests {
     #[test]
     fn matches_naive_both_directions() {
         for n in [4usize, 16, 64, 256, 1024] {
-            let plan = Radix4Plan::new(n).unwrap();
+            let mut engine = Radix4DitEngine::new(n).unwrap();
             let x = random_signal(n, 17 + n as u64);
             let mut got = vec![Complex::zero(); n];
             for dir in [Direction::Forward, Direction::Inverse] {
                 let want = dft_naive(&x, dir).unwrap();
-                radix4_dit_into(&plan, &x, &mut got, dir).unwrap();
+                engine.execute_into(&x, &mut got, dir).unwrap();
                 let peak = want.iter().map(|c| c.abs()).fold(0.0, f64::max);
                 assert!(max_error(&got, &want) / peak < 1e-12, "n={n} {dir:?}");
             }
@@ -188,12 +177,12 @@ mod tests {
     #[test]
     fn round_trip_recovers_input() {
         let n = 256;
-        let plan = Radix4Plan::new(n).unwrap();
+        let mut engine = Radix4DitEngine::new(n).unwrap();
         let x = random_signal(n, 3);
         let mut spec = vec![Complex::zero(); n];
         let mut back = vec![Complex::zero(); n];
-        radix4_dit_into(&plan, &x, &mut spec, Direction::Forward).unwrap();
-        radix4_dit_into(&plan, &spec, &mut back, Direction::Inverse).unwrap();
+        engine.execute_into(&x, &mut spec, Direction::Forward).unwrap();
+        engine.execute_into(&spec, &mut back, Direction::Inverse).unwrap();
         let scaled: Vec<C64> = back.iter().map(|&v| v * (1.0 / n as f64)).collect();
         assert!(max_error(&scaled, &x) < 1e-10);
     }
@@ -201,21 +190,21 @@ mod tests {
     #[test]
     fn rejects_non_power_of_four() {
         for n in [0usize, 2, 8, 12, 32, 128] {
-            assert!(matches!(Radix4Plan::new(n), Err(FftError::InvalidSize { .. })), "{n}");
+            assert!(matches!(Radix4DitEngine::new(n), Err(FftError::InvalidSize { .. })), "{n}");
         }
     }
 
     #[test]
     fn length_mismatch_is_reported() {
-        let plan = Radix4Plan::new(16).unwrap();
+        let mut engine = Radix4DitEngine::new(16).unwrap();
         let x = random_signal(16, 1);
         let mut short = vec![Complex::zero(); 8];
         assert!(matches!(
-            radix4_dit_into(&plan, &x, &mut short, Direction::Forward),
+            engine.execute_into(&x, &mut short, Direction::Forward),
             Err(FftError::LengthMismatch { expected: 16, got: 8 })
         ));
         assert!(matches!(
-            radix4_dit_into(&plan, &x[..8], &mut vec![Complex::zero(); 16], Direction::Forward),
+            engine.execute_into(&x[..8], &mut vec![Complex::zero(); 16], Direction::Forward),
             Err(FftError::LengthMismatch { expected: 16, got: 8 })
         ));
     }

@@ -14,7 +14,7 @@
 
 use crate::bits::bit_reverse;
 use crate::error::FftError;
-use afft_num::{twiddle, Complex, Scalar, C64};
+use afft_num::{twiddle, Complex, C64};
 
 /// Direction of a transform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -179,48 +179,6 @@ pub fn dif_stage(data: &mut [C64], j: u32, dir: Direction) {
     }
 }
 
-/// Generic in-place radix-2 DIT FFT over any [`Scalar`], with an optional
-/// per-stage arithmetic right shift (`scale_shift`) to keep fixed-point
-/// data in range (1 bit per stage gives an output scaled by `1/N`).
-///
-/// Twiddles are quantised from `f64` per butterfly.
-///
-/// # Errors
-///
-/// Returns [`FftError::InvalidSize`] unless the length is a power of two
-/// and at least 2.
-pub fn fft_radix2_dit<T: Scalar>(
-    data: &mut [Complex<T>],
-    dir: Direction,
-    scale_half_per_stage: bool,
-) -> Result<(), FftError> {
-    let n = data.len();
-    check_pow2(n)?;
-    bit_reverse_permute(data);
-    let half_scalar = T::from_f64(0.5);
-    let mut len = 2usize;
-    while len <= n {
-        let half = len / 2;
-        for start in (0..n).step_by(len) {
-            for k in 0..half {
-                let wf = dir.twiddle(len, k);
-                let w = Complex::new(T::from_f64(wf.re), T::from_f64(wf.im));
-                let a = data[start + k];
-                let b = data[start + k + half] * w;
-                let (mut s, mut d) = (a + b, a - b);
-                if scale_half_per_stage {
-                    s = s * half_scalar;
-                    d = d * half_scalar;
-                }
-                data[start + k] = s;
-                data[start + k + half] = d;
-            }
-        }
-        len *= 2;
-    }
-    Ok(())
-}
-
 pub(crate) fn check_pow2(n: usize) -> Result<(), FftError> {
     if !n.is_power_of_two() {
         return Err(FftError::InvalidSize { n, reason: "not a power of two", factor: None });
@@ -244,7 +202,6 @@ pub fn max_error(a: &[C64], b: &[C64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use afft_num::Q15;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -333,21 +290,6 @@ mod tests {
         assert!(fft_radix2_dit_f64(&mut x, Direction::Forward).is_err());
         let mut x = vec![Complex::zero(); 1];
         assert!(fft_radix2_dit_f64(&mut x, Direction::Forward).is_err());
-    }
-
-    #[test]
-    fn fixed_point_dit_tracks_float_with_scaling() {
-        let n = 256;
-        let xf = random_signal(n, 3);
-        let xq: Vec<Complex<Q15>> = xf.iter().map(|&c| Complex::from_c64(c * 0.5)).collect();
-        let mut want: Vec<C64> = xq.iter().map(|q| q.to_c64()).collect();
-        fft_radix2_dit_f64(&mut want, Direction::Forward).unwrap();
-        let want_scaled: Vec<C64> = want.iter().map(|&v| v * (1.0 / n as f64)).collect();
-
-        let mut got = xq;
-        fft_radix2_dit::<Q15>(&mut got, Direction::Forward, true).unwrap();
-        let gotf: Vec<C64> = got.iter().map(|q| q.to_c64()).collect();
-        assert!(max_error(&gotf, &want_scaled) < 4e-3, "fixed-point error too large");
     }
 
     #[test]

@@ -552,6 +552,20 @@ mod tests {
     }
 
     #[test]
+    fn estimate_never_ranks_the_naive_dft_first() {
+        // The O(N^2) sum computes a `cos` and a `sin` per term, and its
+        // row prices them: some structured engine is cheaper at every
+        // size, and at N = 2 the table-driven butterfly beats the
+        // radix-2 kernel's on-the-fly twiddle.
+        let mut planner = Planner::new();
+        for n in 2..=4200usize {
+            let plan = planner.plan(n, Strategy::Estimate).unwrap();
+            assert_ne!(plan.best().name, "dft_naive", "n={n}");
+        }
+        assert_eq!(planner.plan(2, Strategy::Estimate).unwrap().best().name, "mixed_radix");
+    }
+
+    #[test]
     fn planned_engine_is_instantiable_and_correct_size() {
         let mut planner = Planner::new();
         let plan = planner.plan(128, Strategy::Estimate).unwrap();
