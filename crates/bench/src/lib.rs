@@ -1,7 +1,7 @@
 //! Experiment harnesses: one binary per paper artifact (Table I,
 //! Table II, the Section IV hardware numbers, the Fig. 3 matrix proof)
-//! plus ablation and scaling extensions, and the throughput, stream and
-//! net bins over the same drivers.
+//! plus ablation and scaling extensions, and the throughput and planner
+//! bins over the same drivers.
 //!
 //! Run them with, e.g.:
 //!
@@ -46,23 +46,6 @@ pub fn parse_stamp(args: &[String]) -> Result<u64, String> {
             .parse::<u64>()
             .map_err(|_| format!("--stamp value {v:?} is not a unix-seconds integer")),
     }
-}
-
-/// Where a bench bin writes its JSON artifact `name`: the working
-/// directory for a full run (the committed artifact), and
-/// `target/bench-smoke/` (created on demand, ignored by git) for a
-/// `--smoke` run, so a smoke never overwrites the full-run numbers.
-///
-/// # Errors
-///
-/// Any [`std::io::Error`] from creating the smoke directory.
-pub fn artifact_path(name: &str, smoke: bool) -> std::io::Result<std::path::PathBuf> {
-    if !smoke {
-        return Ok(name.into());
-    }
-    let dir = std::path::Path::new("target/bench-smoke");
-    std::fs::create_dir_all(dir)?;
-    Ok(dir.join(name))
 }
 
 /// Formats a ratio as the paper's "X-factor" improvement strings.

@@ -16,16 +16,6 @@ pub fn random_signal_q15(n: usize, seed: u64) -> Vec<Complex<Q15>> {
     random_signal(n, seed).iter().map(|&c| Complex::from_c64(c * 0.9)).collect()
 }
 
-/// A QPSK-modulated OFDM symbol in the frequency domain (the UWB
-/// receiver workload the paper's introduction motivates): random bits
-/// through the one constellation mapper the workspace has,
-/// [`afft_core::ofdm::qpsk_map`].
-pub fn qpsk_symbol(n: usize, seed: u64) -> Vec<C64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let bits: Vec<(bool, bool)> = (0..n).map(|_| (rng.gen_bool(0.5), rng.gen_bool(0.5))).collect();
-    afft_core::ofdm::qpsk_map(&bits)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -34,13 +24,6 @@ mod tests {
     fn signals_are_reproducible() {
         assert_eq!(random_signal(16, 7), random_signal(16, 7));
         assert_ne!(random_signal(16, 7), random_signal(16, 8));
-    }
-
-    #[test]
-    fn qpsk_has_unit_magnitude() {
-        for c in qpsk_symbol(64, 1) {
-            assert!((c.abs() - 1.0).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use afft_core::Direction;
 use afft_net::{NetClient, NetEvent, NetServer, OpKind, RETRY_AFTER_MS};
 use afft_num::{Complex, C64};
 use afft_planner::take_engine;
-use afft_stream::{ChannelOp, ChannelSpec};
+use afft_stream::{ChannelOp, ChannelSpec, SAMPLE_EVERY};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -235,6 +235,24 @@ fn json_u64(doc: &str, key: &str) -> u64 {
         .unwrap_or_else(|_| panic!("non-numeric value for {needle}"))
 }
 
+/// The object or array that follows the first `"key":` in `doc`, up to
+/// its matching close (the admin JSON has no brackets inside strings).
+fn json_value<'a>(doc: &'a str, key: &str) -> &'a str {
+    let needle = format!("\"{key}\":");
+    let at = doc.find(&needle).unwrap_or_else(|| panic!("stats JSON missing {needle}: {doc}"));
+    let value = &doc[at + needle.len()..];
+    let mut depth = 0;
+    for (i, c) in value.char_indices() {
+        match c {
+            '{' | '[' => depth += 1,
+            '}' | ']' if depth == 1 => return &value[..=i],
+            '}' | ']' => depth -= 1,
+            _ => {}
+        }
+    }
+    panic!("unterminated value for {needle}: {doc}")
+}
+
 #[test]
 fn flood_client_sees_retry_after_and_loses_no_accepted_frame() {
     // One slow worker behind a 2-deep budget: a flood must trip
@@ -365,6 +383,22 @@ fn admin_stats_document_is_structurally_valid_json() {
     assert_eq!(json_u64(&doc, "submitted"), 3);
     // Three submits plus the stats request itself.
     assert_eq!(json_u64(&doc, "frames_in"), 4);
+
+    // What the benchmark's traced run reads from each channel: the four
+    // stage summaries, each with its sample count and median. Only the
+    // WiMAX modulator (channel 0) carried traffic.
+    let channels = json_value(json_value(&doc, "pipeline"), "channels");
+    let entries: Vec<&str> = channels.split("{\"channel\":").skip(1).collect();
+    assert_eq!(entries.len(), 4, "pipeline.channels: {channels}");
+    for (i, entry) in entries.iter().enumerate() {
+        assert!(entry.starts_with(&format!("{i},")), "channel {i} out of place: {channels}");
+        let sampled = if i == 0 { 3u64.div_ceil(SAMPLE_EVERY) } else { 0 };
+        for stage in ["queue_wait", "transform", "reorder_park", "latency"] {
+            let summary = json_value(entry, stage);
+            assert!(summary.contains("\"p50_ns\":"), "channel {i} {stage}: {summary}");
+            assert_eq!(json_u64(summary, "count"), sampled, "channel {i} {stage}");
+        }
+    }
 
     drop(client);
     let stats = server.shutdown();

@@ -39,9 +39,8 @@ pub fn histogram_json(h: &Histogram) -> String {
         .finish()
 }
 
-/// A point-in-time set of named histograms — what the stream
-/// pipeline's `StreamObs::snapshot` and the planner's
-/// `calibration_snapshot` return, and what the exporters consume.
+/// A point-in-time set of named histograms — what the planner's
+/// `calibration_snapshot` returns, and what the exporters consume.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     series: Vec<(String, Histogram)>,

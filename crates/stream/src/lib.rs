@@ -22,8 +22,8 @@
 //!   instead of blocking;
 //! * [`StreamPipeline::submit`] blocks until queue space frees up;
 //! * completions are delivered **strictly in per-channel submission
-//!   order** ([`StreamPipeline::recv`] / [`StreamPipeline::try_recv`]),
-//!   regardless of which worker finished first;
+//!   order** ([`StreamPipeline::recv`]), regardless of which worker
+//!   finished first;
 //! * a single consumer of every channel drains them all at once with
 //!   [`StreamPipeline::recv_ready`]: one pass under the lock moves
 //!   whatever every channel has ready, it never waits to fill a batch,

@@ -663,17 +663,6 @@ impl StreamPipeline {
         Ok(done)
     }
 
-    /// Non-blocking delivery: the channel's next in-order completion,
-    /// if it has finished.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel` did not come from this pipeline's builder.
-    pub fn try_recv(&self, channel: ChannelId) -> Option<Completion> {
-        let idx = self.chan(channel);
-        self.shared.lock().rings[idx].deliver()
-    }
-
     /// Blocking delivery: waits for the channel's next in-order
     /// completion. Returns `None` only when the channel has nothing
     /// outstanding (every accepted symbol already delivered) — so a
@@ -1419,9 +1408,7 @@ mod tests {
         let p50 = ch_a.latency.p50().unwrap();
         assert!(p50 >= ch_a.transform.p50().unwrap() / 2, "latency {p50}ns vs transform");
         assert!(ch_a.latency.p99().unwrap() >= p50);
-        // The named snapshot and JSON exports carry the same series.
-        let snap = obs.snapshot();
-        assert_eq!(snap.get("ch0/deliver").unwrap().count(), 3);
+        // The JSON export carries every channel.
         assert!(obs.to_json().contains("\"channel\":1"));
     }
 
@@ -1492,7 +1479,6 @@ mod tests {
             );
             st.recv_waiters = 0;
         }
-        assert!(pipeline.try_recv(ch).is_none());
         let mut out = Vec::new();
         let timeout = Duration::from_millis(10);
         assert!(matches!(pipeline.recv_ready(&mut out, timeout), Err(RecvError::Timeout)));

@@ -6,7 +6,7 @@
 
 use std::time::Duration;
 
-use afft_obs::{fmt_ns, histogram_json, Histogram, Snapshot};
+use afft_obs::{fmt_ns, histogram_json, Histogram};
 
 /// Cumulative counters for one channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,20 +73,6 @@ pub struct StreamObs {
 }
 
 impl StreamObs {
-    /// Flattens into a named [`Snapshot`] (`ch{i}/{stage}` series) for
-    /// the generic exporters.
-    pub fn snapshot(&self) -> Snapshot {
-        let series = self
-            .per_channel
-            .iter()
-            .enumerate()
-            .flat_map(|(i, chan)| {
-                chan.stages().map(|(stage, h)| (format!("ch{i}/{stage}"), h.clone()))
-            })
-            .collect();
-        Snapshot::from_series(series)
-    }
-
     /// Renders every channel as a JSON array of
     /// `{"channel":i,"latency":{..},"queue_wait":{..},...}` objects.
     pub fn to_json(&self) -> String {
@@ -349,10 +335,6 @@ mod tests {
         latency.record_n(10_000, 100);
         let chan = ChannelObs { latency, ..ChannelObs::default() };
         let obs = StreamObs { per_channel: vec![chan] };
-        let snap = obs.snapshot();
-        assert_eq!(snap.series().len(), 4);
-        assert!(snap.get("ch0/deliver").is_some());
-        assert!(snap.get("ch0/queue_wait").is_some());
         let doc = obs.to_json();
         assert!(doc.contains("\"channel\":0"), "{doc}");
         assert!(doc.contains("\"latency\":{\"count\":100"), "{doc}");

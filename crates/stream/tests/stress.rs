@@ -5,7 +5,7 @@
 //!
 //! * **`try_submit` storm** — a non-blocking submission loop hammers a
 //!   deliberately tiny queue across three channels; rejections are
-//!   retried, opportunistic `try_recv` drains interleave, and at the
+//!   retried, opportunistic `recv_ready` drains interleave, and at the
 //!   end every accepted symbol must be delivered exactly once, in
 //!   per-channel submission order, bit-identical to the same engine
 //!   run sequentially.
@@ -20,7 +20,8 @@
 use afft_core::engine::EngineRegistry;
 use afft_core::Direction;
 use afft_num::{Complex, C64};
-use afft_stream::{ChannelSpec, StreamPipeline, SubmitError};
+use afft_stream::{ChannelSpec, RecvError, StreamPipeline, SubmitError};
+use std::time::Duration;
 
 /// Deterministic per-(channel, seq) symbol, xorshift-driven, so the
 /// sequential reference and the pipeline agree exactly.
@@ -90,6 +91,7 @@ fn try_submit_storm(workers: usize) {
     let mut next = [0u64; CHANNELS.len()];
     let mut delivered = [0u64; CHANNELS.len()];
     let mut rejections = 0u64;
+    let mut ready = Vec::new();
     // Storm: round-robin non-blocking submission, retrying rejected
     // payloads and opportunistically draining while the queue is full.
     while next.iter().zip(&CHANNELS).any(|(&s, &(_, _, count))| s < count) {
@@ -111,17 +113,18 @@ fn try_submit_storm(workers: usize) {
                         payload = (input, output);
                         // Drain whatever is ready before retrying: the
                         // storm and the receive path interleave.
-                        for (jdx, &cj) in ids.iter().enumerate() {
-                            while let Some(done) = pipeline.try_recv(cj) {
-                                assert_eq!(done.seq, delivered[jdx], "channel {jdx} order");
-                                assert!(done.error.is_none());
-                                assert_eq!(
-                                    done.output, expected[jdx][done.seq as usize],
-                                    "channel {jdx} seq {} spectrum",
-                                    done.seq
-                                );
-                                delivered[jdx] += 1;
-                            }
+                        let drained = pipeline.recv_ready(&mut ready, Duration::ZERO);
+                        assert!(!matches!(drained, Err(RecvError::Poisoned)), "storm poisoned");
+                        for done in ready.drain(..) {
+                            let jdx = done.channel.index();
+                            assert_eq!(done.seq, delivered[jdx], "channel {jdx} order");
+                            assert!(done.error.is_none());
+                            assert_eq!(
+                                done.output, expected[jdx][done.seq as usize],
+                                "channel {jdx} seq {} spectrum",
+                                done.seq
+                            );
+                            delivered[jdx] += 1;
                         }
                     }
                     Err(other) => panic!("unexpected refusal: {other}"),
