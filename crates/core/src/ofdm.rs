@@ -311,7 +311,11 @@ mod tests {
     #[test]
     fn qpsk_map_demap_roundtrip() {
         let bits = random_bits(64, 6);
-        assert_eq!(qpsk_demap(&qpsk_map(&bits)), bits);
+        let symbols = qpsk_map(&bits);
+        for c in &symbols {
+            assert!((c.abs() - 1.0).abs() < 1e-12, "QPSK symbols have unit energy");
+        }
+        assert_eq!(qpsk_demap(&symbols), bits);
     }
 
     #[test]
