@@ -212,9 +212,9 @@ impl ArrayFftRunner {
         mem.write_complex_slice(self.layout.in_base, input)?;
         mem.write_complex_slice(self.layout.table_base, &self.table)?;
         let stats = self.machine.run(self.cfg.max_cycles)?;
-        let mem = self.machine.mem();
-        for (addr, &bin) in self.natural.iter().enumerate() {
-            output[bin] = mem.read_complex(self.layout.out_base + 4 * addr as u32)?;
+        let spectrum = self.machine.mem().read_complex_points(self.layout.out_base, n)?;
+        for (point, &bin) in spectrum.zip(&self.natural) {
+            output[bin] = point;
         }
         Ok(stats)
     }

@@ -120,6 +120,13 @@ pub fn stage_butterflies(p: u32, j: u32) -> Vec<Butterfly> {
 pub fn butterfly_at(p: u32, j: u32, c: usize) -> Butterfly {
     assert!((1..=p).contains(&j), "butterfly_at: stage {j} out of 1..={p}");
     assert!(c < (1usize << (p - 1)), "butterfly_at: counter {c} out of range");
+    closed_form(p, j, c)
+}
+
+/// The closed form of [`butterfly_at`], for a caller that has checked
+/// `j` and `c`.
+#[inline(always)]
+fn closed_form(p: u32, j: u32, c: usize) -> Butterfly {
     let run = 1usize << (j - 1);
     let t = c >> (j - 1);
     let w = c & (run - 1);
@@ -133,17 +140,15 @@ pub fn butterfly_at(p: u32, j: u32, c: usize) -> Butterfly {
 /// # Panics
 ///
 /// Panics if `i` is outside `1..=P/8` or `j` outside `1..=p`.
+#[inline]
 pub fn module_butterflies(p: u32, j: u32, i: usize) -> [Butterfly; 4] {
     assert!(p >= 3, "module_butterflies: group must have at least 8 points");
+    assert!((1..=p).contains(&j), "module_butterflies: stage {j} out of 1..={p}");
     let modules = 1usize << (p - 3);
     assert!((1..=modules).contains(&i), "module_butterflies: module {i} out of 1..={modules}");
+    // Counters `4(i-1) .. 4i`, all below `4 * modules = 2^(p-1)`.
     let base = (i - 1) * 4;
-    [
-        butterfly_at(p, j, base),
-        butterfly_at(p, j, base + 1),
-        butterfly_at(p, j, base + 2),
-        butterfly_at(p, j, base + 3),
-    ]
+    core::array::from_fn(|k| closed_form(p, j, base + k))
 }
 
 /// Reference enumeration of stage `j` through the cumulative permutation

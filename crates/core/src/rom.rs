@@ -226,37 +226,33 @@ impl<T: Scalar> PrerotTable<T> {
 
 /// Resolves exponent `e` of `W_N^e` to a compressed-table access
 /// (index in `0..=N/8` plus the octant reconstruction); the pure
-/// hardware function the `STOUT` coefficient logic implements.
+/// hardware function the `STOUT` coefficient logic implements. It works
+/// from `log2 N`: the octant is the top three bits of `e mod N`, the
+/// offset inside it the rest.
 ///
 /// # Panics
 ///
 /// Panics unless `n` is a power of two `>= 8`.
+#[inline]
 pub fn resolve_prerot(n: usize, e: usize) -> PrerotRef {
     assert!(n.is_power_of_two() && n >= 8, "resolve_prerot: invalid n {n}");
-    let e = e % n;
-    let eighth = n / 8;
-    let octant = e / eighth;
-    let r = e % eighth;
-    let (index, op) = if octant.is_multiple_of(2) {
-        let op = match octant {
-            0 => OctantOp::Identity,
-            2 => OctantOp::MulNegI,
-            4 => OctantOp::Neg,
-            6 => OctantOp::MulI,
-            _ => unreachable!(),
-        };
-        (r, op)
-    } else {
-        let op = match octant {
-            1 => OctantOp::NegSwap,
-            3 => OctantOp::NegRe,
-            5 => OctantOp::Swap,
-            7 => OctantOp::Conj,
-            _ => unreachable!(),
-        };
-        (eighth - r, op)
-    };
-    PrerotRef { index, op }
+    // Even octants read the table forward, odd ones backward from N/8.
+    const OPS: [OctantOp; 8] = [
+        OctantOp::Identity,
+        OctantOp::NegSwap,
+        OctantOp::MulNegI,
+        OctantOp::NegRe,
+        OctantOp::Neg,
+        OctantOp::Swap,
+        OctantOp::MulI,
+        OctantOp::Conj,
+    ];
+    let eighth_log2 = n.trailing_zeros() - 3;
+    let e = e & (n - 1);
+    let octant = e >> eighth_log2;
+    let r = e & ((1 << eighth_log2) - 1);
+    let index = if octant.is_multiple_of(2) { r } else { (1 << eighth_log2) - r };
+    PrerotRef { index, op: OPS[octant] }
 }
 
 #[cfg(test)]

@@ -69,19 +69,23 @@ impl Q15 {
         self.0
     }
 
-    /// Quantises an `f64` with round-to-nearest and saturation.
+    /// Quantises an `f64` with round-to-nearest (ties away from zero)
+    /// and saturation.
     ///
-    /// Values outside `[-1.0, 1.0)` saturate to the range ends.
+    /// Values outside `[-1.0, 1.0)` saturate to the range ends, and NaN
+    /// quantises to zero.
     #[inline]
     pub fn from_f64(v: f64) -> Self {
-        let scaled = (v * f64::from(1i32 << Self::FRAC_BITS)).round();
-        if scaled >= f64::from(i16::MAX) {
-            Self::ONE_MINUS_EPS
-        } else if scaled <= f64::from(i16::MIN) {
-            Self::NEG_ONE
-        } else {
-            Q15(scaled as i16)
-        }
+        // Just under a half, `0.5 - 2^-54`.
+        const HALF_DOWN: f64 = 0.5 - f64::EPSILON / 4.0;
+        let scaled = v * f64::from(1i32 << Self::FRAC_BITS);
+        // Adding `HALF_DOWN` with the value's sign, then truncating,
+        // rounds half away from zero: a tie `k + 1/2` sums to within
+        // 2^-54 of `k + 1` and the addition rounds up to it, while a
+        // value below the tie sums to below `k + 1` (a plain 0.5 would
+        // round `0.5 - 2^-54` itself up to 1). The `as` cast truncates,
+        // clamps to the `i16` range and sends NaN to 0.
+        Q15((scaled + HALF_DOWN.copysign(scaled)) as i16)
     }
 
     /// Converts exactly to `f64`.
@@ -246,6 +250,7 @@ fn clamp_i32(v: i64) -> i32 {
 
 impl Add for Q15 {
     type Output = Self;
+    #[inline]
     fn add(self, rhs: Self) -> Self {
         self.saturating_add(rhs)
     }
@@ -253,6 +258,7 @@ impl Add for Q15 {
 
 impl Sub for Q15 {
     type Output = Self;
+    #[inline]
     fn sub(self, rhs: Self) -> Self {
         self.saturating_sub(rhs)
     }
@@ -260,6 +266,7 @@ impl Sub for Q15 {
 
 impl Mul for Q15 {
     type Output = Self;
+    #[inline]
     fn mul(self, rhs: Self) -> Self {
         self.saturating_mul(rhs)
     }
@@ -267,6 +274,7 @@ impl Mul for Q15 {
 
 impl Neg for Q15 {
     type Output = Self;
+    #[inline]
     fn neg(self) -> Self {
         // -(-1.0) saturates to ONE_MINUS_EPS, like the hardware negator.
         Q15(self.0.checked_neg().unwrap_or(i16::MAX))
@@ -304,20 +312,24 @@ impl Neg for Q31 {
 impl Scalar for Q15 {
     const ZERO: Self = Q15::ZERO;
 
+    #[inline]
     fn from_f64(v: f64) -> Self {
         Q15::from_f64(v)
     }
 
+    #[inline]
     fn to_f64(self) -> f64 {
         Q15::to_f64(self)
     }
 
+    #[inline]
     fn add_half(self, rhs: Self) -> Self {
         // Wide add then arithmetic shift: a 17-bit intermediate with one
         // guard bit, as the scaled BU datapath implements it.
         Q15(((i32::from(self.0) + i32::from(rhs.0)) >> 1) as i16)
     }
 
+    #[inline]
     fn sub_half(self, rhs: Self) -> Self {
         Q15(((i32::from(self.0) - i32::from(rhs.0)) >> 1) as i16)
     }
@@ -382,6 +394,40 @@ mod tests {
         assert_eq!(Q15::from_f64(1.0), Q15::ONE_MINUS_EPS);
         assert_eq!(Q15::from_f64(-2.0), Q15::NEG_ONE);
         assert_eq!(Q15::from_f64(-1.0), Q15::NEG_ONE);
+    }
+
+    /// `lsb` LSBs (`lsb / 2^15`) and the values one ulp either side.
+    fn around(lsb: f64) -> [f64; 3] {
+        let v = lsb / 32768.0;
+        [v.next_down(), v, v.next_up()]
+    }
+
+    #[test]
+    fn q15_ties_round_away_from_zero() {
+        for (lsb, below, tie, above) in [(0.5, 0, 1, 1), (1.5, 1, 2, 2), (2.5, 2, 3, 3)] {
+            let [lo, at, hi] = around(lsb);
+            let got = [lo, at, hi].map(|v| Q15::from_f64(v).to_bits());
+            assert_eq!(got, [below, tie, above], "+{lsb} LSB");
+            let got = [-hi, -at, -lo].map(|v| Q15::from_f64(v).to_bits());
+            assert_eq!(got, [-above, -tie, -below], "-{lsb} LSB");
+        }
+    }
+
+    #[test]
+    fn q15_saturation_thresholds() {
+        let got = around(32766.5).map(|v| Q15::from_f64(v).to_bits());
+        assert_eq!(got, [32766, i16::MAX, i16::MAX]);
+        let got = around(-32767.5).map(|v| Q15::from_f64(v).to_bits());
+        assert_eq!(got, [i16::MIN, i16::MIN, -32767]);
+    }
+
+    #[test]
+    fn q15_from_f64_special_values() {
+        assert_eq!(Q15::from_f64(0.0), Q15::ZERO);
+        assert_eq!(Q15::from_f64(-0.0), Q15::ZERO);
+        assert_eq!(Q15::from_f64(f64::NAN), Q15::ZERO);
+        assert_eq!(Q15::from_f64(f64::INFINITY), Q15::ONE_MINUS_EPS);
+        assert_eq!(Q15::from_f64(f64::NEG_INFINITY), Q15::NEG_ONE);
     }
 
     #[test]

@@ -27,6 +27,31 @@ fn normal_f32() -> impl Strategy<Value = f32> {
     })
 }
 
+/// Strategy for `[-1.1, 1.1]`: uniform draws, and values on or one ulp
+/// either side of a half-LSB rounding tie, which uniform draws miss.
+fn q15_domain() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        -1.1f64..1.1,
+        (-36045i32..36045, 0u8..3).prop_map(|(k, side)| {
+            let tie = (f64::from(k) + 0.5) / 32768.0;
+            [tie.next_down(), tie, tie.next_up()][usize::from(side)]
+        }),
+    ]
+}
+
+/// `Q15::from_f64` as it was written with `f64::round`: round half away
+/// from zero, then saturate.
+fn q15_by_round(v: f64) -> Q15 {
+    let scaled = (v * 32768.0).round();
+    if scaled >= f64::from(i16::MAX) {
+        Q15::ONE_MINUS_EPS
+    } else if scaled <= f64::from(i16::MIN) {
+        Q15::NEG_ONE
+    } else {
+        Q15::from_bits(scaled as i16)
+    }
+}
+
 fn result_is_flushed(host: f32) -> bool {
     // The spec flushes subnormal *results* to zero; the host does not.
     host != 0.0 && host.is_finite() && host.abs() < f32::MIN_POSITIVE
@@ -85,6 +110,11 @@ proptest! {
         let q = Q15::from_bits(bits);
         prop_assert_eq!(q.to_bits(), bits);
         prop_assert_eq!(Q15::from_f64(q.to_f64()), q);
+    }
+
+    #[test]
+    fn q15_from_f64_rounds_like_f64_round(v in q15_domain()) {
+        prop_assert_eq!(Q15::from_f64(v), q15_by_round(v), "v = {:e}", v);
     }
 
     #[test]

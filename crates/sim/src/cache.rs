@@ -97,6 +97,10 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
+    // log2 of the line size and of the set count, so an access splits
+    // its address with shifts and a mask.
+    line_shift: u32,
+    set_shift: u32,
     lines: Vec<Line>, // sets x ways
     stats: CacheStats,
     clock: u64,
@@ -118,7 +122,14 @@ impl Cache {
         );
         assert!(cfg.sets().is_power_of_two(), "set count must be a power of two");
         let lines = vec![Line::default(); (cfg.sets() * cfg.ways) as usize];
-        Cache { cfg, lines, stats: CacheStats::default(), clock: 0 }
+        Cache {
+            cfg,
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            set_shift: cfg.sets().trailing_zeros(),
+            lines,
+            stats: CacheStats::default(),
+            clock: 0,
+        }
     }
 
     /// The configuration.
@@ -152,9 +163,9 @@ impl Cache {
     pub fn access(&mut self, addr: u32, write: bool) -> Access {
         self.clock += 1;
         self.stats.accesses += 1;
-        let line_addr = addr / self.cfg.line_bytes;
-        let set = (line_addr % self.cfg.sets()) as usize;
-        let tag = line_addr / self.cfg.sets();
+        let line_addr = addr >> self.line_shift;
+        let set = (line_addr & ((1 << self.set_shift) - 1)) as usize;
+        let tag = line_addr >> self.set_shift;
         let base = set * self.cfg.ways as usize;
         let ways = &mut self.lines[base..base + self.cfg.ways as usize];
 

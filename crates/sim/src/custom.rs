@@ -207,20 +207,23 @@ impl FftUnit {
     /// Returns [`SimError::FftUnit`] if stage or module are out of range
     /// for the configured group size.
     pub fn but4(&mut self, stage: u32, module: u32) -> Result<(), SimError> {
-        let g = self.group_size();
         let p = self.regs.gsize_log2;
         if stage == 0 || stage > p {
             return Err(SimError::FftUnit { reason: format!("BUT4 stage {stage} out of 1..={p}") });
         }
-        let modules = g / 8;
+        let modules = self.group_size() / 8;
         if module == 0 || module as usize > modules {
             return Err(SimError::FftUnit {
                 reason: format!("BUT4 module {module} out of 1..={modules}"),
             });
         }
-        let dir = self.direction();
+        // The ROM holds `W_P^k` for the CRF's `P`, so a `2^p`-point
+        // group's `W^e` is entry `e << (log2 P - p)`.
+        let shift = self.rom.p_size().trailing_zeros() - p;
+        let inverse = self.regs.inverse;
         for bf in module_butterflies(p, stage, module as usize) {
-            let w = self.rom.group_twiddle(g, bf.rom_addr, dir);
+            let w = self.rom.entry(bf.rom_addr << shift);
+            let w = if inverse { w.conj() } else { w };
             butterfly_dif(&mut self.crf, bf, w, self.scaling);
         }
         Ok(())
@@ -229,10 +232,10 @@ impl FftUnit {
     /// Executes one `LDIN` beat: writes two points at the auto-
     /// incrementing load pointer (wrapping at the group size).
     pub fn ldin(&mut self, points: [Complex<Q15>; 2]) {
-        let g = self.group_size();
+        let mask = self.group_size() - 1;
         self.crf[self.regs.ldptr] = points[0];
-        self.crf[(self.regs.ldptr + 1) % g] = points[1];
-        self.regs.ldptr = (self.regs.ldptr + 2) % g;
+        self.crf[(self.regs.ldptr + 1) & mask] = points[1];
+        self.regs.ldptr = (self.regs.ldptr + 2) & mask;
     }
 
     /// Prepares one `STOUT` beat: reads output bins `s`, `s+1` through
@@ -241,18 +244,18 @@ impl FftUnit {
     /// fetches the memory system must service before calling
     /// [`FftUnit::rotate`].
     pub fn stout(&mut self) -> StoutBeat {
-        let g = self.group_size();
+        let mask = self.group_size() - 1;
         let p = self.regs.gsize_log2;
         let s0 = self.regs.stptr;
-        let s1 = (self.regs.stptr + 1) % g;
-        self.regs.stptr = (self.regs.stptr + 2) % g;
+        let s1 = (self.regs.stptr + 1) & mask;
+        self.regs.stptr = (self.regs.stptr + 2) & mask;
         let values = [self.crf[bit_reverse(s0, p)], self.crf[bit_reverse(s1, p)]];
         let n = 1usize << self.regs.n_log2;
         let fetch = |s: usize| -> Option<CoefFetch> {
             if !self.regs.prerot_enable {
                 return None;
             }
-            let e = (s * self.regs.group as usize) % n;
+            let e = (s * self.regs.group as usize) & (n - 1);
             if e == 0 {
                 return None; // trivial rotation: W^0 = 1, no fetch
             }

@@ -215,7 +215,7 @@ impl Machine {
     /// any trap raised by execution.
     pub fn run(&mut self, max_cycles: u64) -> Result<Stats, SimError> {
         while !self.halted {
-            self.step()?;
+            self.execute()?;
             if self.stats.cycles > max_cycles {
                 return Err(SimError::CycleLimit { limit: max_cycles });
             }
@@ -233,6 +233,14 @@ impl Machine {
         if self.halted {
             return Ok(());
         }
+        self.execute()
+    }
+
+    /// The instruction body of [`Machine::step`] and [`Machine::run`]:
+    /// executes the instruction at `pc` on a machine that has not
+    /// halted. Inlined, so `run`'s loop makes no call per instruction.
+    #[inline(always)]
+    fn execute(&mut self) -> Result<(), SimError> {
         let instr = match self.decoded.get(self.pc) {
             Some(&Some(instr)) => instr,
             // Off the end of the image, or a word that does not decode:
@@ -243,7 +251,6 @@ impl Machine {
                 .map_err(|source| SimError::BadInstruction { pc: self.pc, source })?,
         };
         self.stats.instrs += 1;
-        let t = self.timing;
         let mut next = self.pc + 1;
         use Instr::*;
         match instr {
@@ -259,106 +266,106 @@ impl Machine {
                 let v = self.reg(rt) << shamt;
                 self.set_reg(rd, v);
                 self.stats.alu += 1;
-                self.stats.cycles += t.alu;
+                self.stats.cycles += self.timing.alu;
             }
             Srl { rd, rt, shamt } => {
                 let v = self.reg(rt) >> shamt;
                 self.set_reg(rd, v);
                 self.stats.alu += 1;
-                self.stats.cycles += t.alu;
+                self.stats.cycles += self.timing.alu;
             }
             Sra { rd, rt, shamt } => {
                 let v = ((self.reg(rt) as i32) >> shamt) as u32;
                 self.set_reg(rd, v);
                 self.stats.alu += 1;
-                self.stats.cycles += t.alu;
+                self.stats.cycles += self.timing.alu;
             }
             Sllv { rd, rt, rs } => {
                 let v = self.reg(rt) << (self.reg(rs) & 31);
                 self.set_reg(rd, v);
                 self.stats.alu += 1;
-                self.stats.cycles += t.alu;
+                self.stats.cycles += self.timing.alu;
             }
             Srlv { rd, rt, rs } => {
                 let v = self.reg(rt) >> (self.reg(rs) & 31);
                 self.set_reg(rd, v);
                 self.stats.alu += 1;
-                self.stats.cycles += t.alu;
+                self.stats.cycles += self.timing.alu;
             }
             Srav { rd, rt, rs } => {
                 let v = ((self.reg(rt) as i32) >> (self.reg(rs) & 31)) as u32;
                 self.set_reg(rd, v);
                 self.stats.alu += 1;
-                self.stats.cycles += t.alu;
+                self.stats.cycles += self.timing.alu;
             }
             Mul { rd, rs, rt } => {
                 let v = (self.reg(rs) as i32).wrapping_mul(self.reg(rt) as i32) as u32;
                 self.set_reg(rd, v);
                 self.stats.mul += 1;
-                self.stats.cycles += t.mul;
+                self.stats.cycles += self.timing.mul;
             }
             Mulh { rd, rs, rt } => {
                 let v = ((i64::from(self.reg(rs) as i32) * i64::from(self.reg(rt) as i32)) >> 32)
                     as u32;
                 self.set_reg(rd, v);
                 self.stats.mul += 1;
-                self.stats.cycles += t.mul;
+                self.stats.cycles += self.timing.mul;
             }
             Mulhu { rd, rs, rt } => {
                 let v = ((u64::from(self.reg(rs)) * u64::from(self.reg(rt))) >> 32) as u32;
                 self.set_reg(rd, v);
                 self.stats.mul += 1;
-                self.stats.cycles += t.mul;
+                self.stats.cycles += self.timing.mul;
             }
             Jr { rs } => {
                 next = (self.reg(rs) / 4) as usize;
                 self.stats.jumps += 1;
-                self.stats.cycles += t.jump + t.taken_extra;
+                self.stats.cycles += self.timing.jump + self.timing.taken_extra;
             }
             Jalr { rd, rs } => {
                 self.set_reg(rd, (self.pc as u32 + 1) * 4);
                 next = (self.reg(rs) / 4) as usize;
                 self.stats.jumps += 1;
-                self.stats.cycles += t.jump + t.taken_extra;
+                self.stats.cycles += self.timing.jump + self.timing.taken_extra;
             }
             Halt => {
                 self.halted = true;
-                self.stats.cycles += t.alu;
+                self.stats.cycles += self.timing.alu;
             }
             Addi { rt, rs, imm } => {
                 let v = self.reg(rs).wrapping_add(imm as i32 as u32);
                 self.set_reg(rt, v);
                 self.stats.alu += 1;
-                self.stats.cycles += t.alu;
+                self.stats.cycles += self.timing.alu;
             }
             Slti { rt, rs, imm } => {
                 let v = u32::from((self.reg(rs) as i32) < i32::from(imm));
                 self.set_reg(rt, v);
                 self.stats.alu += 1;
-                self.stats.cycles += t.alu;
+                self.stats.cycles += self.timing.alu;
             }
             Andi { rt, rs, imm } => {
                 let v = self.reg(rs) & u32::from(imm);
                 self.set_reg(rt, v);
                 self.stats.alu += 1;
-                self.stats.cycles += t.alu;
+                self.stats.cycles += self.timing.alu;
             }
             Ori { rt, rs, imm } => {
                 let v = self.reg(rs) | u32::from(imm);
                 self.set_reg(rt, v);
                 self.stats.alu += 1;
-                self.stats.cycles += t.alu;
+                self.stats.cycles += self.timing.alu;
             }
             Xori { rt, rs, imm } => {
                 let v = self.reg(rs) ^ u32::from(imm);
                 self.set_reg(rt, v);
                 self.stats.alu += 1;
-                self.stats.cycles += t.alu;
+                self.stats.cycles += self.timing.alu;
             }
             Lui { rt, imm } => {
                 self.set_reg(rt, u32::from(imm) << 16);
                 self.stats.alu += 1;
-                self.stats.cycles += t.alu;
+                self.stats.cycles += self.timing.alu;
             }
             Lw { rt, base, offset } => {
                 let addr = self.ea(base, offset);
@@ -409,18 +416,18 @@ impl Machine {
             J { target } => {
                 next = target as usize;
                 self.stats.jumps += 1;
-                self.stats.cycles += t.jump + t.taken_extra;
+                self.stats.cycles += self.timing.jump + self.timing.taken_extra;
             }
             Jal { target } => {
                 self.set_reg(Reg::RA, (self.pc as u32 + 1) * 4);
                 next = target as usize;
                 self.stats.jumps += 1;
-                self.stats.cycles += t.jump + t.taken_extra;
+                self.stats.cycles += self.timing.jump + self.timing.taken_extra;
             }
             But4 { stage, module } => {
                 self.fft.but4(self.reg(stage), self.reg(module))?;
                 self.stats.but4 += 1;
-                self.stats.cycles += t.but4;
+                self.stats.cycles += self.timing.but4;
             }
             Ldin { base, offset } => {
                 let addr = self.ea(base, offset);
@@ -430,7 +437,7 @@ impl Machine {
                     let beat = self.mem.read_u64(addr)?;
                     self.fft
                         .ldin([unpack_complex(beat as u32), unpack_complex((beat >> 32) as u32)]);
-                    self.charge_custom_access(addr, false, t.custom_mem);
+                    self.charge_custom_access(addr, false, self.timing.custom_mem);
                 } else {
                     // Corner-turn gather: two 32-bit fetches `stride`
                     // points apart (two port beats; the paper counts
@@ -439,7 +446,7 @@ impl Machine {
                     let p0 = self.mem.read_complex(addr)?;
                     let p1 = self.mem.read_complex(addr2)?;
                     self.fft.ldin([p0, p1]);
-                    self.charge_custom_access(addr, false, t.custom_mem);
+                    self.charge_custom_access(addr, false, self.timing.custom_mem);
                     self.charge_custom_access(addr2, false, 0);
                 }
                 self.stats.ldin += 1;
@@ -451,7 +458,7 @@ impl Machine {
                 for (v, f) in vals.iter_mut().zip(beat.coef) {
                     let Some(f) = f else { continue };
                     let entry = self.mem.read_complex(f.table_byte_offset)?;
-                    self.charge_access(f.table_byte_offset, false, t.coef_fetch);
+                    self.charge_access(f.table_byte_offset, false, self.timing.coef_fetch);
                     self.stats.coef_fetches += 1;
                     *v = self.fft.rotate(*v, entry, f.op);
                 }
@@ -459,12 +466,12 @@ impl Machine {
                     | (u64::from(crate::mem::pack_complex(vals[1])) << 32);
                 self.mem.write_u64(addr, word)?;
                 self.stats.stout += 1;
-                self.charge_custom_access(addr, true, t.custom_mem);
+                self.charge_custom_access(addr, true, self.timing.custom_mem);
             }
             Mtfft { rs, sel } => {
                 self.fft.mtfft(sel, self.reg(rs))?;
                 self.stats.mtfft += 1;
-                self.stats.cycles += t.mtfft;
+                self.stats.cycles += self.timing.mtfft;
             }
         }
         self.pc = next;

@@ -6,6 +6,7 @@
 
 use crate::error::SimError;
 use afft_num::{Complex, Q15};
+use core::ops::Range;
 
 /// Data memory of a fixed byte size.
 ///
@@ -139,7 +140,18 @@ impl Memory {
         self.write_u32(addr, pack_complex(v))
     }
 
+    /// The byte range of `n` complex points starting at `addr`, checked
+    /// as one access.
+    fn complex_region(&self, addr: u32, n: usize) -> Result<Range<usize>, SimError> {
+        let bytes = n.checked_mul(4).and_then(|b| u32::try_from(b).ok());
+        let bytes = bytes.ok_or(SimError::BadAddress { addr, bytes: u32::MAX })?;
+        let start = self.check(addr, bytes, 4)?;
+        Ok(start..start + bytes as usize)
+    }
+
     /// Bulk-writes a complex vector starting at `addr` (4 bytes/point).
+    /// The whole region is checked first, so a failed write changes
+    /// nothing.
     ///
     /// # Errors
     ///
@@ -149,10 +161,28 @@ impl Memory {
         addr: u32,
         data: &[Complex<Q15>],
     ) -> Result<(), SimError> {
-        for (k, &v) in data.iter().enumerate() {
-            self.write_complex(addr + 4 * k as u32, v)?;
+        let region = self.complex_region(addr, data.len())?;
+        for (word, &v) in self.bytes[region].chunks_exact_mut(4).zip(data) {
+            word.copy_from_slice(&pack_complex(v).to_le_bytes());
         }
         Ok(())
+    }
+
+    /// Reads `n` complex points starting at `addr`, in address order,
+    /// checking the region once.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Misaligned`] / [`SimError::BadAddress`].
+    pub fn read_complex_points(
+        &self,
+        addr: u32,
+        n: usize,
+    ) -> Result<impl Iterator<Item = Complex<Q15>> + '_, SimError> {
+        let region = self.complex_region(addr, n)?;
+        Ok(self.bytes[region].chunks_exact(4).map(|word| {
+            unpack_complex(u32::from_le_bytes(word.try_into().expect("4-byte chunks")))
+        }))
     }
 
     /// Bulk-reads `n` complex points starting at `addr`.
@@ -161,7 +191,7 @@ impl Memory {
     ///
     /// [`SimError::Misaligned`] / [`SimError::BadAddress`].
     pub fn read_complex_slice(&self, addr: u32, n: usize) -> Result<Vec<Complex<Q15>>, SimError> {
-        (0..n).map(|k| self.read_complex(addr + 4 * k as u32)).collect()
+        Ok(self.read_complex_points(addr, n)?.collect())
     }
 }
 
@@ -230,5 +260,26 @@ mod tests {
             (0..8).map(|i| Complex::new(Q15::from_f64(i as f64 / 16.0), Q15::ZERO)).collect();
         m.write_complex_slice(0, &data).unwrap();
         assert_eq!(m.read_complex_slice(0, 8).unwrap(), data);
+        for (k, v) in m.read_complex_points(4, 7).unwrap().enumerate() {
+            assert_eq!(m.read_complex(4 + 4 * k as u32), Ok(v));
+        }
+    }
+
+    #[test]
+    fn slice_helpers_check_the_whole_region_first() {
+        let mut m = Memory::new(64);
+        let data = vec![Complex::new(Q15::from_f64(0.5), Q15::ZERO); 8];
+        // Points 0..4 fit and point 4 does not: nothing is written.
+        assert_eq!(
+            m.write_complex_slice(48, &data),
+            Err(SimError::BadAddress { addr: 48, bytes: 32 })
+        );
+        assert_eq!(m.read_complex_slice(48, 4).unwrap(), vec![Complex::zero(); 4]);
+        assert_eq!(
+            m.write_complex_slice(2, &data),
+            Err(SimError::Misaligned { addr: 2, align: 4 })
+        );
+        assert!(m.read_complex_points(60, 2).is_err());
+        assert_eq!(m.read_complex_slice(60, 1).unwrap().len(), 1);
     }
 }
